@@ -22,6 +22,8 @@ import numpy as np
 from .geometry import Layout, antenna_distances, antenna_pattern_gains, as_xy
 
 FOUR_PI_SQ = (4.0 * math.pi) ** 2
+# 10**(x / 10) == exp(LN10_OVER_10 * x): converts dB to a natural exponent.
+LN10_OVER_10 = math.log(10.0) / 10.0
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,10 @@ def draw_link_matrix(
 
     The per-link receive gain is the antenna's pattern gain toward the user
     (it takes the rx_gain slot of the path constant).  Shadowing is drawn
-    first and fading second, each as one (antennas x users) block, so two
-    layouts with equal antenna counts consume identical random streams.
+    first and fading second, each as one (antennas x users) block.  The
+    Monte Carlo kernel in ``outage`` computes the same gains for whole
+    blocks of drops at once; this per-drop form is the scalar reference it
+    is tested against.
     """
     xy = as_xy(users)
     n_ant = layout.antenna_count

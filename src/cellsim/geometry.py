@@ -164,31 +164,37 @@ def build_layout(cfg: "ScenarioConfig", architecture=None) -> Layout:
 
 
 def sample_hexagon_xy(
-    radius: float, center: Position, n: int, rng: np.random.Generator
+    radius: float, center, n: int, rng: np.random.Generator, batch: tuple = ()
 ) -> np.ndarray:
-    """Uniform points in the hexagon, via rejection from the bounding box.
+    """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
 
-    Returns an (n, 2) array.  Deterministic given the generator state; the
-    acceptance rate is exactly 3/4 so the loop terminates quickly.
+    Each point picks one of the three equal rhombi of the hexagon, then two
+    uniforms place it inside that rhombus: no rejection loop, so the draws
+    per point are fixed.  ``center`` is a Position or an (m, 2) array of
+    cell centers; every cell gets ``n`` points.  The result has shape
+    ``batch + (m * n, 2)``, points grouped by cell in ``center`` order.
+    Draw order: all rhombus picks, then all uniform pairs.
     """
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
-    half_w = radius * SQRT3 / 2.0
-    out = np.empty((n, 2))
-    have = 0
-    while have < n:
-        need = n - have
-        batch = max(16, int(need / 0.70))
-        x = rng.uniform(-half_w, half_w, batch)
-        y = rng.uniform(-radius, radius, batch)
-        cand = np.column_stack([x, y])
-        keep = cand[hexagon_contains(radius, Position(0.0, 0.0), cand)]
-        take = min(need, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    out[:, 0] += center.x
-    out[:, 1] += center.y
-    return out
+    if isinstance(center, Position):
+        center = (center.x, center.y)
+    centers = np.reshape(np.asarray(center, dtype=float), (-1, 2))
+    shape = tuple(batch) + (centers.shape[0], n)
+    rhombus = rng.integers(0, 3, size=shape)
+    uv = rng.random(shape + (2,))
+    # Rhombus k is spanned by the vertices V_2k and V_2k+2 (V_j at 30 + 60j
+    # degrees); the spans are 120 degrees apart, so the three rhombi have
+    # equal area and tile the hexagon exactly.
+    angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
+    edge_a = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    edge_b = np.roll(edge_a, -1, axis=0)
+    xy = (
+        uv[..., :1] * np.take(edge_a, rhombus, axis=0)
+        + uv[..., 1:] * np.take(edge_b, rhombus, axis=0)
+        + centers[:, None, :]
+    )
+    return xy.reshape(tuple(batch) + (-1, 2))
 
 
 def place_users(layout: Layout, n: int, rng: np.random.Generator) -> list[Position]:
@@ -232,17 +238,19 @@ def antenna_distances(antenna: Antenna, points_xy, d_min: float) -> np.ndarray:
 def serving_sector_indices(layout: Layout, points_xy) -> np.ndarray:
     """Sector antenna id per point, by bearing from the cell center.
 
-    Boundary bearings resolve to the lower antenna id.  Only meaningful for
-    the used architecture; the caller enforces that.
+    ``points_xy`` has shape (..., n, 2) (a single (2,) point counts as one);
+    the result has shape (..., n).  Boundary bearings resolve to the lower
+    antenna id.  Only meaningful for the used architecture; the caller
+    enforces that.
     """
     q = np.atleast_2d(np.asarray(points_xy, dtype=float))
-    bearing = np.arctan2(q[:, 1] - layout.cell_center.y, q[:, 0] - layout.cell_center.x)
+    bearing = np.arctan2(q[..., 1] - layout.cell_center.y, q[..., 0] - layout.cell_center.x)
     boresights = np.array([a.boresight for a in layout.antennas])
     half = layout.antennas[0].beamwidth / 2.0
-    offset = np.abs(wrap_angle(bearing[None, :] - boresights[:, None]))
+    offset = np.abs(wrap_angle(bearing[..., None, :] - boresights[:, None]))
     inside = offset <= half + ANGLE_TOL
     # Equally spaced wedges cover every bearing; argmax picks the lowest id.
-    return np.argmax(inside, axis=0)
+    return np.argmax(inside, axis=-2)
 
 
 def serving_antenna(layout: Layout, p: Position) -> int:

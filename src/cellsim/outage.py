@@ -7,8 +7,9 @@ estimation covers both architectures over random user drops; all thresholds
 are evaluated on the same drops (common random numbers), so every outage
 curve is non-decreasing by construction.
 
-Each drop derives its randomness from (seed, drop_index) alone, which makes
-results independent of evaluation order and worker count.
+Drops run in fixed-size blocks, one generator per block keyed by (seed,
+stream tag, block index) alone; the block size depends only on the scenario.
+Results are therefore independent of evaluation order and worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, draw_link_matrix
+from .channel import LN10_OVER_10, path_gain_constant
 from .geometry import (
+    ANGLE_TOL,
     Architecture,
     Layout,
     interferer_cell_centers,
@@ -34,6 +36,11 @@ if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 Z_95 = 1.96  # two-sided 95% normal quantile
+
+# Links (antennas x users of every cell) drawn per block of drops.  Large
+# enough to spread the per-block generator set-up over many drops, small
+# enough that a block's arrays stay a few MiB.
+LINK_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -156,63 +163,88 @@ def _validate_thresholds(thresholds_db) -> np.ndarray:
     return arr
 
 
-def _drop_rngs(seed: int, drop: int, stream_tag: int):
-    """Independent generators for user placement and channel draws.
+def _path_gains(layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig") -> np.ndarray:
+    """Pattern gain times distance loss, shape (drops, antennas, users).
 
-    Keyed purely by (seed, tag, drop), so a drop's randomness never depends
-    on which worker evaluates it or in what order.
+    A user is inside an antenna's beam when the cosine of its bearing
+    offset from boresight is at least cos(beamwidth / 2), the flat-top
+    pattern of ``antenna_pattern_gains`` without an arctangent.  Antennas
+    that share one site (the used layout's center) share one distance
+    computation.
     """
-    ss_pos = np.random.SeedSequence(seed, spawn_key=(stream_tag, drop, 0))
-    ss_chan = np.random.SeedSequence(seed, spawn_key=(stream_tag, drop, 1))
-    return np.random.default_rng(ss_pos), np.random.default_rng(ss_chan)
+    antennas = layout.antennas
+    sites = np.array([[a.position.x, a.position.y] for a in antennas])
+    if np.all(sites == sites[0]):
+        sites = sites[:1]
+    dx = xy[:, None, :, 0] - sites[:, 0, None]
+    dy = xy[:, None, :, 1] - sites[:, 1, None]
+    d_sq = dx * dx + dy * dy
+    boresights = np.array([a.boresight for a in antennas])[:, None]
+    along = dx * np.cos(boresights) + dy * np.sin(boresights)
+    inside = along >= math.cos(antennas[0].beamwidth / 2.0 + ANGLE_TOL) * np.sqrt(d_sq)
+    pattern = np.where(inside, antennas[0].max_gain, antennas[0].floor_gain)
+    return pattern * np.maximum(d_sq, scenario.d_min**2) ** (-scenario.rho / 2.0)
 
 
-def _count_outages(args) -> np.ndarray:
-    """Outage counts per threshold over a contiguous range of drops."""
-    layout, scenario, thr_linear, seed, drop_start, drop_stop, stream_tag = args
-    params: ChannelParams = scenario.channel_params()
+def _count_blocks(args) -> np.ndarray:
+    """Outage counts per layout and threshold over a contiguous range of blocks.
+
+    Each block draws, from its own generator and in this order, every
+    cell's user positions, standard-normal shadowing and unit exponential
+    fading, all for (drops, antennas, users of every cell).  Every layout
+    is evaluated on that one draw.
+    """
+    (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
+     block_start, block_stop) = args
+    n_users = scenario.n_users
+    home = layouts[0]
+    scale = path_gain_constant(scenario.wavelength, 1.0, 1.0)
+    shadow_nepers = scenario.shadowing_sigma_db * LN10_OVER_10
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
-    n_users = scenario.n_users
-    cells = [layout.cell_center] + interferer_cell_centers(
-        layout.cell_radius, scenario.interferer_tiers, layout.cell_center
-    )
-    counts = np.zeros(thr_linear.size, dtype=np.int64)
-    for drop in range(drop_start, drop_stop):
-        rng_pos, rng_chan = _drop_rngs(seed, drop, stream_tag)
-        xy = np.vstack(
-            [sample_hexagon_xy(layout.cell_radius, c, n_users, rng_pos) for c in cells]
-        )
-        link = draw_link_matrix(layout, xy, params, rng_chan, drop)
-        gamma = per_antenna_sir_matrix(
-            link.gains, scenario.tx_power, eta, pg, n_observed=n_users
-        )
-        if layout.architecture is Architecture.USED:
-            serving = serving_sector_indices(layout, xy[:n_users])
-            sirs = gamma[serving, np.arange(n_users)]
-        else:
-            sirs = combine_columns(gamma, scenario.combiner_mode)
-        counts += (sirs[:, None] <= thr_linear[None, :]).sum(axis=0)
+    counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)
+    for block in range(block_start, block_stop):
+        drops = min(per_block, n_drops - block * per_block)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
+        xy = sample_hexagon_xy(home.cell_radius, centers, n_users, rng, batch=(drops,))
+        size = (drops, home.antenna_count, xy.shape[1])
+        channel = np.exp(shadow_nepers * rng.standard_normal(size))
+        channel *= rng.standard_exponential(size)
+        channel *= scale
+        for k, layout in enumerate(layouts):
+            gains = _path_gains(layout, xy, scenario) * channel
+            gamma = per_antenna_sir_matrix(gains, scenario.tx_power, eta, pg, n_observed=n_users)
+            if layout.architecture is Architecture.USED:
+                serving = serving_sector_indices(layout, xy[:, :n_users])
+                sirs = np.take_along_axis(gamma, serving[:, None, :], axis=1)
+            else:
+                sirs = combine_columns(gamma, scenario.combiner_mode)
+            counts[k] += np.searchsorted(np.sort(sirs, axis=None), thr_linear, side="right")
     return counts
 
 
 def mc_outage(
-    layout: Layout,
+    layout: Layout | Sequence[Layout],
     scenario: "ScenarioConfig",
     thresholds_db,
     n_drops: int,
     seed: int,
     workers: int = 1,
     stream_tag: int = 0,
-) -> OutageCurve:
-    """Monte Carlo outage curve for one architecture.
+) -> OutageCurve | list[OutageCurve]:
+    """Monte Carlo outage curve for one architecture, or paired curves.
 
-    Every threshold is evaluated against the same drops, so the curve is
-    exactly non-decreasing.  Counts are integers and drops are seeded
-    individually, which keeps the result identical for any ``workers``.
-    ``stream_tag`` namespaces the random streams; paired comparisons run both
-    architectures with the same tag and seed.
+    Every threshold is evaluated against the same drops, so each curve is
+    exactly non-decreasing.  Counts are integers and workers take whole
+    blocks of drops, which keeps the result identical for any ``workers``.
+    ``stream_tag`` namespaces the random streams.  Given a sequence of
+    layouts (equal antenna counts), all of them are evaluated on one shared
+    draw of positions, shadowing and fading, and a list of curves comes
+    back in the same order.
     """
+    layouts = [layout] if isinstance(layout, Layout) else list(layout)
+    if len({lay.antenna_count for lay in layouts}) != 1:
+        raise ValueError("paired layouts must have one antenna count")
     if n_drops < 1:
         raise ValueError(f"n_drops must be >= 1, got {n_drops}")
     if workers < 1:
@@ -220,23 +252,30 @@ def mc_outage(
     thr_db = _validate_thresholds(thresholds_db)
     thr_linear = 10.0 ** (thr_db / 10.0)
 
-    if workers == 1:
-        counts = _count_outages((layout, scenario, thr_linear, seed, 0, n_drops, stream_tag))
-    else:
-        bounds = np.linspace(0, n_drops, workers + 1, dtype=int)
-        jobs = [
-            (layout, scenario, thr_linear, seed, int(a), int(b), stream_tag)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        counts = np.zeros(thr_linear.size, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_count_outages, jobs):
-                counts += chunk
-    n_samples = n_drops * scenario.n_users
-    return _curve_from_counts(
-        layout.architecture.value, thr_db, counts, n_samples, n_drops, seed
+    home = layouts[0]
+    cells = [home.cell_center] + interferer_cell_centers(
+        home.cell_radius, scenario.interferer_tiers, home.cell_center
     )
+    centers = np.array([[c.x, c.y] for c in cells])
+    per_block = max(1, LINK_BUDGET // (home.antenna_count * len(cells) * scenario.n_users))
+    n_blocks = -(-n_drops // per_block)
+    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int)
+    jobs = [
+        (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
+         int(a), int(b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    if len(jobs) == 1:
+        counts = _count_blocks(jobs[0])
+    else:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            counts = sum(pool.map(_count_blocks, jobs))
+    n_samples = n_drops * scenario.n_users
+    curves = [
+        _curve_from_counts(lay.architecture.value, thr_db, c, n_samples, n_drops, seed)
+        for lay, c in zip(layouts, counts)
+    ]
+    return curves[0] if isinstance(layout, Layout) else curves
 
 
 def mc_outage_exponential(

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .channel import ChannelParams, path_gain_constant
+from .channel import LN10_OVER_10, ChannelParams, path_gain_constant
 from .geometry import (
     Position,
     build_layout,
@@ -31,8 +31,6 @@ from .geometry import (
 )
 from .outage import OutageCurve, analytic_outage_used, mc_outage
 from .sir import COMBINER_MODES, processing_gain
-
-LN10_OVER_10 = math.log(10.0) / 10.0
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 
@@ -130,6 +128,15 @@ class ScenarioConfig:
             raise ConfigError(f"wavelength must be positive, got {self.wavelength}")
         if self.floor_gain_db > self.max_gain_db:
             raise ConfigError("floor_gain_db must not exceed max_gain_db")
+        for name in ("max_gain", "floor_gain"):
+            try:
+                linear = getattr(self, name)
+            except OverflowError:
+                linear = math.inf
+            if not math.isfinite(linear):
+                raise ConfigError(
+                    f"{name}_db = {getattr(self, name + '_db')} dB overflows as a linear gain"
+                )
 
     # Derived quantities ---------------------------------------------------
 
@@ -480,10 +487,13 @@ def analytic_used_curve(cfg: ScenarioConfig) -> np.ndarray:
 # Orchestration ------------------------------------------------------------
 
 def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
-    """Run the configured architectures on identical seeds and assemble results.
+    """Run the configured architectures and assemble results.
 
-    With ``paired`` set (the default) both architectures consume the same
-    random streams, so they see identical user drops and channel draws.
+    With ``paired`` set (the default) both architectures are evaluated on
+    one shared draw of user positions, shadowing and fading per drop;
+    otherwise each draws its own streams.  The analytic curve draws no
+    random numbers and runs first, so a config it rejects fails before any
+    drop is simulated.
     """
     cfg.validate()
     start = time.perf_counter()
@@ -491,24 +501,23 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
         archs = ["used", "microzone"]
     else:
         archs = [cfg.architecture]
-
-    curves: dict[str, OutageCurve] = {}
-    for arch in archs:
-        layout = build_layout(cfg, arch)
-        tag = 0 if cfg.paired else 1 + archs.index(arch)
-        curves[arch] = mc_outage(
-            layout,
-            cfg,
-            cfg.thresholds_db,
-            cfg.n_drops,
-            cfg.master_seed,
-            workers=workers,
-            stream_tag=tag,
-        )
     analytic = analytic_used_curve(cfg) if "used" in archs else None
+
+    layouts = [build_layout(cfg, arch) for arch in archs]
+    sweep = (cfg, cfg.thresholds_db, cfg.n_drops, cfg.master_seed)
+    if cfg.paired:
+        curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0)
+    else:
+        curves = [
+            mc_outage(layout, *sweep, workers=workers, stream_tag=1 + k)
+            for k, layout in enumerate(layouts)
+        ]
     elapsed = time.perf_counter() - start
     return ExperimentResult(
-        config=cfg, curves=curves, analytic_used=analytic, elapsed_seconds=elapsed
+        config=cfg,
+        curves=dict(zip(archs, curves)),
+        analytic_used=analytic,
+        elapsed_seconds=elapsed,
     )
 
 

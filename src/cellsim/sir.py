@@ -144,16 +144,18 @@ def per_antenna_sir_matrix(
     pg: float,
     n_observed: int | None = None,
 ) -> np.ndarray:
-    """Branch SIR for every (antenna, user) pair from a drop's gain matrix.
+    """Branch SIR for every (antenna, user) pair from gain matrices.
 
-    Interference at an antenna sums the received power of all users except
-    the one under test.  Only the first ``n_observed`` user columns are
-    returned (all users still interfere).  Handles the eta = 0 corner:
-    positive signal over empty interference is +inf, zero over zero is 0.
+    ``gains`` has shape (..., antennas, users): one drop, or a batch of
+    drops along the leading axes.  Interference at an antenna sums the
+    received power of all users except the one under test.  Only the first
+    ``n_observed`` user columns are returned (all users still interfere).
+    Handles the eta = 0 corner: positive signal over empty interference is
+    +inf, zero over zero is 0.
     """
     power = np.asarray(gains, dtype=float) * np.asarray(tx_power, dtype=float)
-    totals = power.sum(axis=1, keepdims=True)
-    observed = power if n_observed is None else power[:, :n_observed]
+    totals = power.sum(axis=-1, keepdims=True)
+    observed = power if n_observed is None else power[..., :n_observed]
     # max() guards against cancellation when one user dominates the total.
     interference = np.maximum(totals - observed, 0.0)
     numer = pg * observed
@@ -164,18 +166,21 @@ def per_antenna_sir_matrix(
 
 
 def combine_columns(gamma: np.ndarray, mode: str = "paper") -> np.ndarray:
-    """Column-wise diversity combining of an (antennas x users) SIR matrix."""
+    """Diversity combining over the antenna axis of (..., antennas, users) SIRs.
+
+    Returns shape (..., users); a 2-D input combines column by column.
+    """
     if mode not in COMBINER_MODES:
         raise ValueError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
     gamma = np.asarray(gamma, dtype=float)
     if mode == "classical-mrc":
-        return gamma.sum(axis=0)
+        return gamma.sum(axis=-2)
     root = np.sqrt(gamma)
     with np.errstate(invalid="ignore"):
-        numer = (root * gamma).sum(axis=0)
-        denom = root.sum(axis=0)
+        numer = (root * gamma).sum(axis=-2)
+        denom = root.sum(axis=-2)
         combined = numer / denom
-    has_inf = np.isinf(gamma).any(axis=0)
+    has_inf = np.isinf(gamma).any(axis=-2)
     combined = np.where(has_inf, np.inf, combined)
     return np.where(denom > 0.0, combined, np.where(has_inf, np.inf, 0.0))
 

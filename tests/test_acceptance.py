@@ -19,7 +19,7 @@ from cellsim.outage import (
     prob_exponential_below_sum,
 )
 from cellsim.scenario import ScenarioConfig, render_csv, run_experiment
-from cellsim.sir import diversity_combine, mrc_weights, processing_gain
+from cellsim.sir import combine_columns, diversity_combine, mrc_weights, processing_gain
 
 Z95 = 1.959963984540054
 
@@ -163,9 +163,12 @@ def test_criterion_5_monotonicity(exponential_curves, default_sweep):
 
 
 def test_criterion_6_combiner_properties():
+    # Each branch vector also goes through combine_columns, the combiner the
+    # Monte Carlo kernel runs, as a one-column matrix.
     rng = np.random.default_rng(606)
     worst_sum = 0.0
     worst_scale = 0.0
+    worst_agree = 0.0
     bounds_ok = True
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
@@ -173,19 +176,34 @@ def test_criterion_6_combiner_properties():
         w = mrc_weights(gamma)
         worst_sum = max(worst_sum, abs(w.sum() - 1.0))
         combined = diversity_combine(gamma)
+        column = float(combine_columns(gamma[:, None])[0])
+        worst_agree = max(worst_agree, abs(column - combined) / combined)
         lo, hi = gamma.min(), gamma.max()
-        bounds_ok &= lo * (1.0 - 1e-12) <= combined <= hi * (1.0 + 1e-12)
+        for value in (combined, column):
+            bounds_ok &= lo * (1.0 - 1e-12) <= value <= hi * (1.0 + 1e-12)
         c = 10.0 ** rng.uniform(-3.0, 3.0)
         scaled = diversity_combine(c * gamma)
-        worst_scale = max(worst_scale, abs(scaled - c * combined) / (c * combined))
-    identity_ok = diversity_combine([7.25]) == 7.25
-    ok = worst_sum < 1e-12 and bounds_ok and worst_scale < 1e-10 and identity_ok
+        scaled_column = float(combine_columns((c * gamma)[:, None])[0])
+        worst_scale = max(
+            worst_scale,
+            abs(scaled - c * combined) / (c * combined),
+            abs(scaled_column - c * column) / (c * column),
+        )
+    identity_ok = diversity_combine([7.25]) == 7.25 and combine_columns([[7.25]])[0] == 7.25
+    ok = (
+        worst_sum < 1e-12
+        and bounds_ok
+        and worst_scale < 1e-10
+        and worst_agree < 1e-12
+        and identity_ok
+    )
     report(
         6,
         "combiner properties",
         ok,
         f"1e4 branch vectors: max |sum(w)-1| {worst_sum:.1e}, bounds {bounds_ok}, "
-        f"max scale error {worst_scale:.1e}, single-branch identity {identity_ok}",
+        f"max scale error {worst_scale:.1e}, combine_columns vs diversity_combine "
+        f"{worst_agree:.1e}, single-branch identity {identity_ok}",
     )
 
 

@@ -1,3 +1,6 @@
+import pytest
+
+from cellsim import scenario
 from cellsim.cli import main
 
 
@@ -82,3 +85,29 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
     )
     assert code == 1
     assert "thresholds" in stderr
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "max_gain_db = 4000 dB\n",
+        "max_gain_db = 5000 dB\nfloor_gain_db = 4000 dB\n",
+        "tx_power = 0 W\n",
+        "cell_radius = 1e300 m\n",
+    ],
+    ids=["max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius"],
+)
+def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):
+    def no_drops(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran on a config that must be rejected first")
+
+    monkeypatch.setattr(scenario, "mc_outage", no_drops)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text)
+    code, _, stderr = run_cli(
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--drops", "1000000"],
+        capsys,
+    )
+    assert code == 1
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr

@@ -100,6 +100,37 @@ class TestPlaceUsers:
         assert np.array_equal(a, b)
 
 
+class TestRhombusSampler:
+    def test_batch_of_cells_stays_in_its_cells(self):
+        centers = [Position(0.0, 0.0)] + interferer_cell_centers(1000.0, 2)
+        xy = sample_hexagon_xy(
+            1000.0, [[c.x, c.y] for c in centers], 5, np.random.default_rng(8), batch=(4,)
+        )
+        assert xy.shape == (4, 19 * 5, 2)
+        for k, c in enumerate(centers):
+            block = xy[:, 5 * k : 5 * (k + 1)].reshape(-1, 2)
+            assert hexagon_contains(1000.0, c, block).all()
+
+    def test_second_moment_matches_hexagon(self):
+        # Oracle: a uniform point in a hexagon of circumradius R has
+        # E[r^2] = 5 R^2 / 12, and each 60-degree wedge holds a sixth of it.
+        xy = sample_hexagon_xy(1.0, Position(0.0, 0.0), 200_000, np.random.default_rng(9))
+        r_sq = (xy**2).sum(axis=1)
+        assert abs(r_sq.mean() - 5.0 / 12.0) < 4.0 * r_sq.std() / math.sqrt(r_sq.size)
+        wedge = np.floor(np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * math.pi) / (math.pi / 3.0))
+        shares = np.bincount(wedge.astype(int), minlength=6) / xy.shape[0]
+        se = math.sqrt((1.0 / 6.0) * (5.0 / 6.0) / xy.shape[0])
+        assert np.all(np.abs(shares - 1.0 / 6.0) < 4.0 * se)
+
+    def test_serving_indices_keep_the_batch_axis(self):
+        layout = build_layout(make_cfg(), "used")
+        xy = sample_hexagon_xy(1000.0, layout.cell_center, 30, np.random.default_rng(10), batch=(3,))
+        batched = serving_sector_indices(layout, xy)
+        assert batched.shape == (3, 30)
+        for row, points in zip(batched, xy):
+            assert np.array_equal(row, serving_sector_indices(layout, points))
+
+
 class TestPatternGain:
     def antenna(self, boresight=0.0, beamwidth=2.0 * math.pi / 3.0):
         return Antenna(

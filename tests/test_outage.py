@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellsim.geometry import build_layout
+from cellsim import outage
+from cellsim.channel import draw_link_matrix
+from cellsim.geometry import Position, build_layout, interferer_cell_centers
 from cellsim.outage import (
     ExponentialMix,
     OutageCurve,
@@ -17,8 +20,73 @@ from cellsim.outage import (
     prob_exponential_below_sum,
 )
 from cellsim.scenario import ScenarioConfig
+from cellsim.sir import RadioConfig, drop_sir_samples
 
 rates = st.floats(min_value=0.1, max_value=10.0)
+
+
+class ReplayRng:
+    """Hands one drop's pre-drawn shadowing and fading to draw_link_matrix."""
+
+    def __init__(self, std_normal, fading):
+        self.std_normal = std_normal
+        self.fading = fading
+
+    def normal(self, loc, scale, size):
+        assert tuple(size) == self.std_normal.shape
+        return loc + scale * self.std_normal
+
+    def exponential(self, scale, size):
+        assert tuple(size) == self.fading.shape
+        return scale * self.fading
+
+
+def scalar_oracle_counts(layouts, cfg, n_drops, seed, stream_tag):
+    """Outage counts per layout and threshold, rebuilt drop by drop.
+
+    Independent of the kernel's arithmetic: it rebuilds the block stream
+    layout (one generator per block of drops; rhombus picks, uniform pairs,
+    standard-normal shadowing, then exponential fading, each for the whole
+    block), places every user by hand and pushes each drop through the
+    scalar draw_link_matrix / drop_sir_samples path.
+    """
+    thr_lin = 10.0 ** (cfg.thresholds_db / 10.0)
+    radio = RadioConfig(cfg.chip_rate, cfg.bit_rate, cfg.resolved_noise_power(), cfg.tx_power)
+    cells = [Position(0.0, 0.0)] + interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
+    n_ant = layouts[0].antenna_count
+    n_links = len(cells) * cfg.n_users
+    per_block = max(1, outage.LINK_BUDGET // (n_ant * n_links))
+    vertices = [
+        (
+            cfg.cell_radius * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
+            cfg.cell_radius * math.sin(math.pi / 6.0 + math.pi / 3.0 * j),
+        )
+        for j in range(6)
+    ]
+    counts = np.zeros((len(layouts), thr_lin.size), dtype=np.int64)
+    for block, first in enumerate(range(0, n_drops, per_block)):
+        drops = min(per_block, n_drops - first)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
+        rhombus = rng.integers(0, 3, size=(drops, len(cells), cfg.n_users))
+        uv = rng.random((drops, len(cells), cfg.n_users, 2))
+        std_normal = rng.standard_normal((drops, n_ant, n_links))
+        fading = rng.standard_exponential((drops, n_ant, n_links))
+        for d in range(drops):
+            users = []
+            for c, cell in enumerate(cells):
+                for i in range(cfg.n_users):
+                    k = int(rhombus[d, c, i])
+                    (ax, ay), (bx, by) = vertices[2 * k], vertices[(2 * k + 2) % 6]
+                    u, v = uv[d, c, i]
+                    users.append(Position(u * ax + v * bx + cell.x, u * ay + v * by + cell.y))
+            for k, layout in enumerate(layouts):
+                link = draw_link_matrix(
+                    layout, users, cfg.channel_params(), ReplayRng(std_normal[d], fading[d])
+                )
+                samples = drop_sir_samples(layout, users, link, radio, cfg.combiner_mode)
+                for sample in samples[: cfg.n_users]:
+                    counts[k] += sample.combined <= thr_lin
+    return counts
 
 
 def mc_below_sum_oracle(mix: ExponentialMix, n: int, rng: np.random.Generator) -> float:
@@ -180,44 +248,77 @@ class TestMcOutage:
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
     def test_counts_match_scalar_recomputation(self):
-        # Independent oracle: rebuild every drop from the same substreams and
-        # recount outages through the scalar per-user SIR path.
-        from cellsim.channel import draw_link_matrix
-        from cellsim.geometry import interferer_cell_centers, sample_hexagon_xy
-        from cellsim.sir import RadioConfig, drop_sir_samples
+        # Independent oracle: rebuild the block streams and recount every drop
+        # through the scalar per-user SIR path.  45 drops at 39 drops per
+        # block exercise a full block and a partial one.
+        cfg = ScenarioConfig(interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0))
+        layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
+        curves = mc_outage(layouts, cfg, cfg.thresholds_db, 45, seed=31)
+        counts = scalar_oracle_counts(layouts, cfg, 45, seed=31, stream_tag=0)
+        for curve, expected in zip(curves, counts):
+            np.testing.assert_array_equal(curve.estimates, expected / (45 * cfg.n_users))
 
+    def test_paired_run_shares_one_draw(self):
+        # A layout evaluated alongside another sees exactly the drops it
+        # sees alone on the same seed and tag.
+        cfg = self.small_cfg(interferer_tiers=1)
+        used, micro = (build_layout(cfg, arch) for arch in ("used", "microzone"))
+        paired = mc_outage([used, micro], cfg, cfg.thresholds_db, 30, seed=4)
+        alone = [mc_outage(lay, cfg, cfg.thresholds_db, 30, seed=4) for lay in (used, micro)]
+        for a, b in zip(paired, alone):
+            assert np.array_equal(a.estimates, b.estimates)
+
+    def test_rejects_mixed_antenna_counts(self):
+        used = build_layout(self.small_cfg(), "used")
+        wide = build_layout(self.small_cfg(beamwidth_deg=60.0), "microzone")
+        with pytest.raises(ValueError, match="antenna count"):
+            mc_outage([used, wide], self.small_cfg(), [0.0], 5, seed=1)
+
+
+class TestKernelAgainstScalarOracle:
+    @given(
+        beamwidth=st.sampled_from([60.0, 120.0]),
+        tiers=st.integers(0, 2),
+        n_users=st.integers(1, 6),
+        noise_power=st.sampled_from([None, 0.0]),
+        floor_gain_db=st.sampled_from([float("-inf"), -20.0, -3.0]),
+        combiner=st.sampled_from(["paper", "classical-mrc"]),
+        architecture=st.sampled_from(["both", "used", "microzone"]),
+        paired=st.booleans(),
+        rho=st.floats(2.0, 5.0),
+        sigma=st.floats(0.0, 12.0),
+        link_budget=st.sampled_from([2**7, 2**9, outage.LINK_BUDGET]),
+        n_drops=st.integers(1, 12),
+        seed=st.integers(0, 2**63),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_counts_match(
+        self, beamwidth, tiers, n_users, noise_power, floor_gain_db, combiner,
+        architecture, paired, rho, sigma, link_budget, n_drops, seed,
+    ):
         cfg = ScenarioConfig(
-            n_users=5, n_drops=3, interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0)
+            beamwidth_deg=beamwidth, interferer_tiers=tiers, n_users=n_users,
+            noise_power=noise_power, floor_gain_db=floor_gain_db, combiner_mode=combiner,
+            architecture=architecture, paired=paired, rho=rho, shadowing_sigma_db=sigma,
+            thresholds=(-10.0, 10.0, 2.5),
         )
-        thr_lin = 10.0 ** (cfg.thresholds_db / 10.0)
-        radio = RadioConfig(
-            cfg.chip_rate, cfg.bit_rate, cfg.resolved_noise_power(), cfg.tx_power
-        )
-        for arch in ("used", "microzone"):
-            layout = build_layout(cfg, arch)
-            curve = mc_outage(layout, cfg, cfg.thresholds_db, 3, seed=31)
-            counts = np.zeros(thr_lin.size, dtype=int)
-            for drop in range(3):
-                rng_pos = np.random.default_rng(
-                    np.random.SeedSequence(31, spawn_key=(0, drop, 0))
+        cfg.validate()
+        archs = ["used", "microzone"] if architecture == "both" else [architecture]
+        layouts = [build_layout(cfg, arch) for arch in archs]
+        groups = [(layouts, 0)] if paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
+        # A small link budget gives many blocks, most of them partial tails.
+        with mock.patch.object(outage, "LINK_BUDGET", link_budget):
+            for group, tag in groups:
+                single = mc_outage(group, cfg, cfg.thresholds_db, n_drops, seed, stream_tag=tag)
+                expected = scalar_oracle_counts(group, cfg, n_drops, seed, tag)
+                for curve, counts in zip(single, expected):
+                    np.testing.assert_array_equal(curve.estimates, counts / (n_drops * n_users))
+                dual = mc_outage(
+                    group, cfg, cfg.thresholds_db, n_drops, seed, workers=2, stream_tag=tag
                 )
-                rng_chan = np.random.default_rng(
-                    np.random.SeedSequence(31, spawn_key=(0, drop, 1))
-                )
-                cells = [layout.cell_center] + interferer_cell_centers(
-                    cfg.cell_radius, cfg.interferer_tiers
-                )
-                xy = np.vstack(
-                    [
-                        sample_hexagon_xy(cfg.cell_radius, c, cfg.n_users, rng_pos)
-                        for c in cells
-                    ]
-                )
-                link = draw_link_matrix(layout, xy, cfg.channel_params(), rng_chan, drop)
-                samples = drop_sir_samples(layout, xy, link, radio, cfg.combiner_mode)
-                for s in samples[: cfg.n_users]:
-                    counts += s.combined <= thr_lin
-            np.testing.assert_array_equal(curve.estimates, counts / (3 * cfg.n_users))
+                for a, b in zip(single, dual):
+                    assert np.array_equal(a.estimates, b.estimates)
+                    assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
 
 class TestOutageCurveInvariants:

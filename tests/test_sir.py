@@ -177,6 +177,21 @@ class TestPerAntennaSirMatrix:
         np.testing.assert_allclose(gamma, 0.25)
 
 
+class TestBatchAxis:
+    def test_batch_equals_per_drop(self):
+        rng = np.random.default_rng(12)
+        gains = rng.exponential(1.0, (4, 3, 9))
+        gamma = per_antenna_sir_matrix(gains, 1.0, 0.2, 10.0, n_observed=5)
+        assert gamma.shape == (4, 3, 5)
+        for mode in ("paper", "classical-mrc"):
+            combined = combine_columns(gamma, mode)
+            assert combined.shape == (4, 5)
+            for d in range(4):
+                one = per_antenna_sir_matrix(gains[d], 1.0, 0.2, 10.0, n_observed=5)
+                np.testing.assert_array_equal(gamma[d], one)
+                np.testing.assert_array_equal(combined[d], combine_columns(one, mode))
+
+
 class TestDropSirSamples:
     def test_used_combined_is_serving_branch(self):
         cfg = ScenarioConfig()
