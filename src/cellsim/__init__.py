@@ -5,46 +5,9 @@ the microzone arrangement, where antennas on the cell edge receive the uplink
 jointly and their branch SIRs are diversity-combined.
 """
 
-from .geometry import (
-    Antenna,
-    Architecture,
-    Layout,
-    Position,
-    build_layout,
-    pattern_gain,
-    place_users,
-    propagation_distance,
-    serving_antenna,
-)
-from .channel import (
-    ChannelParams,
-    LinkGainMatrix,
-    SumOfSinusoidsRayleigh,
-    draw_fading_power,
-    draw_link_matrix,
-    draw_shadowing,
-    link_gain,
-    path_gain_constant,
-    sos_rayleigh_sample,
-)
-from .sir import (
-    RadioConfig,
-    SirSample,
-    diversity_combine,
-    drop_sir_samples,
-    mrc_weights,
-    processing_gain,
-    uplink_sir,
-)
-from .outage import (
-    ExponentialMix,
-    OutageCurve,
-    analytic_outage_used,
-    mc_outage,
-    mc_outage_exponential,
-    outage_report,
-    prob_exponential_below_sum,
-)
+from .geometry import Layout, build_layout
+from .channel import SumOfSinusoidsRayleigh
+from .outage import OutageCurve, analytic_outage_used, mc_outage, outage_report
 from .scenario import (
     ConfigError,
     ExperimentResult,
@@ -59,44 +22,19 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Antenna",
-    "Architecture",
-    "ChannelParams",
     "ConfigError",
     "ExperimentResult",
-    "ExponentialMix",
     "Layout",
-    "LinkGainMatrix",
     "OutageCurve",
-    "Position",
-    "RadioConfig",
     "ScenarioConfig",
-    "SirSample",
     "SumOfSinusoidsRayleigh",
     "analytic_outage_used",
     "analytic_used_curve",
     "build_layout",
-    "diversity_combine",
-    "draw_fading_power",
-    "draw_link_matrix",
-    "draw_shadowing",
-    "drop_sir_samples",
     "emit_csv",
-    "link_gain",
     "mc_outage",
-    "mc_outage_exponential",
-    "mrc_weights",
     "outage_report",
     "parse_config",
-    "path_gain_constant",
-    "pattern_gain",
-    "place_users",
-    "prob_exponential_below_sum",
-    "processing_gain",
-    "propagation_distance",
     "run_experiment",
     "serialize_config",
-    "serving_antenna",
-    "sos_rayleigh_sample",
-    "uplink_sir",
 ]

@@ -95,7 +95,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config) if args.config else ScenarioConfig()
         cfg = _apply_overrides(cfg, args)
-        cfg.validate()
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 

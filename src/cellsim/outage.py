@@ -3,9 +3,10 @@
 The closed form covers a single desired exponential power against a sum of
 independent exponential interferers plus a constant, which is exactly the
 sectored-uplink outage once conditional mean powers are fixed.  Monte Carlo
-estimation covers both architectures over random user drops; all thresholds
-are evaluated on the same drops (common random numbers), so every outage
-curve is non-decreasing by construction.
+estimation covers both architectures over random user drops in one batched
+kernel, ``_count_blocks``; all thresholds are evaluated on the same drops
+(common random numbers), so every outage curve is non-decreasing by
+construction.
 
 Drops run in fixed-size blocks, one generator per block keyed by (seed,
 stream tag, block index) alone; the block size depends only on the scenario.
@@ -24,7 +25,6 @@ import numpy as np
 from .channel import LN10_OVER_10, path_gain_constant
 from .geometry import (
     ANGLE_TOL,
-    Architecture,
     Layout,
     interferer_cell_centers,
     sample_hexagon_xy,
@@ -41,28 +41,6 @@ Z_95 = 1.96  # two-sided 95% normal quantile
 # enough to spread the per-block generator set-up over many drops, small
 # enough that a block's arrays stay a few MiB.
 LINK_BUDGET = 2**15
-
-
-@dataclass(frozen=True)
-class ExponentialMix:
-    """One exponential variable compared against a shifted sum of others.
-
-    ``desired_rate`` is the rate (1/mean) of the variable under test,
-    ``interferer_rates`` the rates of the summed variables, ``offset`` the
-    added constant.
-    """
-
-    desired_rate: float
-    interferer_rates: tuple[float, ...] = ()
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.desired_rate <= 0.0:
-            raise ValueError(f"desired_rate must be positive, got {self.desired_rate}")
-        if any(rate <= 0.0 for rate in self.interferer_rates):
-            raise ValueError("interferer rates must all be positive")
-        if self.offset < 0.0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -107,23 +85,6 @@ class ReportRow:
     micro_not_better: bool
 
 
-def prob_exponential_below_sum(mix: ExponentialMix) -> float:
-    """P(z_desired <= sum(z_interferers) + offset) for independent exponentials.
-
-    Closed form: with r the desired rate and r_i the interferer rates,
-
-        1 - [exp(r * offset) * prod_i (1 + r / r_i)]**-1
-
-    evaluated in the log domain, so the result stays accurate in [0, 1] even
-    for extreme rate ratios.
-    """
-    rate = mix.desired_rate
-    log_factor = rate * mix.offset
-    for other in mix.interferer_rates:
-        log_factor += math.log1p(rate / other)
-    return -math.expm1(-log_factor)
-
-
 def analytic_outage_used(
     mean_desired: float,
     mean_interferers: Sequence[float],
@@ -133,21 +94,20 @@ def analytic_outage_used(
 ) -> float:
     """Closed-form sectored-uplink outage from conditional mean powers.
 
-    ``threshold`` is linear.  Interferers with zero mean contribute nothing
-    and are skipped; the desired mean must be positive.
+    The probability that an exponential desired power with mean
+    ``mean_desired`` falls to the linear ``threshold`` or below, against
+    independent exponential interferers with means ``mean_interferers`` plus
+    the constant ``eta``, after the processing gain ``pg``:
+
+        1 - [exp(eta * t) * prod_i (1 + t * m_i)]**-1,
+        t = threshold / (pg * mean_desired),
+
+    evaluated in the log domain, so the result stays accurate in [0, 1] even
+    for extreme mean ratios.  With ``pg = threshold = 1`` it is
+    P(z_desired <= sum(z_i) + eta) for exponentials of the given means.
+    Zero-mean interferers contribute nothing; the scenario config
+    guarantees a positive desired mean.
     """
-    if mean_desired <= 0.0:
-        raise ValueError(f"mean_desired must be positive, got {mean_desired}")
-    if pg <= 0.0:
-        raise ValueError(f"processing gain must be positive, got {pg}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if any(m < 0.0 for m in mean_interferers):
-        raise ValueError("interferer means must be >= 0")
-    if threshold == 0.0:
-        return 0.0
     log_factor = eta * threshold / (pg * mean_desired)
     for mean in mean_interferers:
         log_factor += math.log1p(threshold * mean / (pg * mean_desired))
@@ -166,23 +126,22 @@ def _validate_thresholds(thresholds_db) -> np.ndarray:
 def _path_gains(layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig") -> np.ndarray:
     """Pattern gain times distance loss, shape (drops, antennas, users).
 
-    A user is inside an antenna's beam when the cosine of its bearing
-    offset from boresight is at least cos(beamwidth / 2), the flat-top
-    pattern of ``antenna_pattern_gains`` without an arctangent.  Antennas
-    that share one site (the used layout's center) share one distance
-    computation.
+    ``xy`` is (drops, users, 2).  A user is inside an antenna's beam (boundary
+    inclusive) when the cosine of its bearing offset from boresight is at
+    least cos(beamwidth / 2): the flat-top pattern without an arctangent.
+    Distances are clamped below at ``d_min``.  Antennas that share one site
+    (the used layout's center) share one distance computation.
     """
-    antennas = layout.antennas
-    sites = np.array([[a.position.x, a.position.y] for a in antennas])
+    sites = layout.sites
     if np.all(sites == sites[0]):
         sites = sites[:1]
     dx = xy[:, None, :, 0] - sites[:, 0, None]
     dy = xy[:, None, :, 1] - sites[:, 1, None]
     d_sq = dx * dx + dy * dy
-    boresights = np.array([a.boresight for a in antennas])[:, None]
+    boresights = layout.boresights[:, None]
     along = dx * np.cos(boresights) + dy * np.sin(boresights)
-    inside = along >= math.cos(antennas[0].beamwidth / 2.0 + ANGLE_TOL) * np.sqrt(d_sq)
-    pattern = np.where(inside, antennas[0].max_gain, antennas[0].floor_gain)
+    inside = along >= math.cos(layout.beamwidth / 2.0 + ANGLE_TOL) * np.sqrt(d_sq)
+    pattern = np.where(inside, layout.max_gain, layout.floor_gain)
     return pattern * np.maximum(d_sq, scenario.d_min**2) ** (-scenario.rho / 2.0)
 
 
@@ -197,8 +156,7 @@ def _count_blocks(args) -> np.ndarray:
     (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
      block_start, block_stop) = args
     n_users = scenario.n_users
-    home = layouts[0]
-    scale = path_gain_constant(scenario.wavelength, 1.0, 1.0)
+    scale = path_gain_constant(scenario.wavelength)
     shadow_nepers = scenario.shadowing_sigma_db * LN10_OVER_10
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
@@ -206,15 +164,15 @@ def _count_blocks(args) -> np.ndarray:
     for block in range(block_start, block_stop):
         drops = min(per_block, n_drops - block * per_block)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
-        xy = sample_hexagon_xy(home.cell_radius, centers, n_users, rng, batch=(drops,))
-        size = (drops, home.antenna_count, xy.shape[1])
+        xy = sample_hexagon_xy(scenario.cell_radius, centers, n_users, rng, batch=(drops,))
+        size = (drops, layouts[0].antenna_count, xy.shape[1])
         channel = np.exp(shadow_nepers * rng.standard_normal(size))
         channel *= rng.standard_exponential(size)
         channel *= scale
         for k, layout in enumerate(layouts):
             gains = _path_gains(layout, xy, scenario) * channel
             gamma = per_antenna_sir_matrix(gains, scenario.tx_power, eta, pg, n_observed=n_users)
-            if layout.architecture is Architecture.USED:
+            if layout.architecture == "used":
                 serving = serving_sector_indices(layout, xy[:, :n_users])
                 sirs = np.take_along_axis(gamma, serving[:, None, :], axis=1)
             else:
@@ -224,25 +182,23 @@ def _count_blocks(args) -> np.ndarray:
 
 
 def mc_outage(
-    layout: Layout | Sequence[Layout],
+    layouts: Sequence[Layout],
     scenario: "ScenarioConfig",
     thresholds_db,
     n_drops: int,
     seed: int,
     workers: int = 1,
     stream_tag: int = 0,
-) -> OutageCurve | list[OutageCurve]:
-    """Monte Carlo outage curve for one architecture, or paired curves.
+) -> list[OutageCurve]:
+    """Monte Carlo outage curves, one per layout, on one shared draw.
 
-    Every threshold is evaluated against the same drops, so each curve is
-    exactly non-decreasing.  Counts are integers and workers take whole
-    blocks of drops, which keeps the result identical for any ``workers``.
-    ``stream_tag`` namespaces the random streams.  Given a sequence of
-    layouts (equal antenna counts), all of them are evaluated on one shared
-    draw of positions, shadowing and fading, and a list of curves comes
-    back in the same order.
+    All layouts (equal antenna counts) are evaluated on one draw of
+    positions, shadowing and fading per drop; the curves come back in
+    layout order.  Every threshold is evaluated against the same drops, so
+    each curve is exactly non-decreasing.  Counts are integers and workers
+    take whole blocks of drops, which keeps the result identical for any
+    ``workers``.  ``stream_tag`` namespaces the random streams.
     """
-    layouts = [layout] if isinstance(layout, Layout) else list(layout)
     if len({lay.antenna_count for lay in layouts}) != 1:
         raise ValueError("paired layouts must have one antenna count")
     if n_drops < 1:
@@ -252,12 +208,11 @@ def mc_outage(
     thr_db = _validate_thresholds(thresholds_db)
     thr_linear = 10.0 ** (thr_db / 10.0)
 
-    home = layouts[0]
-    cells = [home.cell_center] + interferer_cell_centers(
-        home.cell_radius, scenario.interferer_tiers, home.cell_center
+    centers = np.vstack(
+        [np.zeros((1, 2)), interferer_cell_centers(scenario.cell_radius, scenario.interferer_tiers)]
     )
-    centers = np.array([[c.x, c.y] for c in cells])
-    per_block = max(1, LINK_BUDGET // (home.antenna_count * len(cells) * scenario.n_users))
+    n_links = layouts[0].antenna_count * len(centers) * scenario.n_users
+    per_block = max(1, LINK_BUDGET // n_links)
     n_blocks = -(-n_drops // per_block)
     bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int)
     jobs = [
@@ -271,49 +226,10 @@ def mc_outage(
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             counts = sum(pool.map(_count_blocks, jobs))
     n_samples = n_drops * scenario.n_users
-    curves = [
-        _curve_from_counts(lay.architecture.value, thr_db, c, n_samples, n_drops, seed)
+    return [
+        _curve_from_counts(lay.architecture, thr_db, c, n_samples, n_drops, seed)
         for lay, c in zip(layouts, counts)
     ]
-    return curves[0] if isinstance(layout, Layout) else curves
-
-
-def mc_outage_exponential(
-    mean_desired: float,
-    mean_interferers: Sequence[float],
-    eta: float,
-    pg: float,
-    thresholds_db,
-    n_drops: int,
-    seed: int,
-) -> OutageCurve:
-    """Monte Carlo outage in the matched-means abstraction.
-
-    Gains are pure exponentials with the given means and no geometry; one
-    drop is one joint draw.  This is the simulation twin of
-    :func:`analytic_outage_used` and shares its parameters.
-    """
-    if mean_desired <= 0.0:
-        raise ValueError(f"mean_desired must be positive, got {mean_desired}")
-    if n_drops < 1:
-        raise ValueError(f"n_drops must be >= 1, got {n_drops}")
-    thr_db = _validate_thresholds(thresholds_db)
-    thr_linear = 10.0 ** (thr_db / 10.0)
-    means = np.asarray(list(mean_interferers), dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    desired = rng.exponential(mean_desired, n_drops)
-    interference = (
-        rng.exponential(means, (n_drops, means.size)).sum(axis=1)
-        if means.size
-        else np.zeros(n_drops)
-    )
-    denom = interference + eta
-    numer = pg * desired
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sirs = numer / denom
-    sirs = np.where(denom > 0.0, sirs, np.where(numer > 0.0, np.inf, 0.0))
-    counts = (sirs[:, None] <= thr_linear[None, :]).sum(axis=0).astype(np.int64)
-    return _curve_from_counts("matched-exponential", thr_db, counts, n_drops, n_drops, seed)
 
 
 def _curve_from_counts(architecture, thr_db, counts, n_samples, n_drops, seed) -> OutageCurve:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,9 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .channel import LN10_OVER_10, ChannelParams, path_gain_constant
+from .channel import LN10_OVER_10, path_gain_constant
 from .geometry import (
-    Position,
     build_layout,
     hexagon_area,
     hexagon_boundary_radius,
@@ -30,7 +30,7 @@ from .geometry import (
     wrap_angle,
 )
 from .outage import OutageCurve, analytic_outage_used, mc_outage
-from .sir import COMBINER_MODES, processing_gain
+from .sir import COMBINER_MODES
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 
@@ -51,6 +51,10 @@ class ScenarioConfig:
     weighting, selectable here or via the CLI.  One ring of co-channel
     neighbor cells interferes by default; set ``interferer_tiers`` to 0 for
     an isolated cell.
+
+    Every construction, ``dataclasses.replace`` included, runs
+    :meth:`validate`, so an invalid config cannot be built and the code
+    downstream does not check its inputs again.
     """
 
     architecture: str = "both"
@@ -74,6 +78,9 @@ class ScenarioConfig:
     wavelength: float = 0.15  # m (2 GHz carrier)
     max_gain_db: float = 0.0
     floor_gain_db: float = float("-inf")
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         finite_fields = (
@@ -137,6 +144,16 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name}_db = {getattr(self, name + '_db')} dB overflows as a linear gain"
                 )
+        try:
+            edge = self.edge_power
+        except OverflowError:
+            edge = math.inf
+        # Below the smallest normal float, every drop's gains underflow.
+        if not sys.float_info.min <= edge < math.inf:
+            raise ConfigError(
+                f"cell-edge received power is {edge!r}, not a positive normal number: "
+                "check tx_power, cell_radius, rho, max_gain_db and wavelength"
+            )
 
     # Derived quantities ---------------------------------------------------
 
@@ -152,7 +169,8 @@ class ScenarioConfig:
 
     @property
     def processing_gain(self) -> float:
-        return processing_gain(self.chip_rate, self.bit_rate)
+        """Spreading advantage w / R, linear."""
+        return self.chip_rate / self.bit_rate
 
     @property
     def max_gain(self) -> float:
@@ -162,26 +180,18 @@ class ScenarioConfig:
     def floor_gain(self) -> float:
         return 0.0 if math.isinf(self.floor_gain_db) else 10.0 ** (self.floor_gain_db / 10.0)
 
-    def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            wavelength=self.wavelength,
-            tx_gain=1.0,
-            rx_gain=1.0,
-            path_loss_exponent=self.rho,
-            shadowing_std_db=self.shadowing_sigma_db,
-            d_min=self.d_min,
-        )
-
-    def resolved_noise_power(self) -> float:
-        if self.noise_power is not None:
-            return self.noise_power
-        edge_power = (
-            path_gain_constant(self.wavelength, 1.0, 1.0)
+    @property
+    def edge_power(self) -> float:
+        """Fading-averaged power of one cell-edge user at a full-gain antenna."""
+        return (
+            path_gain_constant(self.wavelength)
             * self.max_gain
             * self.cell_radius ** (-self.rho)
             * self.tx_power
         )
-        return edge_power * 1e-3
+
+    def resolved_noise_power(self) -> float:
+        return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
 
 
 @dataclass(frozen=True)
@@ -345,9 +355,7 @@ def parse_config(text: str) -> ScenarioConfig:
             values[field_name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def parse_config_file(path) -> ScenarioConfig:
@@ -414,7 +422,7 @@ def _wedge_gain_integral(cfg: ScenarioConfig, lo: float, hi: float) -> float:
     return total
 
 
-def _neighbor_gain_mean(cfg: ScenarioConfig, center: Position, boresight: float) -> float:
+def _neighbor_gain_mean(cfg: ScenarioConfig, center: np.ndarray, boresight: float) -> float:
     """Mean of pattern * max(d, d_min)**-rho over one neighbor cell.
 
     Evaluated on a midpoint grid; neighbor cells sit well away from the
@@ -423,8 +431,8 @@ def _neighbor_gain_mean(cfg: ScenarioConfig, center: Position, boresight: float)
     radius = cfg.cell_radius
     n_grid = 201
     half_w = radius * math.sqrt(3.0) / 2.0
-    xs = center.x + np.linspace(-half_w, half_w, n_grid)
-    ys = center.y + np.linspace(-radius, radius, n_grid)
+    xs = center[0] + np.linspace(-half_w, half_w, n_grid)
+    ys = center[1] + np.linspace(-radius, radius, n_grid)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     inside = hexagon_contains(radius, center, pts)
@@ -446,7 +454,7 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     the desired user is conditioned on lying in the serving wedge.
     """
     shadow_mean = math.exp((cfg.shadowing_sigma_db * LN10_OVER_10) ** 2 / 2.0)
-    base = path_gain_constant(cfg.wavelength, 1.0, 1.0) * cfg.tx_power * shadow_mean
+    base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
     half_beam = math.pi * cfg.beamwidth_deg / 360.0
     boresight = math.pi / 2.0  # sector 0; all sectors are congruent
@@ -491,11 +499,8 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
 
     With ``paired`` set (the default) both architectures are evaluated on
     one shared draw of user positions, shadowing and fading per drop;
-    otherwise each draws its own streams.  The analytic curve draws no
-    random numbers and runs first, so a config it rejects fails before any
-    drop is simulated.
+    otherwise each draws its own streams.
     """
-    cfg.validate()
     start = time.perf_counter()
     if cfg.architecture == "both":
         archs = ["used", "microzone"]
@@ -509,7 +514,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
         curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0)
     else:
         curves = [
-            mc_outage(layout, *sweep, workers=workers, stream_tag=1 + k)
+            mc_outage([layout], *sweep, workers=workers, stream_tag=1 + k)[0]
             for k, layout in enumerate(layouts)
         ]
     elapsed = time.perf_counter() - start

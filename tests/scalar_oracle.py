@@ -1,0 +1,135 @@
+"""Scalar reference for the batched drop kernel, for tests only.
+
+``oracle_counts`` replays the kernel's random stream block by block and
+recomputes every observed user's SIR with per-user Python loops: an
+arctangent beam test, ``hypot`` distances clamped at ``d_min``, shadowing as
+``10**(sigma * z / 10)``, a direct sum over the other users' powers and the
+scalar combiner below.  It shares no array code with the kernel, so the
+kernel's counts must equal it exactly.  ``matched_exponential_outage`` is the
+brute-force sampler the closed form is checked against.
+"""
+
+import math
+
+import numpy as np
+
+from cellsim.geometry import interferer_cell_centers
+from cellsim.outage import LINK_BUDGET
+
+
+def mrc_weights(per_antenna) -> np.ndarray:
+    """Square-root self-normalized branch weights; they sum to one.
+
+    Infinite branches take all the weight (split evenly among themselves),
+    which is the limit of the finite formula.
+    """
+    gamma = np.asarray(per_antenna, dtype=float)
+    if not np.any(gamma > 0.0):
+        raise ValueError("no received signal on any antenna")
+    infinite = np.isinf(gamma)
+    if infinite.any():
+        return infinite / infinite.sum()
+    root = np.sqrt(gamma)
+    return root / root.sum()
+
+
+def diversity_combine(per_antenna, mode: str = "paper") -> float:
+    """Combined SIR of one user's branches: the weighted mean, or the sum."""
+    gamma = np.asarray(per_antenna, dtype=float)
+    if mode == "classical-mrc":
+        return float(gamma.sum())
+    if not np.any(gamma > 0.0):
+        return 0.0
+    if np.isinf(gamma).any():
+        return float("inf")
+    return float(mrc_weights(gamma) @ gamma)
+
+
+def _in_beam(layout, k: int, x: float, y: float) -> bool:
+    """Whether (x, y) lies in antenna k's beam, boundary inclusive."""
+    sx, sy = layout.sites[k]
+    offset = math.remainder(math.atan2(y - sy, x - sx) - layout.boresights[k], 2.0 * math.pi)
+    return abs(offset) <= layout.beamwidth / 2.0 + 1e-12
+
+
+def _path_gain(layout, k: int, x: float, y: float, cfg) -> float:
+    sx, sy = layout.sites[k]
+    pattern = layout.max_gain if _in_beam(layout, k, x, y) else layout.floor_gain
+    return pattern * max(math.hypot(x - sx, y - sy), cfg.d_min) ** -cfg.rho
+
+
+def _sir(powers, i: int, eta: float, pg: float) -> float:
+    others = sum(powers[:i]) + sum(powers[i + 1:]) + eta
+    if others == 0.0:
+        return math.inf if powers[i] > 0.0 else 0.0
+    return pg * powers[i] / others
+
+
+def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDGET):
+    """Outage counts per layout and threshold, recomputed user by user."""
+    thresholds = 10.0 ** (cfg.thresholds_db / 10.0)
+    eta, pg, radius = cfg.resolved_noise_power(), cfg.processing_gain, cfg.cell_radius
+    path_constant = (cfg.wavelength / (4.0 * math.pi)) ** 2
+    cells = [(0.0, 0.0)] + [tuple(c) for c in interferer_cell_centers(radius, cfg.interferer_tiers)]
+    n_ant, n_links = layouts[0].antenna_count, len(cells) * cfg.n_users
+    per_block = max(1, link_budget // (n_ant * n_links))
+    vertices = [
+        (radius * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
+         radius * math.sin(math.pi / 6.0 + math.pi / 3.0 * j))
+        for j in range(6)
+    ]
+    counts = np.zeros((len(layouts), thresholds.size), dtype=np.int64)
+    for block, first in enumerate(range(0, n_drops, per_block)):
+        drops = min(per_block, n_drops - first)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
+        rhombus = rng.integers(0, 3, size=(drops, len(cells), cfg.n_users))
+        uv = rng.random((drops, len(cells), cfg.n_users, 2))
+        z = rng.standard_normal((drops, n_ant, n_links))
+        fading = rng.standard_exponential((drops, n_ant, n_links))
+        for d in range(drops):
+            users = []
+            for c, (cx, cy) in enumerate(cells):
+                for i in range(cfg.n_users):
+                    r = rhombus[d, c, i]
+                    (ax, ay), (bx, by) = vertices[2 * r], vertices[(2 * r + 2) % 6]
+                    u, v = uv[d, c, i]
+                    users.append((u * ax + v * bx + cx, u * ay + v * by + cy))
+            for n, layout in enumerate(layouts):
+                powers = [
+                    [
+                        path_constant
+                        * _path_gain(layout, k, x, y, cfg)
+                        * 10.0 ** (cfg.shadowing_sigma_db * z[d, k, j] / 10.0)
+                        * fading[d, k, j]
+                        * cfg.tx_power
+                        for j, (x, y) in enumerate(users)
+                    ]
+                    for k in range(n_ant)
+                ]
+                for i in range(cfg.n_users):
+                    branches = [_sir(powers[k], i, eta, pg) for k in range(n_ant)]
+                    if layout.architecture == "used":
+                        # Used antennas sit at the center: the serving sector
+                        # is the lowest id whose beam holds the user.
+                        serving = next(k for k in range(n_ant) if _in_beam(layout, k, *users[i]))
+                        combined = branches[serving]
+                    else:
+                        combined = diversity_combine(branches, cfg.combiner_mode)
+                    counts[n] += combined <= thresholds
+    return counts
+
+
+def matched_exponential_outage(mean_desired, mean_interferers, eta, pg, thresholds_db, n, seed):
+    """Outage estimates and 95% half-widths by sampling exponential powers.
+
+    The matched-means abstraction of the closed form: no geometry, one
+    joint draw of the desired and interfering powers per sample.
+    """
+    thresholds = 10.0 ** (np.asarray(thresholds_db, dtype=float) / 10.0)
+    means = np.asarray(list(mean_interferers), dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    desired = rng.exponential(mean_desired, n)
+    interference = rng.exponential(means, (n, means.size)).sum(axis=1) if means.size else np.zeros(n)
+    sirs = pg * desired / (interference + eta)
+    estimates = (sirs[:, None] <= thresholds[None, :]).sum(axis=0) / n
+    return estimates, 1.96 * np.sqrt(estimates * (1.0 - estimates) / n)

@@ -1,153 +1,144 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cellsim.channel import (
-    ChannelParams,
+    LN10_OVER_10,
     SumOfSinusoidsRayleigh,
-    draw_fading_power,
-    draw_link_matrix,
-    draw_shadowing,
-    link_gain,
     path_gain_constant,
     sos_rayleigh_envelopes,
-    sos_rayleigh_sample,
 )
-from cellsim.geometry import Antenna, Architecture, Layout, Position
+from cellsim.geometry import build_layout, sample_hexagon_xy
+from cellsim.outage import _count_blocks, _path_gains
+from cellsim.scenario import ConfigError, ScenarioConfig
+from test_geometry import kernel_gain, one_antenna
+
+OMNI = one_antenna(floor_gain=1.0)
 
 
-def single_antenna_layout(floor_gain=0.0):
-    antenna = Antenna(
-        id=0,
-        position=Position(0.0, 0.0),
-        boresight=0.0,
-        beamwidth=2.0 * math.pi / 3.0,
-        max_gain=1.0,
-        floor_gain=floor_gain,
-    )
-    return Layout(Architecture.USED, 1000.0, Position(0.0, 0.0), (antenna,))
+def shadowing_db(sigma_db, seed, n):
+    """The kernel's shadowing factor, exp(sigma * ln(10) / 10 * z), read back in dB."""
+    z = np.random.default_rng(seed).standard_normal(n)
+    return 10.0 * np.log10(np.exp(sigma_db * LN10_OVER_10 * z))
 
 
 class TestPathGainConstant:
     def test_identity_construction(self):
-        assert path_gain_constant(4.0 * math.pi, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_zero_gain(self):
-        assert path_gain_constant(0.15, 0.0, 1.0) == 0.0
+        assert path_gain_constant(4.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
 
     def test_two_ghz_value(self):
         # Hand evaluation: 0.15^2 / (4 pi)^2 = 0.0225 / 157.9137
-        assert path_gain_constant(0.15, 1.0, 1.0) == pytest.approx(1.42483e-4, rel=1e-5)
+        assert path_gain_constant(0.15) == pytest.approx(1.42483e-4, rel=1e-5)
 
     def test_rejects_nonpositive_wavelength(self):
-        with pytest.raises(ValueError):
-            path_gain_constant(0.0, 1.0, 1.0)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(wavelength=0.0)
 
 
 class TestShadowing:
     def test_degenerate_sigma_zero(self):
-        samples = draw_shadowing(0.0, np.random.default_rng(0), 1000)
-        assert np.all(samples == 0.0)
+        assert np.all(shadowing_db(0.0, 0, 1000) == 0.0)
 
     def test_mean_and_std_at_five_db(self):
-        samples = draw_shadowing(5.0, np.random.default_rng(1), 100_000)
+        samples = shadowing_db(5.0, 1, 100_000)
         assert abs(samples.mean()) < 3.0 * 5.0 / math.sqrt(100_000)
         # chi-square concentration keeps the sample std within 2% of sigma
         assert abs(samples.std(ddof=1) - 5.0) < 0.02 * 5.0
 
     def test_skewness_is_statistically_zero(self):
-        samples = draw_shadowing(5.0, np.random.default_rng(2), 100_000)
+        samples = shadowing_db(5.0, 2, 100_000)
         # SE of sample skewness for a Gaussian is ~ sqrt(6/n)
         assert abs(stats.skew(samples)) < 4.0 * math.sqrt(6.0 / 100_000)
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            draw_shadowing(-1.0, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            ScenarioConfig(shadowing_sigma_db=-1.0)
 
 
 class TestFadingPower:
+    # The kernel draws fading powers with Generator.standard_exponential.
     def test_unit_mean(self):
-        samples = draw_fading_power(np.random.default_rng(3), 1_000_000)
+        samples = np.random.default_rng(3).standard_exponential(1_000_000)
         assert abs(samples.mean() - 1.0) < 3.0 / math.sqrt(1_000_000)
 
     def test_tail_matches_exponential_cdf(self):
         # Oracle: P(A_f > 1) = exp(-1) for a unit-mean exponential.
         n = 1_000_000
-        samples = draw_fading_power(np.random.default_rng(4), n)
+        samples = np.random.default_rng(4).standard_exponential(n)
         p = math.exp(-1.0)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs((samples > 1.0).mean() - p) < 3.0 * se
 
     def test_support_is_nonnegative(self):
-        samples = draw_fading_power(np.random.default_rng(5), 10_000)
+        samples = np.random.default_rng(5).standard_exponential(10_000)
         assert np.all(samples >= 0.0)
 
 
 class TestLinkGain:
     def test_identity_case(self):
-        assert link_gain(1.0, 1.0, 4.0, 0.0, 1.0) == 1.0
+        assert kernel_gain(OMNI, (1.0, 0.0), rho=4.0) == 1.0
 
     def test_path_loss_only(self):
-        assert link_gain(1.0, 100.0, 4.0, 0.0, 1.0) == pytest.approx(1e-8, rel=1e-12)
+        assert kernel_gain(OMNI, (100.0, 0.0), rho=4.0) == pytest.approx(1e-8, rel=1e-12)
 
     def test_shadowing_factor(self):
-        assert link_gain(1.0, 1.0, 4.0, 10.0, 1.0) == pytest.approx(10.0, rel=1e-12)
+        assert math.exp(10.0 * LN10_OVER_10) == pytest.approx(10.0, rel=1e-12)
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            link_gain(1.0, 0.0, 4.0, 0.0, 1.0)
+        # A zero distance is never evaluated: the config rejects d_min <= 0
+        # and the kernel clamps every distance at d_min.
+        with pytest.raises(ConfigError):
+            ScenarioConfig(d_min=-1.0)
+        assert kernel_gain(OMNI, (0.0, 0.0), rho=4.0, d_min=2.0) == 2.0**-4.0
 
     def test_strictly_decreasing_in_distance(self):
-        d = np.linspace(2.0, 500.0, 50)
-        g = link_gain(1.0, d, 4.0, 0.0, 1.0)
+        g = [kernel_gain(OMNI, (d, 0.0), rho=4.0) for d in np.linspace(2.0, 500.0, 50)]
         assert np.all(np.diff(g) < 0.0)
-
-    def test_linear_in_fading(self):
-        g1 = link_gain(2.0, 30.0, 3.0, 4.0, 1.5)
-        g2 = link_gain(2.0, 30.0, 3.0, 4.0, 3.0)
-        assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
 
 class TestDrawLinkMatrix:
-    def params(self):
-        return ChannelParams(wavelength=0.15, path_loss_exponent=4.0, shadowing_std_db=5.0)
-
+    # The kernel's deterministic link gains: pattern times distance loss for
+    # every (drop, antenna, user).
     def test_zero_users(self):
-        layout = single_antenna_layout()
-        m = draw_link_matrix(layout, [], self.params(), np.random.default_rng(0))
-        assert m.gains.shape == (1, 0)
-
-    def test_user_behind_antenna_gets_zero_column(self):
-        layout = single_antenna_layout(floor_gain=0.0)
-        users = [Position(-100.0, 0.0)]  # opposite the boresight
-        m = draw_link_matrix(layout, users, self.params(), np.random.default_rng(0))
-        assert np.all(m.gains[:, 0] == 0.0)
+        layout = build_layout(ScenarioConfig(), "used")
+        assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig()).shape == (1, 3, 0)
 
     def test_deterministic_given_seed(self):
-        layout = single_antenna_layout()
-        users = [Position(50.0, 10.0), Position(-20.0, 200.0)]
-        a = draw_link_matrix(layout, users, self.params(), np.random.default_rng(9))
-        b = draw_link_matrix(layout, users, self.params(), np.random.default_rng(9))
-        assert np.array_equal(a.gains, b.gains)
+        # A block's draw is keyed by (seed, stream tag, block index) alone.
+        cfg = ScenarioConfig(n_users=4, interferer_tiers=0)
+        thr = 10.0 ** (cfg.thresholds_db / 10.0)
+        job = [[build_layout(cfg, "microzone")], cfg, np.zeros((1, 2)), 5, thr, 9, 0, 10, 0, 1]
+        first = _count_blocks(tuple(job))
+        assert np.array_equal(first, _count_blocks(tuple(job)))
+        job[-2:] = [1, 2]
+        assert not np.array_equal(first, _count_blocks(tuple(job)))
+
+    def test_user_behind_antenna_gets_zero_column(self):
+        # opposite the boresight
+        assert kernel_gain(one_antenna(), (-100.0, 0.0)) == 0.0
 
     def test_entries_finite_nonnegative(self):
-        layout = single_antenna_layout(floor_gain=0.1)
-        rng = np.random.default_rng(10)
-        users = [Position(*rng.uniform(-800, 800, 2)) for _ in range(30)]
-        m = draw_link_matrix(layout, users, self.params(), rng)
-        assert np.all(np.isfinite(m.gains)) and np.all(m.gains >= 0.0)
+        cfg = ScenarioConfig(floor_gain_db=-10.0)
+        layout = build_layout(cfg, "microzone")
+        xy = sample_hexagon_xy(800.0, (0.0, 0.0), 30, np.random.default_rng(10), batch=(2,))
+        gains = _path_gains(layout, xy, cfg)
+        assert gains.shape == (2, 3, 30)
+        assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 
 class TestChannelParams:
+    # The propagation parameters are ScenarioConfig fields, checked when a
+    # config is built, dataclasses.replace included.
     def test_rejects_out_of_range_rho(self):
-        with pytest.raises(ValueError):
-            ChannelParams(wavelength=0.15, path_loss_exponent=1.5)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(rho=1.5)
 
     def test_rejects_out_of_range_sigma(self):
-        with pytest.raises(ValueError):
-            ChannelParams(wavelength=0.15, shadowing_std_db=15.0)
+        with pytest.raises(ConfigError):
+            replace(ScenarioConfig(), shadowing_sigma_db=15.0)
 
 
 class TestSumOfSinusoids:
@@ -175,4 +166,4 @@ class TestSumOfSinusoids:
 
     def test_rejects_too_few_oscillators(self):
         with pytest.raises(ValueError):
-            sos_rayleigh_sample(4, 0.0, 0.0, np.random.default_rng(0))
+            SumOfSinusoidsRayleigh(4, 0.0, np.random.default_rng(0))

@@ -94,8 +94,16 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "max_gain_db = 5000 dB\nfloor_gain_db = 4000 dB\n",
         "tx_power = 0 W\n",
         "cell_radius = 1e300 m\n",
+        "max_gain_db = -4000 dB\n",
+        "architecture = microzone\ntx_power = 0 W\n",
+        "architecture = microzone\ncell_radius = 1e300 m\n",
+        "architecture = microzone\nmax_gain_db = -4000 dB\n",
     ],
-    ids=["max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius"],
+    ids=[
+        "max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius",
+        "max_gain_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
+        "microzone_max_gain_underflow",
+    ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):
     def no_drops(*args, **kwargs):

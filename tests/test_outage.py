@@ -7,122 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage
-from cellsim.channel import draw_link_matrix
-from cellsim.geometry import Position, build_layout, interferer_cell_centers
-from cellsim.outage import (
-    ExponentialMix,
-    OutageCurve,
-    analytic_outage_used,
-    format_report,
-    mc_outage,
-    mc_outage_exponential,
-    outage_report,
-    prob_exponential_below_sum,
-)
-from cellsim.scenario import ScenarioConfig
-from cellsim.sir import RadioConfig, drop_sir_samples
+from cellsim.geometry import build_layout
+from cellsim.outage import OutageCurve, analytic_outage_used, format_report, mc_outage, outage_report
+from cellsim.scenario import ConfigError, ScenarioConfig
+from scalar_oracle import matched_exponential_outage, oracle_counts
 
 rates = st.floats(min_value=0.1, max_value=10.0)
 
 
-class ReplayRng:
-    """Hands one drop's pre-drawn shadowing and fading to draw_link_matrix."""
-
-    def __init__(self, std_normal, fading):
-        self.std_normal = std_normal
-        self.fading = fading
-
-    def normal(self, loc, scale, size):
-        assert tuple(size) == self.std_normal.shape
-        return loc + scale * self.std_normal
-
-    def exponential(self, scale, size):
-        assert tuple(size) == self.fading.shape
-        return scale * self.fading
+def below_sum(rate, rates=(), offset=0.0):
+    """P(z <= sum(z_i) + offset), exponentials with the given rates, by the closed form."""
+    return analytic_outage_used(1.0 / rate, [1.0 / r for r in rates], offset, 1.0, 1.0)
 
 
-def scalar_oracle_counts(layouts, cfg, n_drops, seed, stream_tag):
-    """Outage counts per layout and threshold, rebuilt drop by drop.
-
-    Independent of the kernel's arithmetic: it rebuilds the block stream
-    layout (one generator per block of drops; rhombus picks, uniform pairs,
-    standard-normal shadowing, then exponential fading, each for the whole
-    block), places every user by hand and pushes each drop through the
-    scalar draw_link_matrix / drop_sir_samples path.
-    """
-    thr_lin = 10.0 ** (cfg.thresholds_db / 10.0)
-    radio = RadioConfig(cfg.chip_rate, cfg.bit_rate, cfg.resolved_noise_power(), cfg.tx_power)
-    cells = [Position(0.0, 0.0)] + interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
-    n_ant = layouts[0].antenna_count
-    n_links = len(cells) * cfg.n_users
-    per_block = max(1, outage.LINK_BUDGET // (n_ant * n_links))
-    vertices = [
-        (
-            cfg.cell_radius * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
-            cfg.cell_radius * math.sin(math.pi / 6.0 + math.pi / 3.0 * j),
-        )
-        for j in range(6)
-    ]
-    counts = np.zeros((len(layouts), thr_lin.size), dtype=np.int64)
-    for block, first in enumerate(range(0, n_drops, per_block)):
-        drops = min(per_block, n_drops - first)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
-        rhombus = rng.integers(0, 3, size=(drops, len(cells), cfg.n_users))
-        uv = rng.random((drops, len(cells), cfg.n_users, 2))
-        std_normal = rng.standard_normal((drops, n_ant, n_links))
-        fading = rng.standard_exponential((drops, n_ant, n_links))
-        for d in range(drops):
-            users = []
-            for c, cell in enumerate(cells):
-                for i in range(cfg.n_users):
-                    k = int(rhombus[d, c, i])
-                    (ax, ay), (bx, by) = vertices[2 * k], vertices[(2 * k + 2) % 6]
-                    u, v = uv[d, c, i]
-                    users.append(Position(u * ax + v * bx + cell.x, u * ay + v * by + cell.y))
-            for k, layout in enumerate(layouts):
-                link = draw_link_matrix(
-                    layout, users, cfg.channel_params(), ReplayRng(std_normal[d], fading[d])
-                )
-                samples = drop_sir_samples(layout, users, link, radio, cfg.combiner_mode)
-                for sample in samples[: cfg.n_users]:
-                    counts[k] += sample.combined <= thr_lin
-    return counts
-
-
-def mc_below_sum_oracle(mix: ExponentialMix, n: int, rng: np.random.Generator) -> float:
+def mc_below_sum_oracle(rate, rates, offset, n: int, rng: np.random.Generator) -> float:
     """Brute-force estimate of P(z1 <= sum z_i + c) by direct sampling."""
-    z1 = rng.exponential(1.0 / mix.desired_rate, n)
-    total = np.full(n, mix.offset)
-    for rate in mix.interferer_rates:
-        total += rng.exponential(1.0 / rate, n)
+    z1 = rng.exponential(1.0 / rate, n)
+    total = np.full(n, offset)
+    for other in rates:
+        total += rng.exponential(1.0 / other, n)
     return float((z1 <= total).mean())
 
 
 class TestClosedForm:
+    # The closed form in rate form: analytic_outage_used at means 1/rate,
+    # with the offset as eta and pg = threshold = 1.
     def test_empty_sum_zero_offset(self):
-        assert prob_exponential_below_sum(ExponentialMix(1.0)) == 0.0
+        assert below_sum(1.0) == 0.0
 
     def test_two_iid_symmetry(self):
-        mix = ExponentialMix(1.0, (1.0,), 0.0)
-        assert prob_exponential_below_sum(mix) == pytest.approx(0.5, abs=1e-15)
+        assert below_sum(1.0, (1.0,), 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_evaluation_against_oracle(self):
         # Closed form: 1 - 1/(1.5 * e^0.5) = 0.5956460...
-        mix = ExponentialMix(1.0, (2.0,), 0.5)
-        p = prob_exponential_below_sum(mix)
+        p = below_sum(1.0, (2.0,), 0.5)
         assert p == pytest.approx(0.5956460, rel=1e-6)
         n = 10_000_000
-        p_hat = mc_below_sum_oracle(mix, n, np.random.default_rng(123))
+        p_hat = mc_below_sum_oracle(1.0, (2.0,), 0.5, n, np.random.default_rng(123))
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(p_hat - p) < 4.0 * se
-
-    def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError):
-            ExponentialMix(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMix(1.0, (0.0,))
-        with pytest.raises(ValueError):
-            ExponentialMix(1.0, (), -0.1)
 
     @given(
         rates,
@@ -132,20 +55,19 @@ class TestClosedForm:
     @settings(max_examples=200, deadline=None)
     def test_range(self, y1, ys, c):
         # may round to exactly 1.0 for extreme rate*offset products
-        p = prob_exponential_below_sum(ExponentialMix(y1, tuple(ys), c))
+        p = below_sum(y1, ys, c)
         assert 0.0 <= p <= 1.0
         if ys or c > 0.0:
             assert p > 0.0
 
     def test_monotone_in_parameters(self):
-        base = ExponentialMix(1.0, (2.0, 0.5), 1.0)
-        p0 = prob_exponential_below_sum(base)
+        p0 = below_sum(1.0, (2.0, 0.5), 1.0)
         # larger offset -> more outage
-        assert prob_exponential_below_sum(ExponentialMix(1.0, (2.0, 0.5), 1.5)) > p0
+        assert below_sum(1.0, (2.0, 0.5), 1.5) > p0
         # larger desired rate (smaller desired mean) -> more outage
-        assert prob_exponential_below_sum(ExponentialMix(2.0, (2.0, 0.5), 1.0)) > p0
+        assert below_sum(2.0, (2.0, 0.5), 1.0) > p0
         # larger interferer rate (smaller interferer mean) -> less outage
-        assert prob_exponential_below_sum(ExponentialMix(1.0, (3.0, 0.5), 1.0)) < p0
+        assert below_sum(1.0, (3.0, 0.5), 1.0) < p0
 
 
 class TestAnalyticOutage:
@@ -165,8 +87,11 @@ class TestAnalyticOutage:
         assert 0.0 < lo < hi
 
     def test_rejects_nonpositive_desired_mean(self):
-        with pytest.raises(ValueError):
-            analytic_outage_used(0.0, [1.0], 0.0, 1.0, 1.0)
+        # The desired mean is positive when the cell-edge power is, and a
+        # config whose edge power is zero or not a normal float is rejected.
+        for bad in (dict(tx_power=0.0), dict(cell_radius=1e300), dict(max_gain_db=-4000.0)):
+            with pytest.raises(ConfigError, match="tx_power.*cell_radius"):
+                ScenarioConfig(architecture="microzone", **bad)
 
     def test_zero_mean_interferers_are_inert(self):
         with_zero = analytic_outage_used(1.0, [1.0, 0.0], 0.0, 1.0, 1.0)
@@ -177,10 +102,10 @@ class TestAnalyticOutage:
         # Dual route: Monte Carlo in the matched-means abstraction must agree
         # with the closed form within its own 95% interval.
         thresholds = [-10.0, -5.0, 0.0, 5.0, 10.0]
-        curve = mc_outage_exponential(
+        estimates, half_widths = matched_exponential_outage(
             1.0, [0.5, 0.5, 1.0], 0.05, 10.0, thresholds, 100_000, seed=99
         )
-        for thr_db, est, ci in zip(thresholds, curve.estimates, curve.ci_half_widths):
+        for thr_db, est, ci in zip(thresholds, estimates, half_widths):
             truth = analytic_outage_used(1.0, [0.5, 0.5, 1.0], 0.05, 10.0, 10 ** (thr_db / 10.0))
             assert abs(est - truth) <= ci
 
@@ -194,67 +119,65 @@ class TestMcOutage:
     def test_interference_free_limit(self):
         cfg = self.small_cfg(n_users=1, noise_power=0.0, n_drops=1)
         for arch in ("used", "microzone"):
-            layout = build_layout(cfg, arch)
-            curve = mc_outage(layout, cfg, cfg.thresholds_db, 1, seed=0)
+            (curve,) = mc_outage([build_layout(cfg, arch)], cfg, cfg.thresholds_db, 1, seed=0)
             assert np.all(curve.estimates == 0.0)
 
     def test_monotone_estimates(self):
         cfg = self.small_cfg()
-        layout = build_layout(cfg, "used")
-        curve = mc_outage(layout, cfg, cfg.thresholds_db, 50, seed=1)
+        (curve,) = mc_outage([build_layout(cfg, "used")], cfg, cfg.thresholds_db, 50, seed=1)
         assert np.all(np.diff(curve.estimates) >= 0.0)
 
     def test_deterministic_and_worker_invariant(self):
         cfg = self.small_cfg()
-        layout = build_layout(cfg, "microzone")
-        a = mc_outage(layout, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
-        b = mc_outage(layout, cfg, cfg.thresholds_db, 40, seed=5, workers=2)
-        c = mc_outage(layout, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
+        layouts = [build_layout(cfg, "microzone")]
+        (a,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
+        (b,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=2)
+        (c,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.estimates, c.estimates)
         assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
     def test_stream_tag_changes_draws(self):
         cfg = self.small_cfg()
-        layout = build_layout(cfg, "used")
-        a = mc_outage(layout, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=0)
-        b = mc_outage(layout, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=1)
+        layouts = [build_layout(cfg, "used")]
+        (a,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=0)
+        (b,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=1)
         assert not np.array_equal(a.estimates, b.estimates)
 
     def test_rejects_bad_arguments(self):
         cfg = self.small_cfg()
-        layout = build_layout(cfg, "used")
+        layouts = [build_layout(cfg, "used")]
         with pytest.raises(ValueError):
-            mc_outage(layout, cfg, cfg.thresholds_db, 0, seed=1)
+            mc_outage(layouts, cfg, cfg.thresholds_db, 0, seed=1)
         with pytest.raises(ValueError):
-            mc_outage(layout, cfg, [], 10, seed=1)
+            mc_outage(layouts, cfg, [], 10, seed=1)
         with pytest.raises(ValueError):
-            mc_outage(layout, cfg, [3.0, 1.0], 10, seed=1)
+            mc_outage(layouts, cfg, [3.0, 1.0], 10, seed=1)
 
     def test_ci_shrinks_like_root_n(self):
-        thresholds = [0.0]
+        # The matched-means sampler criterion 2 takes its intervals from.
         means = [0.5] * 4
-        small = mc_outage_exponential(1.0, means, 0.0, 2.0, thresholds, 20_000, seed=3)
-        large = mc_outage_exponential(1.0, means, 0.0, 2.0, thresholds, 80_000, seed=3)
-        ratio = small.ci_half_widths[0] / large.ci_half_widths[0]
+        _, small = matched_exponential_outage(1.0, means, 0.0, 2.0, [0.0], 20_000, seed=3)
+        _, large = matched_exponential_outage(1.0, means, 0.0, 2.0, [0.0], 80_000, seed=3)
+        ratio = small[0] / large[0]
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
     def test_geometric_ci_shrinks_like_root_n(self):
         cfg = self.small_cfg()
-        layout = build_layout(cfg, "used")
-        small = mc_outage(layout, cfg, [0.0], 400, seed=2)
-        large = mc_outage(layout, cfg, [0.0], 1600, seed=2)
+        layouts = [build_layout(cfg, "used")]
+        (small,) = mc_outage(layouts, cfg, [0.0], 400, seed=2)
+        (large,) = mc_outage(layouts, cfg, [0.0], 1600, seed=2)
         ratio = small.ci_half_widths[0] / large.ci_half_widths[0]
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
     def test_counts_match_scalar_recomputation(self):
         # Independent oracle: rebuild the block streams and recount every drop
-        # through the scalar per-user SIR path.  45 drops at 39 drops per
-        # block exercise a full block and a partial one.
+        # user by user in scalar_oracle.  45 drops at 39 drops per block
+        # exercise a full block and a partial one.
         cfg = ScenarioConfig(interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0))
         layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
         curves = mc_outage(layouts, cfg, cfg.thresholds_db, 45, seed=31)
-        counts = scalar_oracle_counts(layouts, cfg, 45, seed=31, stream_tag=0)
+        counts = oracle_counts(layouts, cfg, 45, seed=31, stream_tag=0)
         for curve, expected in zip(curves, counts):
             np.testing.assert_array_equal(curve.estimates, expected / (45 * cfg.n_users))
 
@@ -264,7 +187,7 @@ class TestMcOutage:
         cfg = self.small_cfg(interferer_tiers=1)
         used, micro = (build_layout(cfg, arch) for arch in ("used", "microzone"))
         paired = mc_outage([used, micro], cfg, cfg.thresholds_db, 30, seed=4)
-        alone = [mc_outage(lay, cfg, cfg.thresholds_db, 30, seed=4) for lay in (used, micro)]
+        alone = [mc_outage([lay], cfg, cfg.thresholds_db, 30, seed=4)[0] for lay in (used, micro)]
         for a, b in zip(paired, alone):
             assert np.array_equal(a.estimates, b.estimates)
 
@@ -302,7 +225,6 @@ class TestKernelAgainstScalarOracle:
             architecture=architecture, paired=paired, rho=rho, shadowing_sigma_db=sigma,
             thresholds=(-10.0, 10.0, 2.5),
         )
-        cfg.validate()
         archs = ["used", "microzone"] if architecture == "both" else [architecture]
         layouts = [build_layout(cfg, arch) for arch in archs]
         groups = [(layouts, 0)] if paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
@@ -310,7 +232,7 @@ class TestKernelAgainstScalarOracle:
         with mock.patch.object(outage, "LINK_BUDGET", link_budget):
             for group, tag in groups:
                 single = mc_outage(group, cfg, cfg.thresholds_db, n_drops, seed, stream_tag=tag)
-                expected = scalar_oracle_counts(group, cfg, n_drops, seed, tag)
+                expected = oracle_counts(group, cfg, n_drops, seed, tag, link_budget)
                 for curve, counts in zip(single, expected):
                     np.testing.assert_array_equal(curve.estimates, counts / (n_drops * n_users))
                 dual = mc_outage(
@@ -379,8 +301,7 @@ class TestClosedFormAgainstOracleSweep:
             k = int(rng.integers(0, 7))
             ys = tuple(10.0 ** rng.uniform(-1.0, 1.0, k))
             c = float(rng.uniform(0.0, 5.0))
-            mix = ExponentialMix(y1, ys, c)
-            p = prob_exponential_below_sum(mix)
-            p_hat = mc_below_sum_oracle(mix, n, rng)
+            p = below_sum(y1, ys, c)
+            p_hat = mc_below_sum_oracle(y1, ys, c, n, rng)
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
             assert abs(p_hat - p) < 4.0 * se + 1e-9

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cellsim.channel import path_gain_constant
+from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
 from cellsim.outage import analytic_outage_used
 from cellsim.scenario import (
     ConfigError,
@@ -154,15 +156,12 @@ class TestMeanReceivedPowers:
         )
         mean_desired, _, _ = mean_received_powers(cfg)
         rng = np.random.default_rng(17)
-        from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-        from cellsim.channel import path_gain_constant
-
         layout = build_layout(cfg, "used")
-        xy = sample_hexagon_xy(cfg.cell_radius, layout.cell_center, 400_000, rng)
+        xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 400_000, rng)
         serving = serving_sector_indices(layout, xy)
         wedge = xy[serving == 0]
         d = np.maximum(np.hypot(wedge[:, 0], wedge[:, 1]), cfg.d_min)
-        base = path_gain_constant(cfg.wavelength, 1.0, 1.0)
+        base = path_gain_constant(cfg.wavelength)
         est = base * np.mean(d**-4.0)
         se = base * np.std(d**-4.0) / math.sqrt(wedge.shape[0])
         assert abs(mean_desired - est) < 4.0 * se

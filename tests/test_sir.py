@@ -5,42 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellsim.channel import draw_link_matrix
-from cellsim.geometry import build_layout, place_users
-from cellsim.scenario import ScenarioConfig
-from cellsim.sir import (
-    RadioConfig,
-    combine_columns,
-    diversity_combine,
-    drop_sir_samples,
-    mrc_weights,
-    per_antenna_sir_matrix,
-    processing_gain,
-    uplink_sir,
-)
+from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
+from cellsim.outage import _path_gains
+from cellsim.scenario import ConfigError, ScenarioConfig
+from cellsim.sir import combine_columns, per_antenna_sir_matrix
+from scalar_oracle import diversity_combine, mrc_weights
 
 positive_branches = st.lists(
     st.floats(min_value=1e-6, max_value=1e9), min_size=1, max_size=8
 )
 
 
+def uplink_sir(desired, interferers, eta, pg):
+    """One user's SIR at one antenna, through the kernel's per_antenna_sir_matrix."""
+    gains = np.array([[desired, *interferers]], dtype=float)
+    return float(per_antenna_sir_matrix(gains, 1.0, eta, pg)[0, 0])
+
+
+def combine(branches, mode="paper"):
+    """One user's branch SIRs merged by the kernel's combine_columns."""
+    return float(combine_columns(np.asarray(branches, dtype=float)[:, None], mode)[0])
+
+
+def drop_sirs(arch, seed, **cfg):
+    """Branch SIRs (1, antennas, users) of one home-cell drop, built from kernel stages."""
+    cfg = ScenarioConfig(interferer_tiers=0, **cfg)
+    layout = build_layout(cfg, arch)
+    rng = np.random.default_rng(seed)
+    xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
+    gains = _path_gains(layout, xy, cfg) * rng.exponential(1.0, (1, 3, 12))
+    return layout, xy, per_antenna_sir_matrix(gains, cfg.tx_power, 1e-18, cfg.processing_gain)
+
+
 class TestProcessingGain:
     def test_unity(self):
-        assert processing_gain(1e6, 1e6) == 1.0
+        assert ScenarioConfig(chip_rate=1e6, bit_rate=1e6).processing_gain == 1.0
 
     def test_cdma_scenario_value(self):
-        pg = processing_gain(3.8e6, 45e3)
+        pg = ScenarioConfig(chip_rate=3.8e6, bit_rate=45e3).processing_gain
         assert pg == pytest.approx(84.4444444, rel=1e-8)
         assert abs(10.0 * math.log10(pg) - 19.3) < 0.05
 
     def test_double_rate(self):
-        assert processing_gain(2e4, 1e4) == pytest.approx(2.0)
+        assert ScenarioConfig(chip_rate=2e4, bit_rate=1e4).processing_gain == pytest.approx(2.0)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            processing_gain(1e6, 0.0)
-        with pytest.raises(ValueError):
-            processing_gain(1e3, 1e6)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(bit_rate=0.0)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(chip_rate=1e3, bit_rate=1e6)
 
 
 class TestUplinkSir:
@@ -72,6 +85,7 @@ class TestUplinkSir:
 
 
 class TestMrcWeights:
+    # The scalar oracle's combiner weights, the reference for combine_columns.
     def test_single_branch(self):
         assert mrc_weights([5.0]).tolist() == [1.0]
 
@@ -103,47 +117,48 @@ class TestMrcWeights:
 
 
 class TestDiversityCombine:
+    # Hand cases and properties of the kernel's combiner on one user's branches.
     def test_single_branch_identity(self):
-        assert diversity_combine([5.0]) == 5.0
+        assert combine([5.0]) == 5.0
 
     def test_equal_branches(self):
-        assert diversity_combine([2.0, 2.0, 2.0]) == pytest.approx(2.0)
+        assert combine([2.0, 2.0, 2.0]) == pytest.approx(2.0)
 
     def test_hand_evaluation(self):
-        assert diversity_combine([1.0, 4.0]) == pytest.approx(3.0, rel=1e-12)
+        assert combine([1.0, 4.0]) == pytest.approx(3.0, rel=1e-12)
 
     def test_all_zero_combines_to_zero(self):
-        assert diversity_combine([0.0, 0.0, 0.0]) == 0.0
+        assert combine([0.0, 0.0, 0.0]) == 0.0
 
     def test_infinite_branch_dominates(self):
-        assert diversity_combine([math.inf, 1.0]) == math.inf
+        assert combine([math.inf, 1.0]) == math.inf
 
     def test_classical_mode_sums(self):
-        assert diversity_combine([1.0, 4.0], mode="classical-mrc") == 5.0
+        assert combine([1.0, 4.0], mode="classical-mrc") == 5.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            diversity_combine([1.0], mode="selection")
+            combine([1.0], mode="selection")
 
     @given(positive_branches)
     @settings(max_examples=200, deadline=None)
     def test_convex_combination_bounds(self, branches):
-        combined = diversity_combine(branches)
+        combined = combine(branches)
         lo, hi = min(branches), max(branches)
         assert lo * (1.0 - 1e-12) <= combined <= hi * (1.0 + 1e-12)
 
     @given(positive_branches, st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=200, deadline=None)
     def test_scale_equivariance(self, branches, c):
-        base = diversity_combine(branches)
-        scaled = diversity_combine([c * b for b in branches])
+        base = combine(branches)
+        scaled = combine([c * b for b in branches])
         assert scaled == pytest.approx(c * base, rel=1e-10)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         gamma = rng.uniform(0.01, 100.0, 6)
-        assert diversity_combine(rng.permutation(gamma)) == pytest.approx(
-            diversity_combine(gamma), rel=1e-12
+        assert combine(rng.permutation(gamma)) == pytest.approx(
+            combine(gamma), rel=1e-12
         )
 
     def test_matches_column_version(self):
@@ -160,10 +175,8 @@ class TestPerAntennaSirMatrix:
         gamma = per_antenna_sir_matrix(gains, 1.0, 0.5, 10.0)
         for l in range(2):
             for i in range(3):
-                interferers = [gains[l, j] for j in range(3) if j != i]
-                assert gamma[l, i] == pytest.approx(
-                    uplink_sir(gains[l, i], interferers, 0.5, 10.0), rel=1e-12
-                )
+                interference = sum(gains[l, j] for j in range(3) if j != i)
+                assert gamma[l, i] == pytest.approx(10.0 * gains[l, i] / (interference + 0.5), rel=1e-12)
 
     def test_lone_user_without_noise_is_infinite(self):
         gamma = per_antenna_sir_matrix(np.array([[2.0]]), 1.0, 0.0, 4.0)
@@ -194,34 +207,29 @@ class TestBatchAxis:
 
 class TestDropSirSamples:
     def test_used_combined_is_serving_branch(self):
-        cfg = ScenarioConfig()
-        layout = build_layout(cfg, "used")
-        rng = np.random.default_rng(4)
-        users = place_users(layout, 12, rng)
-        link = draw_link_matrix(layout, users, cfg.channel_params(), rng)
-        radio = RadioConfig(cfg.chip_rate, cfg.bit_rate, 1e-18, cfg.tx_power)
-        samples = drop_sir_samples(layout, users, link, radio)
-        for s in samples:
-            assert isinstance(s.serving, int)
-            assert s.combined == s.per_antenna[s.serving]
+        # With ideal isolation (floor gain 0) a home-cell user reaches only
+        # the antenna whose beam holds it: serving_sector_indices must pick
+        # that antenna, the user's only nonzero branch.
+        layout, xy, gamma = drop_sirs("used", 4)
+        serving = serving_sector_indices(layout, xy)
+        combined = np.take_along_axis(gamma, serving[:, None, :], axis=1)[:, 0]
+        assert np.all(combined > 0.0)
+        assert np.array_equal(combined, gamma.max(axis=1))
+        assert np.all(np.sort(gamma, axis=1)[:, :-1] == 0.0)
 
     def test_microzone_combined_between_branch_extremes(self):
-        cfg = ScenarioConfig()
-        layout = build_layout(cfg, "microzone")
-        rng = np.random.default_rng(5)
-        users = place_users(layout, 12, rng)
-        link = draw_link_matrix(layout, users, cfg.channel_params(), rng)
-        radio = RadioConfig(cfg.chip_rate, cfg.bit_rate, 1e-18, cfg.tx_power)
-        samples = drop_sir_samples(layout, users, link, radio, combiner_mode="paper")
-        for s in samples:
-            assert s.serving == "all"
-            assert s.per_antenna.min() - 1e-9 <= s.combined <= s.per_antenna.max() + 1e-9
+        _, _, gamma = drop_sirs("microzone", 5, floor_gain_db=-20.0)
+        combined = combine_columns(gamma, "paper")
+        assert np.all(gamma.min(axis=1) * (1.0 - 1e-9) <= combined)
+        assert np.all(combined <= gamma.max(axis=1) * (1.0 + 1e-9))
 
 
 class TestRadioConfig:
+    # The air-interface parameters are ScenarioConfig fields, checked when a
+    # config is built.
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            RadioConfig(1e6, 2e6, 0.0)
-        with pytest.raises(ValueError):
-            RadioConfig(2e6, 1e6, -1.0)
-        assert RadioConfig(2e6, 1e6, 0.0).processing_gain_linear == 2.0
+        with pytest.raises(ConfigError):
+            ScenarioConfig(chip_rate=1e6, bit_rate=2e6)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(noise_power=-1.0)
+        assert ScenarioConfig(chip_rate=2e6, bit_rate=1e6).processing_gain == 2.0
