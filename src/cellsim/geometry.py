@@ -31,12 +31,6 @@ TWO_PI = 2.0 * math.pi
 # above atan2 rounding noise, orders of magnitude below any physical bearing.
 ANGLE_TOL = 1e-12
 
-# Outward unit normals of the three independent edge directions of a
-# pointy-top hexagon (the other three are their negatives).
-_HEX_NORMALS = np.array(
-    [[1.0, 0.0], [0.5, SQRT3 / 2.0], [-0.5, SQRT3 / 2.0]]
-)
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -70,10 +64,12 @@ def hexagon_area(radius: float) -> float:
 
 def hexagon_contains(radius: float, center, points_xy) -> np.ndarray:
     """Membership mask for a pointy-top hexagon centered on (x, y), boundary inclusive."""
-    q = np.atleast_2d(np.asarray(points_xy, dtype=float)) - center
-    apothem = radius * SQRT3 / 2.0
-    proj = np.abs(q @ _HEX_NORMALS.T)
-    return np.all(proj <= apothem + 1e-9 * radius, axis=1)
+    q = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    x, y = q[:, 0] - center[0], q[:, 1] - center[1]
+    # Projections on the edge normals at 0, 60 and 120 degrees.
+    half_x, rise = 0.5 * x, (SQRT3 / 2.0) * y
+    limit = radius * SQRT3 / 2.0 + 1e-9 * radius
+    return (np.abs(x) <= limit) & (np.abs(half_x + rise) <= limit) & (np.abs(half_x - rise) <= limit)
 
 
 def hexagon_boundary_radius(theta, radius: float):

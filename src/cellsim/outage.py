@@ -90,8 +90,8 @@ def analytic_outage_used(
     mean_interferers: Sequence[float],
     eta: float,
     pg: float,
-    threshold: float,
-) -> float:
+    threshold: float | np.ndarray,
+) -> float | np.ndarray:
     """Closed-form sectored-uplink outage from conditional mean powers.
 
     The probability that an exponential desired power with mean
@@ -103,15 +103,18 @@ def analytic_outage_used(
         t = threshold / (pg * mean_desired),
 
     evaluated in the log domain, so the result stays accurate in [0, 1] even
-    for extreme mean ratios.  With ``pg = threshold = 1`` it is
-    P(z_desired <= sum(z_i) + eta) for exponentials of the given means.
-    Zero-mean interferers contribute nothing; the scenario config
-    guarantees a positive desired mean.
+    for extreme mean ratios.  ``threshold`` may be an array: the result has
+    its shape, and a scalar threshold gives a scalar.  With
+    ``pg = threshold = 1`` it is P(z_desired <= sum(z_i) + eta) for
+    exponentials of the given means.  Zero-mean interferers contribute
+    nothing; the scenario config guarantees a positive desired mean.
     """
-    log_factor = eta * threshold / (pg * mean_desired)
-    for mean in mean_interferers:
-        log_factor += math.log1p(threshold * mean / (pg * mean_desired))
-    return -math.expm1(-log_factor)
+    threshold = np.asarray(threshold, dtype=float)
+    scale = pg * mean_desired
+    with np.errstate(over="ignore"):  # an infinite factor is an outage of 1
+        ratios = np.multiply.outer(threshold, np.asarray(mean_interferers, dtype=float)) / scale
+        log_factor = eta * threshold / scale + np.log1p(ratios).sum(axis=-1)
+    return -np.expm1(-log_factor)
 
 
 def _validate_thresholds(thresholds_db) -> np.ndarray:

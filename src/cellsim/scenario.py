@@ -13,7 +13,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,9 +27,8 @@ from .geometry import (
     hexagon_boundary_radius,
     hexagon_contains,
     interferer_cell_centers,
-    wrap_angle,
 )
-from .outage import OutageCurve, analytic_outage_used, mc_outage
+from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage
 from .sir import COMBINER_MODES
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
@@ -401,48 +400,29 @@ def _radial_gain_integral(r_max: float, rho: float, d_min: float) -> float:
     return near + far
 
 
-def _wedge_gain_integral(cfg: ScenarioConfig, lo: float, hi: float) -> float:
-    """Area integral of max(d, d_min)**-rho over the hexagon slice [lo, hi]."""
+def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
+    """Mean of sector 0's pattern gain times distance loss over each neighbor cell.
 
-    def integrand(theta):
-        return _radial_gain_integral(
-            float(hexagon_boundary_radius(theta, cfg.cell_radius)), cfg.rho, cfg.d_min
-        )
-
-    # Split at the 30-degree grid where the boundary radius has kinks.
-    grid = math.pi / 6.0
-    cuts = [lo] + [
-        k * grid for k in range(math.ceil(lo / grid), math.floor(hi / grid) + 1)
-    ] + [hi]
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b > a + 1e-15:
-            part, _ = integrate.quad(integrand, a, b, limit=200)
-            total += part
-    return total
-
-
-def _neighbor_gain_mean(cfg: ScenarioConfig, center: np.ndarray, boresight: float) -> float:
-    """Mean of pattern * max(d, d_min)**-rho over one neighbor cell.
-
-    Evaluated on a midpoint grid; neighbor cells sit well away from the
-    antenna so the integrand is smooth.
+    Every cell is sampled on one grid of offsets from its center: the points
+    of an endpoint-inclusive 201 x 201 ``linspace`` lattice over the cell's
+    bounding box that lie in the hexagon, boundary included (30,201 of the
+    40,401).  The grid is built once per config, and none for an isolated
+    cell.  Gains come from the kernel's ``_path_gains`` on a one-antenna copy
+    of sector 0 of the used layout, one cell at a time.
     """
+    centers = interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
+    if not len(centers):
+        return []
     radius = cfg.cell_radius
-    n_grid = 201
     half_w = radius * math.sqrt(3.0) / 2.0
-    xs = center[0] + np.linspace(-half_w, half_w, n_grid)
-    ys = center[1] + np.linspace(-radius, radius, n_grid)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = hexagon_contains(radius, center, pts)
-    pts = pts[inside]
-    d = np.maximum(np.hypot(pts[:, 0], pts[:, 1]), cfg.d_min)
-    bearing = np.arctan2(pts[:, 1], pts[:, 0])
-    offset = np.abs(wrap_angle(bearing - boresight))
-    half_beam = math.pi * cfg.beamwidth_deg / 360.0
-    patt = np.where(offset <= half_beam + 1e-12, cfg.max_gain, cfg.floor_gain)
-    return float(np.mean(patt * d ** (-cfg.rho)))
+    gx, gy = np.meshgrid(np.linspace(-half_w, half_w, 201), np.linspace(-radius, radius, 201))
+    offsets = np.array([gx.ravel(), gy.ravel()])  # (2, points): x and y rows
+    offsets = offsets[:, hexagon_contains(radius, (0.0, 0.0), offsets.T)]
+    used = build_layout(cfg, "used")
+    sector0 = replace(used, sites=used.sites[:1], boresights=used.boresights[:1])
+    return [
+        float(np.mean(_path_gains(sector0, (c[:, None] + offsets).T[None], cfg))) for c in centers
+    ]
 
 
 def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]]:
@@ -456,19 +436,22 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     shadow_mean = math.exp((cfg.shadowing_sigma_db * LN10_OVER_10) ** 2 / 2.0)
     base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
-    half_beam = math.pi * cfg.beamwidth_deg / 360.0
-    boresight = math.pi / 2.0  # sector 0; all sectors are congruent
 
-    wedge = _wedge_gain_integral(cfg, boresight - half_beam, boresight + half_beam)
-    full = _wedge_gain_integral(cfg, boresight - math.pi, boresight + math.pi)
+    # The boundary radius is even about 0 and pi/3-periodic, and every sector
+    # edge lies on the 30-degree grid, so each 30-degree slice of the cell
+    # holds the same gain integral: the cell is 12 slices, a sector 12 / count.
+    slice_integral, _ = integrate.quad(
+        lambda theta: _radial_gain_integral(
+            float(hexagon_boundary_radius(theta, cfg.cell_radius)), cfg.rho, cfg.d_min
+        ),
+        0.0, math.pi / 6.0, limit=200,
+    )
+    full = 12.0 * slice_integral
+    wedge = full / cfg.sector_count
     wedge_area = area / cfg.sector_count
     mean_desired = base * cfg.max_gain * wedge / wedge_area
     mean_in_cell = base * (cfg.max_gain * wedge + cfg.floor_gain * (full - wedge)) / area
-
-    neighbor_means = [
-        base * _neighbor_gain_mean(cfg, c, boresight)
-        for c in interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
-    ]
+    neighbor_means = [base * gain for gain in _neighbor_gain_means(cfg)]
     return mean_desired, mean_in_cell, neighbor_means
 
 
@@ -478,17 +461,16 @@ def analytic_used_curve(cfg: ScenarioConfig) -> np.ndarray:
     Abstraction: every link power is replaced by an exponential with the
     ensemble mean matched to the geometric scenario.  Conditional means vary
     across real drops, so this is a reference curve, not an unbiased
-    prediction of the Monte Carlo estimate.
+    prediction of the Monte Carlo estimate.  The closed form is evaluated
+    once, over the whole threshold sweep.
     """
     mean_desired, mean_in_cell, neighbor_means = mean_received_powers(cfg)
-    means = [mean_in_cell] * (cfg.n_users - 1)
-    for neighbor in neighbor_means:
-        means.extend([neighbor] * cfg.n_users)
-    eta = cfg.resolved_noise_power()
-    pg = cfg.processing_gain
+    means = np.repeat(
+        [mean_in_cell, *neighbor_means], [cfg.n_users - 1] + [cfg.n_users] * len(neighbor_means)
+    )
     thresholds = 10.0 ** (cfg.thresholds_db / 10.0)
-    return np.array(
-        [analytic_outage_used(mean_desired, means, eta, pg, thr) for thr in thresholds]
+    return analytic_outage_used(
+        mean_desired, means, cfg.resolved_noise_power(), cfg.processing_gain, thresholds
     )
 
 

@@ -7,14 +7,28 @@ arctangent beam test, ``hypot`` distances clamped at ``d_min``, shadowing as
 scalar combiner below.  It shares no array code with the kernel, so the
 kernel's counts must equal it exactly.  ``matched_exponential_outage`` is the
 brute-force sampler the closed form is checked against.
+``reference_mean_received_powers`` is the analytic curve's mean powers the
+slow way: one ``integrate.quad`` per 30-degree piece of each wedge, and a
+fresh 201 x 201 grid with arctangent bearings for every neighbor cell.
+``reference_outage_used`` is the closed form for one threshold, summed in a
+Python loop.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
 
-from cellsim.geometry import interferer_cell_centers
+from cellsim.channel import LN10_OVER_10, path_gain_constant
+from cellsim.geometry import (
+    hexagon_area,
+    hexagon_boundary_radius,
+    hexagon_contains,
+    interferer_cell_centers,
+    wrap_angle,
+)
 from cellsim.outage import LINK_BUDGET
+from cellsim.scenario import _radial_gain_integral
 
 
 def mrc_weights(per_antenna) -> np.ndarray:
@@ -133,3 +147,77 @@ def matched_exponential_outage(mean_desired, mean_interferers, eta, pg, threshol
     sirs = pg * desired / (interference + eta)
     estimates = (sirs[:, None] <= thresholds[None, :]).sum(axis=0) / n
     return estimates, 1.96 * np.sqrt(estimates * (1.0 - estimates) / n)
+
+
+def _wedge_gain_integral(cfg, lo: float, hi: float) -> float:
+    """Area integral of max(d, d_min)**-rho over the hexagon slice [lo, hi]."""
+
+    def integrand(theta):
+        return _radial_gain_integral(
+            float(hexagon_boundary_radius(theta, cfg.cell_radius)), cfg.rho, cfg.d_min
+        )
+
+    # Split at the 30-degree grid where the boundary radius has kinks.
+    grid = math.pi / 6.0
+    cuts = [lo] + [
+        k * grid for k in range(math.ceil(lo / grid), math.floor(hi / grid) + 1)
+    ] + [hi]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b > a + 1e-15:
+            part, _ = integrate.quad(integrand, a, b, limit=200)
+            total += part
+    return total
+
+
+def _neighbor_gain_mean(cfg, center: np.ndarray, boresight: float) -> float:
+    """Mean of pattern * max(d, d_min)**-rho over one neighbor cell.
+
+    Evaluated on an endpoint-inclusive 201 x 201 grid over the cell's
+    bounding box, the points inside the hexagon; neighbor cells sit well away
+    from the antenna so the integrand is smooth.
+    """
+    radius = cfg.cell_radius
+    n_grid = 201
+    half_w = radius * math.sqrt(3.0) / 2.0
+    xs = center[0] + np.linspace(-half_w, half_w, n_grid)
+    ys = center[1] + np.linspace(-radius, radius, n_grid)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    inside = hexagon_contains(radius, center, pts)
+    pts = pts[inside]
+    d = np.maximum(np.hypot(pts[:, 0], pts[:, 1]), cfg.d_min)
+    bearing = np.arctan2(pts[:, 1], pts[:, 0])
+    offset = np.abs(wrap_angle(bearing - boresight))
+    half_beam = math.pi * cfg.beamwidth_deg / 360.0
+    patt = np.where(offset <= half_beam + 1e-12, cfg.max_gain, cfg.floor_gain)
+    return float(np.mean(patt * d ** (-cfg.rho)))
+
+
+def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
+    """(desired mean, same-cell interferer mean, per-neighbor-cell means)."""
+    shadow_mean = math.exp((cfg.shadowing_sigma_db * LN10_OVER_10) ** 2 / 2.0)
+    base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
+    area = hexagon_area(cfg.cell_radius)
+    half_beam = math.pi * cfg.beamwidth_deg / 360.0
+    boresight = math.pi / 2.0  # sector 0; all sectors are congruent
+
+    wedge = _wedge_gain_integral(cfg, boresight - half_beam, boresight + half_beam)
+    full = _wedge_gain_integral(cfg, boresight - math.pi, boresight + math.pi)
+    wedge_area = area / cfg.sector_count
+    mean_desired = base * cfg.max_gain * wedge / wedge_area
+    mean_in_cell = base * (cfg.max_gain * wedge + cfg.floor_gain * (full - wedge)) / area
+
+    neighbor_means = [
+        base * _neighbor_gain_mean(cfg, c, boresight)
+        for c in interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
+    ]
+    return mean_desired, mean_in_cell, neighbor_means
+
+
+def reference_outage_used(mean_desired, mean_interferers, eta, pg, threshold: float) -> float:
+    """The closed form at one threshold, one ``math.log1p`` per interferer."""
+    log_factor = eta * threshold / (pg * mean_desired)
+    for mean in mean_interferers:
+        log_factor += math.log1p(threshold * mean / (pg * mean_desired))
+    return -math.expm1(-log_factor)

@@ -189,12 +189,21 @@ def test_criterion_6_combiner_properties():
             abs(scaled_column - c * column) / (c * column),
         )
     identity_ok = diversity_combine([7.25]) == 7.25 and combine_columns([[7.25]])[0] == 7.25
+    # One branch over 1e4 values: the oracle returns it exactly; the kernel's
+    # (sqrt(g) * g) / sqrt(g) rounds twice, so it may sit one ulp away.
+    single = 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
+    oracle_exact = all(diversity_combine([g]) == g for g in single)
+    kernel_off = np.abs(combine_columns(single[None, :]) - single)
+    kernel_ulp_ok = bool(np.all(kernel_off <= np.spacing(single)))
+    off_by_one_ulp = int(np.count_nonzero(kernel_off))
     ok = (
         worst_sum < 1e-12
         and bounds_ok
         and worst_scale < 1e-10
         and worst_agree < 1e-12
         and identity_ok
+        and oracle_exact
+        and kernel_ulp_ok
     )
     report(
         6,
@@ -202,7 +211,9 @@ def test_criterion_6_combiner_properties():
         ok,
         f"1e4 branch vectors: max |sum(w)-1| {worst_sum:.1e}, bounds {bounds_ok}, "
         f"max scale error {worst_scale:.1e}, combine_columns vs diversity_combine "
-        f"{worst_agree:.1e}, single-branch identity {identity_ok}",
+        f"{worst_agree:.1e}, single-branch identity {identity_ok} at 7.25; 1e4 single "
+        f"branches: diversity_combine exact {oracle_exact}, combine_columns within 1 ulp "
+        f"{kernel_ulp_ok} ({off_by_one_ulp} off by 1 ulp)",
     )
 
 

@@ -79,6 +79,35 @@ class TestBuildLayout:
             assert np.min(np.hypot(*(pts - row).T)) < 1e-6
 
 
+class TestHexagonContains:
+    def projection_mask(self, radius, center, pts):
+        # The edge-normal projections as one matrix product.
+        normals = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0], [-0.5, math.sqrt(3.0) / 2.0]])
+        proj = np.abs((np.asarray(pts) - center) @ normals.T)
+        return np.all(proj <= radius * math.sqrt(3.0) / 2.0 + 1e-9 * radius, axis=1)
+
+    def test_matches_projection_form_on_boundary_grid(self):
+        # The analytic curve's neighbor grid: many of its points sit exactly
+        # on the hexagon's edges and vertices.
+        half_w = 1000.0 * math.sqrt(3.0) / 2.0
+        gx, gy = np.meshgrid(np.linspace(-half_w, half_w, 201), np.linspace(-1000.0, 1000.0, 201))
+        for center in (ORIGIN, (1500.0, half_w), (-3000.0, 0.0)):
+            pts = np.column_stack([gx.ravel() + center[0], gy.ravel() + center[1]])
+            mask = hexagon_contains(1000.0, center, pts)
+            assert np.array_equal(mask, self.projection_mask(1000.0, center, pts))
+            assert mask.sum() == 30_201
+
+    def test_matches_projection_form_on_random_points(self):
+        pts = np.random.default_rng(3).uniform(-1200.0, 1200.0, (100_000, 2))
+        mask = hexagon_contains(1000.0, (50.0, -20.0), pts)
+        assert np.array_equal(mask, self.projection_mask(1000.0, (50.0, -20.0), pts))
+        assert 0 < mask.sum() < mask.size
+
+    def test_single_point(self):
+        assert hexagon_contains(1000.0, ORIGIN, (0.0, 999.0)).tolist() == [True]
+        assert hexagon_contains(1000.0, ORIGIN, (900.0, 0.0)).tolist() == [False]
+
+
 class TestPlaceUsers:
     def test_zero_users(self):
         assert sample_hexagon_xy(1000.0, ORIGIN, 0, np.random.default_rng(0)).shape == (0, 2)

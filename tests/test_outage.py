@@ -10,7 +10,7 @@ from cellsim import outage
 from cellsim.geometry import build_layout
 from cellsim.outage import OutageCurve, analytic_outage_used, format_report, mc_outage, outage_report
 from cellsim.scenario import ConfigError, ScenarioConfig
-from scalar_oracle import matched_exponential_outage, oracle_counts
+from scalar_oracle import matched_exponential_outage, oracle_counts, reference_outage_used
 
 rates = st.floats(min_value=0.1, max_value=10.0)
 
@@ -97,6 +97,37 @@ class TestAnalyticOutage:
         with_zero = analytic_outage_used(1.0, [1.0, 0.0], 0.0, 1.0, 1.0)
         without = analytic_outage_used(1.0, [1.0], 0.0, 1.0, 1.0)
         assert with_zero == without
+
+    def test_array_threshold_matches_scalar_calls(self):
+        rng = np.random.default_rng(404)
+        means = rng.uniform(0.01, 3.0, 50)
+        thresholds = np.concatenate([[0.0], np.logspace(-4.0, 4.0, 41)])
+        curve = analytic_outage_used(1.3, means, 0.02, 12.0, thresholds)
+        assert curve.shape == thresholds.shape
+        # The loop sums the logs in another order: one rounding per term.
+        loop_tol = means.size * np.finfo(float).eps
+        for thr, value in zip(thresholds, curve):
+            scalar = analytic_outage_used(1.3, means, 0.02, 12.0, float(thr))
+            assert abs(value - scalar) <= 1e-15 * abs(scalar)
+            loop = reference_outage_used(1.3, means, 0.02, 12.0, float(thr))
+            assert abs(value - loop) <= loop_tol * abs(loop)
+
+    def test_array_threshold_keeps_its_shape(self):
+        thresholds = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
+        grid = analytic_outage_used(1.0, [1.0, 0.5], 0.1, 1.0, thresholds)
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == analytic_outage_used(1.0, [1.0, 0.5], 0.1, 1.0, 16.0)
+
+    def test_array_threshold_limits(self):
+        zero = analytic_outage_used(1.0, [1.0, 2.0], 0.5, 10.0, np.array([0.0, 1.0]))
+        assert zero[0] == 0.0 and zero[1] > 0.0
+        huge = analytic_outage_used(1.0, [1.0, 2.0], 0.5, 10.0, np.array([1e100, 1e300, 1e308]))
+        assert np.all(huge <= 1.0) and np.all(huge > 1.0 - 1e-12)
+
+    def test_scalar_threshold_returns_a_scalar(self):
+        p = analytic_outage_used(1.0, [1.0], 0.0, 1.0, 1.0)
+        assert np.ndim(p) == 0 and isinstance(p, float)
+        assert isinstance(analytic_outage_used(1.0, [], 0.1, 1.0, 2.0), float)
 
     def test_matches_exponential_simulation(self):
         # Dual route: Monte Carlo in the matched-means abstraction must agree

@@ -1,16 +1,19 @@
 import io
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cellsim import scenario
 from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
 from cellsim.outage import analytic_outage_used
 from cellsim.scenario import (
     ConfigError,
     ScenarioConfig,
+    analytic_used_curve,
     emit_csv,
     mean_received_powers,
     parse_config,
@@ -18,6 +21,7 @@ from cellsim.scenario import (
     run_experiment,
     serialize_config,
 )
+from scalar_oracle import reference_mean_received_powers, reference_outage_used
 
 
 class TestParseConfig:
@@ -171,6 +175,89 @@ class TestMeanReceivedPowers:
         mean_desired, mean_in_cell, neighbors = mean_received_powers(cfg)
         assert len(neighbors) == 6
         assert all(0.0 <= n < mean_in_cell for n in neighbors)
+
+
+# rho, beamwidth, tiers, floor gain, d_min: d_min = 900 m and 1500 m lie past
+# the 866 m apothem, where the radial integral has a kink or is all clamped.
+EDGE_CONFIGS = list(
+    itertools.product((2.0, 3.3, 5.0), (60.0, 120.0), (0, 1, 2), (float("-inf"), -20.0),
+                      (1.0, 900.0, 1500.0))
+)
+
+
+def relative_errors(actual, expected):
+    """|actual - expected| / |expected|, and the absolute error where expected is 0."""
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    scale = np.where(expected == 0.0, 1.0, np.abs(expected))
+    return np.abs(actual - expected) / scale
+
+
+class TestAnalyticAgainstOracle:
+    @pytest.mark.parametrize("rho, beamwidth, tiers, floor_db, d_min", EDGE_CONFIGS)
+    def test_means_and_curve_match_reference(self, rho, beamwidth, tiers, floor_db, d_min):
+        # Shadowing only scales the means and n_users only the curve, so both
+        # are swept inside one case.
+        for sigma in (0.0, 8.0):
+            cfg = ScenarioConfig(
+                rho=rho, beamwidth_deg=beamwidth, interferer_tiers=tiers,
+                floor_gain_db=floor_db, d_min=d_min, shadowing_sigma_db=sigma,
+            )
+            ref_desired, ref_in_cell, ref_neighbors = reference_mean_received_powers(cfg)
+            desired, in_cell, neighbors = mean_received_powers(cfg)
+            assert len(neighbors) == len(ref_neighbors)
+            errors = relative_errors(
+                [desired, in_cell, *neighbors], [ref_desired, ref_in_cell, *ref_neighbors]
+            )
+            assert errors.max() <= 1e-12
+            for n_users in (1, 40):
+                cfg = replace(cfg, n_users=n_users)
+                means = [ref_in_cell] * (n_users - 1)
+                for neighbor in ref_neighbors:
+                    means.extend([neighbor] * n_users)
+                reference = [
+                    reference_outage_used(
+                        ref_desired, means, cfg.resolved_noise_power(), cfg.processing_gain,
+                        10.0 ** (thr / 10.0),
+                    )
+                    for thr in cfg.thresholds_db
+                ]
+                assert relative_errors(analytic_used_curve(cfg), reference).max() <= 1e-12
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` with a wrapper that records one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestAnalyticWorkCounts:
+    # Counts, not times: one quadrature, one closed-form call and at most one
+    # neighbor grid per curve, whatever the config.
+    @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
+    def test_one_quadrature_per_curve(self, monkeypatch, beamwidth):
+        calls = count_calls(monkeypatch, scenario.integrate, "quad")
+        analytic_used_curve(ScenarioConfig(beamwidth_deg=beamwidth, d_min=900.0))
+        assert len(calls) == 1
+
+    def test_one_closed_form_call_per_curve(self, monkeypatch):
+        calls = count_calls(monkeypatch, scenario, "analytic_outage_used")
+        cfg = ScenarioConfig(interferer_tiers=2)
+        curve = analytic_used_curve(cfg)
+        assert len(calls) == 1
+        assert curve.shape == cfg.thresholds_db.shape
+
+    @pytest.mark.parametrize("tiers, grids", [(0, 0), (1, 1), (2, 1)])
+    def test_neighbor_grid_once_and_none_for_an_isolated_cell(self, monkeypatch, tiers, grids):
+        calls = count_calls(monkeypatch, scenario, "hexagon_contains")
+        mean_received_powers(ScenarioConfig(interferer_tiers=tiers))
+        assert len(calls) == grids
 
 
 class TestRunExperiment:
