@@ -20,7 +20,7 @@ from .scenario import (
     ScenarioConfig,
     emit_csv,
     parse_config_file,
-    parse_threshold_sweep,
+    parse_value,
     run_experiment,
 )
 from .sir import COMBINER_MODES
@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an outage experiment and write a CSV curve table")
     run.add_argument("--config", metavar="PATH", help="config file (omit for the default scenario)")
-    run.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
-    run.add_argument("--drops", type=int, metavar="N", help="override n_drops")
+    run.add_argument("--seed", metavar="U64", help="override master_seed")
+    run.add_argument("--drops", metavar="N", help="override n_drops")
     run.add_argument("--arch", choices=ARCHITECTURE_CHOICES, help="override architecture")
     run.add_argument("--out", metavar="PATH", required=True, help="output CSV path")
     run.add_argument(
@@ -51,23 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The field each override flag sets; a flag's value is read as that field's
+# config text.
+_FLAG_FIELDS = {
+    "seed": "master_seed", "drops": "n_drops", "arch": "architecture",
+    "thresholds": "thresholds", "paired": "paired", "combiner": "combiner_mode",
+}
+
+
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.drops is not None:
-        updates["n_drops"] = args.drops
-    if args.arch is not None:
-        updates["architecture"] = args.arch
-    if args.thresholds is not None:
-        try:
-            updates["thresholds"] = parse_threshold_sweep(args.thresholds)
-        except ValueError as exc:
-            raise ConfigError(f"--thresholds: {exc}") from None
-    if args.paired is not None:
-        updates["paired"] = args.paired == "true"
-    if args.combiner is not None:
-        updates["combiner_mode"] = args.combiner
+    for flag, name in _FLAG_FIELDS.items():
+        text = getattr(args, flag)
+        if text is not None:
+            try:
+                updates[name] = parse_value(name, text)
+            except ValueError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from None
     return replace(cfg, **updates) if updates else cfg
 
 

@@ -1,8 +1,8 @@
 """Experiment configuration, orchestration and export.
 
-Configs are flat ``key = value`` text, one key per line, ``#`` comments, with
-optional SI suffixes (kHz, MHz, kb/s, Mchip/s, dB, m).  Unknown keys are
-rejected rather than silently ignored.  ``run_experiment`` evaluates the
+Configs are flat ``key = value`` text, one key per line, ``#`` comments;
+numeric values take the unit suffixes their field lists in ``_UNITS``.
+Unknown keys are rejected rather than silently ignored.  ``run_experiment`` evaluates the
 requested architectures on identical random streams (paired drops) and emits
 a CSV threshold table any plotting tool can consume.
 """
@@ -82,19 +82,14 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        finite_fields = (
-            "bit_rate", "chip_rate", "rho", "shadowing_sigma_db", "cell_radius",
-            "beamwidth_deg", "tx_power", "d_min", "wavelength", "max_gain_db",
-        )
-        for name in finite_fields + ("thresholds", "noise_power"):
+        # Numbers must be finite, but floor_gain_db may be -inf and noise_power None.
+        for name in (*_UNITS, "thresholds"):
             value = getattr(self, name)
-            if value is None:
+            if value is None or (name == "floor_gain_db" and value == -math.inf):
                 continue
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if math.isnan(self.floor_gain_db) or self.floor_gain_db == math.inf:
-            raise ConfigError(f"floor_gain_db must be a number or -inf, got {self.floor_gain_db}")
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
+                raise ConfigError(f"{name} must be {allowed}, got {value}")
         if self.architecture not in ARCHITECTURE_CHOICES:
             raise ConfigError(
                 f"architecture must be one of {ARCHITECTURE_CHOICES}, got {self.architecture!r}"
@@ -106,6 +101,8 @@ class ScenarioConfig:
         start, stop, step = self.thresholds
         if step <= 0.0 or stop < start:
             raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {self.thresholds}")
+        if not math.isfinite(self._threshold_steps()):
+            raise ConfigError(f"thresholds sweep {self.thresholds} has too many steps to count")
         if not 2.0 <= self.rho <= 5.0:
             raise ConfigError(f"rho must be in [2, 5], got {self.rho}")
         if not 0.0 <= self.shadowing_sigma_db <= 12.0:
@@ -160,10 +157,14 @@ class ScenarioConfig:
     def sector_count(self) -> int:
         return int(round(360.0 / self.beamwidth_deg))
 
+    def _threshold_steps(self) -> float:
+        start, stop, step = self.thresholds
+        return (stop - start) / step
+
     @property
     def thresholds_db(self) -> np.ndarray:
-        start, stop, step = self.thresholds
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        start, _, step = self.thresholds
+        n = int(math.floor(self._threshold_steps() + 1e-9)) + 1
         return start + step * np.arange(n)
 
     @property
@@ -203,138 +204,81 @@ class ExperimentResult:
 
 # Config text grammar ------------------------------------------------------
 
-_RATE_UNITS = {
-    "": 1.0,
-    "Hz": 1.0,
-    "kHz": 1e3,
-    "MHz": 1e6,
-    "b/s": 1.0,
-    "kb/s": 1e3,
-    "Mb/s": 1e6,
-    "chip/s": 1.0,
-    "chips/s": 1.0,
-    "kchip/s": 1e3,
-    "Mchip/s": 1e6,
-}
+_RATE_UNITS = ("Hz", "kHz", "MHz", "b/s", "kb/s", "Mb/s", "chip/s", "chips/s", "kchip/s", "Mchip/s")
 
+# The unit suffixes each numeric field accepts; a bare number is always
+# accepted.  A unit's leading k or M scales the number, and every other
+# suffix only names the unit.
+_UNITS = {
+    "bit_rate": _RATE_UNITS,
+    "chip_rate": _RATE_UNITS,
+    "rho": (),
+    "shadowing_sigma_db": ("dB",),
+    "noise_power": ("W",),
+    "cell_radius": ("m",),
+    "beamwidth_deg": ("deg",),
+    "tx_power": ("W",),
+    "d_min": ("m",),
+    "wavelength": ("m",),
+    "max_gain_db": ("dB",),
+    "floor_gain_db": ("dB",),
+}
+_PREFIX_SCALES = {"k": 1e3, "M": 1e6}
+
+# The only config keys whose names differ from their fields; every other key
+# is its field's name.
+_KEY_FIELDS = {"shadowing_sigma": "shadowing_sigma_db", "beamwidth": "beamwidth_deg"}
 
 _QUANTITY_RE = re.compile(
     r"(?i)([-+]?(?:inf(?:inity)?|nan|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?))\s*(\S.*)?"
 )
 
 
-def _split_quantity(text: str) -> tuple[str, str]:
-    match = _QUANTITY_RE.fullmatch(text.strip())
-    if match:
-        return match.group(1), (match.group(2) or "").strip()
-    return text.strip(), ""
+def parse_value(name: str, text: str):
+    """Read one config or flag value as the value of field ``name``.
 
-
-def _number(text: str, units: dict[str, float]) -> float:
-    num, unit = _split_quantity(text)
-    if unit not in units:
-        raise ValueError(f"unsupported unit {unit!r}")
-    try:
-        value = float(num)
-    except ValueError:
-        raise ValueError(f"not a number: {num!r}") from None
-    return value * units[unit]
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"not an integer: {text.strip()!r}") from None
-
-
-def _parse_rate(text: str) -> float:
-    return _number(text, _RATE_UNITS)
-
-
-def _parse_bare(text: str) -> float:
-    return _number(text, {"": 1.0})
-
-
-def _parse_db(text: str) -> float:
-    return _number(text, {"": 1.0, "dB": 1.0})
-
-
-def _parse_meters(text: str) -> float:
-    return _number(text, {"": 1.0, "m": 1.0})
-
-
-def _parse_degrees(text: str) -> float:
-    return _number(text, {"": 1.0, "deg": 1.0})
-
-
-def _parse_watts(text: str) -> float:
-    return _number(text, {"": 1.0, "W": 1.0})
-
-
-def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text.strip()!r}")
-    return val == "true"
-
-
-def _parse_noise(text: str) -> Optional[float]:
-    if text.strip().lower() == "auto":
+    The field fixes the form: a numeric field (one in ``_UNITS``) takes a
+    number with an optional unit suffix, and ``noise_power`` also ``auto``;
+    any other field's default picks true/false, an integer, a START:STOP:STEP
+    sweep in dB, or a name.  Names and ranges are left to
+    ``ScenarioConfig.validate``.  Malformed text raises ValueError.
+    """
+    text = text.strip()
+    if name == "noise_power" and text.lower() == "auto":
         return None
-    return _number(text, {"": 1.0, "W": 1.0})
-
-
-def parse_threshold_sweep(text: str) -> tuple[float, float, float]:
-    parts = text.strip().split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected START:STOP:STEP in dB, got {text.strip()!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"expected numeric START:STOP:STEP, got {text.strip()!r}") from None
-    return (start, stop, step)
-
-
-def _parse_choice(choices):
-    def parse(text: str) -> str:
-        val = text.strip()
-        if val not in choices:
-            raise ValueError(f"expected one of {choices}, got {val!r}")
-        return val
-
-    return parse
-
-
-_KEY_PARSERS = {
-    "architecture": ("architecture", _parse_choice(ARCHITECTURE_CHOICES)),
-    "n_users": ("n_users", _parse_int),
-    "bit_rate": ("bit_rate", _parse_rate),
-    "chip_rate": ("chip_rate", _parse_rate),
-    "thresholds": ("thresholds", parse_threshold_sweep),
-    "rho": ("rho", _parse_bare),
-    "shadowing_sigma": ("shadowing_sigma_db", _parse_db),
-    "noise_power": ("noise_power", _parse_noise),
-    "cell_radius": ("cell_radius", _parse_meters),
-    "cluster_size": ("cluster_size", _parse_int),
-    "beamwidth": ("beamwidth_deg", _parse_degrees),
-    "tx_power": ("tx_power", _parse_watts),
-    "d_min": ("d_min", _parse_meters),
-    "n_drops": ("n_drops", _parse_int),
-    "master_seed": ("master_seed", _parse_int),
-    "combiner_mode": ("combiner_mode", _parse_choice(COMBINER_MODES)),
-    "interferer_tiers": ("interferer_tiers", _parse_int),
-    "paired": ("paired", _parse_bool),
-    "wavelength": ("wavelength", _parse_meters),
-    "max_gain_db": ("max_gain_db", _parse_db),
-    "floor_gain_db": ("floor_gain_db", _parse_db),
-}
-
-_FIELD_TO_KEY = {field_name: key for key, (field_name, _) in _KEY_PARSERS.items()}
+    if name in _UNITS:
+        match = _QUANTITY_RE.fullmatch(text)
+        number, unit = (match.group(1), (match.group(2) or "").strip()) if match else (text, "")
+        if unit and unit not in _UNITS[name]:
+            raise ValueError(f"unsupported unit {unit!r}")
+        try:
+            return float(number) * _PREFIX_SCALES.get(unit[:1], 1.0)
+        except ValueError:
+            raise ValueError(f"not a number: {number!r}") from None
+    default = getattr(ScenarioConfig, name)
+    if isinstance(default, bool):
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text.lower() == "true"
+    if isinstance(default, int):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+    if isinstance(default, tuple):
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"expected START:STOP:STEP in dB, got {text!r}")
+        try:
+            return tuple(float(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"expected numeric START:STOP:STEP, got {text!r}") from None
+    return text
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse config text; omitted keys take the defaults, unknown keys fail."""
+    keys = ({f.name for f in fields(ScenarioConfig)} - set(_KEY_FIELDS.values())) | set(_KEY_FIELDS)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -344,14 +288,13 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, parser = _KEY_PARSERS[key]
-        if field_name in values:
+        name = _KEY_FIELDS.get(key, key)
+        if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[field_name] = parser(value)
+            values[name] = parse_value(name, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return ScenarioConfig(**values)
@@ -370,19 +313,17 @@ def parse_config_file(path) -> ScenarioConfig:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical config text; parse_config(serialize_config(c)) == c."""
+    keys = {name: key for key, name in _KEY_FIELDS.items()}
     lines = []
     for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
         value = getattr(cfg, f.name)
-        if f.name == "thresholds":
-            rendered = f"{value[0]!r}:{value[1]!r}:{value[2]!r}"
-        elif f.name == "noise_power":
-            rendered = "auto" if value is None else repr(value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
+        if value is None:
+            text = "auto"
+        elif isinstance(value, tuple):
+            text = ":".join(map(str, value))
         else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {rendered}")
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+        lines.append(f"{keys.get(f.name, f.name)} = {text}")
     return "\n".join(lines) + "\n"
 
 

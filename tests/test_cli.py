@@ -1,7 +1,8 @@
 import pytest
 
-from cellsim import scenario
+from cellsim import cli, scenario
 from cellsim.cli import main
+from cellsim.scenario import ScenarioConfig, parse_config
 
 
 def run_cli(args, capsys):
@@ -98,11 +99,13 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "architecture = microzone\ntx_power = 0 W\n",
         "architecture = microzone\ncell_radius = 1e300 m\n",
         "architecture = microzone\nmax_gain_db = -4000 dB\n",
+        "thresholds = 0:1e308:1e-300\n",
+        "thresholds = -1e308:1e308:1e308\n",
     ],
     ids=[
         "max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius",
         "max_gain_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
-        "microzone_max_gain_underflow",
+        "microzone_max_gain_underflow", "sweep_step_count_overflow", "sweep_span_overflow",
     ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):
@@ -119,3 +122,39 @@ def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, co
     assert code == 1
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+class Simulated(Exception):
+    """Carries the config a run was about to simulate."""
+
+
+@pytest.mark.parametrize(
+    "flag, value, line",
+    [
+        ("--seed", "7", "master_seed = 7"),
+        ("--seed", "18446744073709551616", "master_seed = 18446744073709551616"),
+        ("--drops", "250", "n_drops = 250"),
+        ("--arch", "microzone", "architecture = microzone"),
+        ("--thresholds", "-5:5:2.5", "thresholds = -5:5:2.5"),
+        ("--paired", "false", "paired = false"),
+        ("--combiner", "paper", "combiner_mode = paper"),
+    ],
+)
+def test_flag_reads_like_its_config_line(tmp_path, monkeypatch, flag, value, line):
+    def simulated(cfg, workers):
+        raise Simulated(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", simulated)
+    with pytest.raises(Simulated) as run:
+        main(["run", "--out", str(tmp_path / "o.csv"), flag, value])
+    cfg = run.value.args[0]
+    assert cfg == parse_config(line)
+    assert cfg != ScenarioConfig()
+
+
+@pytest.mark.parametrize("flag, value", [("--drops", "1.5"), ("--seed", "x")])
+def test_malformed_flag_value_fails_cleanly(tmp_path, capsys, flag, value):
+    code, _, stderr = run_cli(["run", "--out", str(tmp_path / "o.csv"), flag, value], capsys)
+    assert code == 1
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag}:"), stderr

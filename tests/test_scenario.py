@@ -1,16 +1,22 @@
 import io
 import itertools
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellsim import scenario
 from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
 from cellsim.outage import analytic_outage_used
+from cellsim.sir import COMBINER_MODES
 from cellsim.scenario import (
+    ARCHITECTURE_CHOICES,
     ConfigError,
     ScenarioConfig,
     analytic_used_curve,
@@ -103,7 +109,58 @@ class TestParseConfig:
                 parse_config(text)
 
 
+# Every config key, once; two of them are not their field's name.
+GRAMMAR_KEYS = (
+    "architecture", "n_users", "bit_rate", "chip_rate", "thresholds", "rho", "shadowing_sigma",
+    "noise_power", "cell_radius", "cluster_size", "beamwidth", "tx_power", "d_min", "n_drops",
+    "master_seed", "combiner_mode", "interferer_tiers", "paired", "wavelength", "max_gain_db",
+    "floor_gain_db",
+)
+
+
+def config_keys(text: str) -> list:
+    return [line.partition("=")[0].strip() for line in text.splitlines()]
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that set all 21 fields; the ranges keep the cell-edge power normal."""
+    bit_rate = draw(st.floats(1e-3, 1e12))
+    start = draw(st.floats(-100.0, 100.0))
+    max_gain_db = draw(st.floats(-30.0, 30.0))
+    return ScenarioConfig(
+        architecture=draw(st.sampled_from(ARCHITECTURE_CHOICES)),
+        n_users=draw(st.integers(1, 2**64)),
+        bit_rate=bit_rate,
+        chip_rate=draw(st.floats(bit_rate, 1e15)),
+        thresholds=(start, draw(st.floats(start, start + 100.0)), draw(st.floats(1e-3, 100.0))),
+        rho=draw(st.floats(2.0, 5.0)),
+        shadowing_sigma_db=draw(st.floats(0.0, 12.0)),
+        noise_power=draw(st.none() | st.floats(0.0, 1e300)),
+        cell_radius=draw(st.floats(1.0, 1e4)),
+        cluster_size=1,
+        beamwidth_deg=draw(st.sampled_from((60.0, 120.0))),
+        tx_power=draw(st.floats(1e-3, 1e3)),
+        d_min=draw(st.floats(1e-300, 1e300)),
+        n_drops=draw(st.integers(1, 2**64)),
+        master_seed=draw(st.integers(0, 2**64)),
+        combiner_mode=draw(st.sampled_from(COMBINER_MODES)),
+        interferer_tiers=draw(st.integers(0, 2)),
+        paired=draw(st.booleans()),
+        wavelength=draw(st.floats(1e-3, 10.0)),
+        max_gain_db=max_gain_db,
+        floor_gain_db=draw(st.just(-math.inf) | st.floats(-1000.0, max_gain_db)),
+    )
+
+
 class TestRoundTrip:
+    @given(valid_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_inverts_serialize(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert sorted(config_keys(text)) == sorted(GRAMMAR_KEYS)
+
     def test_default_config(self):
         cfg = ScenarioConfig()
         assert parse_config(serialize_config(cfg)) == cfg
@@ -115,9 +172,22 @@ class TestRoundTrip:
             replace(ScenarioConfig(), combiner_mode="paper", interferer_tiers=2),
             replace(ScenarioConfig(), tx_power=0.1 + 0.2, master_seed=2**63),
             replace(ScenarioConfig(), architecture="microzone", beamwidth_deg=60.0),
+            replace(ScenarioConfig(), rho=np.float64(3.3), n_users=np.int64(7)),
         ]
         for cfg in cases:
             assert parse_config(serialize_config(cfg)) == cfg
+
+
+class TestReadmeConfigTable:
+    def test_lists_every_key_with_its_units(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config grammar", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+        units = {cells[0].strip(" `"): re.findall(r"`([^`]+)`", cells[2]) for cells in rows}
+        assert len(rows) == len(units)
+        assert sorted(units) == sorted(config_keys(serialize_config(ScenarioConfig())))
+        for key, listed in units.items():
+            assert listed == list(scenario._UNITS.get(scenario._KEY_FIELDS.get(key, key), ())), key
 
 
 class TestScenarioDefaults:
