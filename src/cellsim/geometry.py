@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .workspace import buffer
+
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
@@ -98,7 +100,12 @@ def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
 
 
 def sample_hexagon_xy(
-    radius: float, centers, n: int, rng: np.random.Generator, batch: tuple = ()
+    radius: float,
+    centers,
+    n: int,
+    rng: np.random.Generator,
+    batch: tuple = (),
+    work: dict | None = None,
 ) -> np.ndarray:
     """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
 
@@ -107,23 +114,28 @@ def sample_hexagon_xy(
     per point are fixed.  ``centers`` is one (x, y) center or an (m, 2)
     array of them; every cell gets ``n`` points.  The result has shape
     ``batch + (m * n, 2)``, points grouped by cell in ``centers`` order.
-    Draw order: all rhombus picks, then all uniform pairs.
+    Draw order: all rhombus picks, then all uniform pairs.  With a
+    ``workspace.buffer`` dict as ``work`` the uniforms and the result live in
+    its arrays, and the result is overwritten by the next call.
     """
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
-    shape = tuple(batch) + (centers.shape[0], n)
-    rhombus = rng.integers(0, 3, size=shape)
-    uv = rng.random(shape + (2,))
+    shape = tuple(batch) + (centers.shape[0], n, 2)
+    rhombus = rng.integers(0, 3, size=shape[:-1])
+    uv = rng.random(out=buffer(work, "uv", shape))
     # Rhombus k is spanned by the vertices V_2k and V_2k+2 (V_j at 30 + 60j
     # degrees); the spans are 120 degrees apart, so the three rhombi have
     # equal area and tile the hexagon exactly.
     angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
     edge_a = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     edge_b = np.roll(edge_a, -1, axis=0)
-    xy = (
-        uv[..., :1] * np.take(edge_a, rhombus, axis=0)
-        + uv[..., 1:] * np.take(edge_b, rhombus, axis=0)
-        + centers[:, None, :]
-    )
+    # u * a + v * b + center, in that order.  Every pick is 0, 1 or 2, so
+    # mode="clip" changes nothing but skips the copy that "raise" makes.
+    xy = np.take(edge_a, rhombus, axis=0, out=buffer(work, "xy", shape), mode="clip")
+    xy *= uv[..., :1]
+    xy_b = np.take(edge_b, rhombus, axis=0, out=buffer(work, "xy_b", shape), mode="clip")
+    xy_b *= uv[..., 1:]
+    xy += xy_b
+    xy += centers[:, None, :]
     return xy.reshape(tuple(batch) + (-1, 2))
 
 

@@ -11,12 +11,20 @@ construction.
 Drops run in fixed-size blocks, one generator per block keyed by (seed,
 stream tag, block index) alone; the block size depends only on the scenario.
 Results are therefore independent of evaluation order and worker count.
+
+The kernel allocates no array per block.  Each job (one worker's range of
+blocks) keeps one workspace (``workspace.buffer``) of arrays sized to one
+block: placement, draws, link gains, SIR and combining all write into it,
+and a short last block uses views over the first elements of the same
+arrays.  Every operation runs in the same order on the same operands as
+with fresh arrays, so the reuse changes no bit of any result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,6 +39,7 @@ from .geometry import (
     serving_sector_indices,
 )
 from .sir import combine_columns, per_antenna_sir_matrix
+from .workspace import buffer
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -126,26 +135,44 @@ def _validate_thresholds(thresholds_db) -> np.ndarray:
     return arr
 
 
-def _path_gains(layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig") -> np.ndarray:
+def _path_gains(
+    layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig", work: dict | None = None
+) -> np.ndarray:
     """Pattern gain times distance loss, shape (drops, antennas, users).
 
     ``xy`` is (drops, users, 2).  A user is inside an antenna's beam (boundary
     inclusive) when the cosine of its bearing offset from boresight is at
     least cos(beamwidth / 2): the flat-top pattern without an arctangent.
     Distances are clamped below at ``d_min``.  Antennas that share one site
-    (the used layout's center) share one distance computation.
+    (the used layout's center) share one distance computation.  With a
+    ``workspace.buffer`` dict as ``work`` the result is overwritten by the
+    next call.
     """
     sites = layout.sites
     if np.all(sites == sites[0]):
         sites = sites[:1]
-    dx = xy[:, None, :, 0] - sites[:, 0, None]
-    dy = xy[:, None, :, 1] - sites[:, 1, None]
-    d_sq = dx * dx + dy * dy
+    per_site = (xy.shape[0], len(sites), xy.shape[1])
+    shape = (xy.shape[0], layout.antenna_count, xy.shape[1])
+    dx = np.subtract(xy[:, None, :, 0], sites[:, 0, None], out=buffer(work, "dx", per_site))
+    dy = np.subtract(xy[:, None, :, 1], sites[:, 1, None], out=buffer(work, "dy", per_site))
     boresights = layout.boresights[:, None]
-    along = dx * np.cos(boresights) + dy * np.sin(boresights)
-    inside = along >= math.cos(layout.beamwidth / 2.0 + ANGLE_TOL) * np.sqrt(d_sq)
-    pattern = np.where(inside, layout.max_gain, layout.floor_gain)
-    return pattern * np.maximum(d_sq, scenario.d_min**2) ** (-scenario.rho / 2.0)
+    along = np.multiply(dx, np.cos(boresights), out=buffer(work, "along", shape))
+    along += np.multiply(dy, np.sin(boresights), out=buffer(work, "term", shape))
+    # The offsets are spent: square them, and take the distances, in place.
+    d_sq = np.multiply(dx, dx, out=dx)
+    d_sq += np.multiply(dy, dy, out=dy)
+    limit = np.sqrt(d_sq, out=dy)
+    limit *= math.cos(layout.beamwidth / 2.0 + ANGLE_TOL)
+    # The beam test as 0/1 indices into (floor, max): an exact select, and
+    # much faster than a masked copy.
+    inside = np.greater_equal(along, limit, out=buffer(work, "inside", shape, np.intp))
+    gains = np.take([layout.floor_gain, layout.max_gain], inside, out=along, mode="clip")
+    loss = np.maximum(d_sq, scenario.d_min**2, out=d_sq)
+    # In-place `**=` takes the same scalar fast paths as `**` (a reciprocal
+    # at rho = 2), so the losses are bit-identical to the plain power.
+    loss **= -scenario.rho / 2.0
+    gains *= loss
+    return gains
 
 
 def _count_blocks(args) -> np.ndarray:
@@ -154,7 +181,8 @@ def _count_blocks(args) -> np.ndarray:
     Each block draws, from its own generator and in this order, every
     cell's user positions, standard-normal shadowing and unit exponential
     fading, all for (drops, antennas, users of every cell).  Every layout
-    is evaluated on that one draw.
+    is evaluated on that one draw.  The blocks share one workspace: its
+    arrays are allocated by the first block, the largest, and reused.
     """
     (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
      block_start, block_stop) = args
@@ -164,24 +192,42 @@ def _count_blocks(args) -> np.ndarray:
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
     counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)
+    work: dict = {}
     for block in range(block_start, block_stop):
         drops = min(per_block, n_drops - block * per_block)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
-        xy = sample_hexagon_xy(scenario.cell_radius, centers, n_users, rng, batch=(drops,))
+        xy = sample_hexagon_xy(
+            scenario.cell_radius, centers, n_users, rng, batch=(drops,), work=work
+        )
         size = (drops, layouts[0].antenna_count, xy.shape[1])
-        channel = np.exp(shadow_nepers * rng.standard_normal(size))
-        channel *= rng.standard_exponential(size)
+        channel = rng.standard_normal(out=buffer(work, "channel", size))
+        channel *= shadow_nepers
+        np.exp(channel, out=channel)
+        channel *= rng.standard_exponential(out=buffer(work, "fading", size))
         channel *= scale
         for k, layout in enumerate(layouts):
-            gains = _path_gains(layout, xy, scenario) * channel
-            gamma = per_antenna_sir_matrix(gains, scenario.tx_power, eta, pg, n_observed=n_users)
+            gains = _path_gains(layout, xy, scenario, work)
+            gains *= channel
+            gamma = per_antenna_sir_matrix(
+                gains, scenario.tx_power, eta, pg, n_observed=n_users, work=work
+            )
             if layout.architecture == "used":
                 serving = serving_sector_indices(layout, xy[:, :n_users])
                 sirs = np.take_along_axis(gamma, serving[:, None, :], axis=1)
             else:
-                sirs = combine_columns(gamma, scenario.combiner_mode)
+                sirs = combine_columns(gamma, scenario.combiner_mode, work=work)
             counts[k] += np.searchsorted(np.sort(sirs, axis=None), thr_linear, side="right")
     return counts
+
+
+def worker_pool(workers: int) -> AbstractContextManager:
+    """The process pool the ``mc_outage`` calls of one run share.
+
+    A context manager giving a pool of ``workers`` processes, or None for
+    one worker.  The processes start with the first job, so a run whose
+    calls all fit in one block starts none.
+    """
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def mc_outage(
@@ -192,6 +238,7 @@ def mc_outage(
     seed: int,
     workers: int = 1,
     stream_tag: int = 0,
+    pool: Executor | None = None,
 ) -> list[OutageCurve]:
     """Monte Carlo outage curves, one per layout, on one shared draw.
 
@@ -200,7 +247,9 @@ def mc_outage(
     layout order.  Every threshold is evaluated against the same drops, so
     each curve is exactly non-decreasing.  Counts are integers and workers
     take whole blocks of drops, which keeps the result identical for any
-    ``workers``.  ``stream_tag`` namespaces the random streams.
+    ``workers``.  ``stream_tag`` namespaces the random streams.  With more
+    than one job the jobs run on ``pool`` (see ``worker_pool``), or on a
+    pool of this call's own when it is None.
     """
     if len({lay.antenna_count for lay in layouts}) != 1:
         raise ValueError("paired layouts must have one antenna count")
@@ -226,8 +275,8 @@ def mc_outage(
     if len(jobs) == 1:
         counts = _count_blocks(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            counts = sum(pool.map(_count_blocks, jobs))
+        with nullcontext(pool) if pool is not None else ProcessPoolExecutor(len(jobs)) as runner:
+            counts = sum(runner.map(_count_blocks, jobs))
     n_samples = n_drops * scenario.n_users
     return [
         _curve_from_counts(lay.architecture, thr_db, c, n_samples, n_drops, seed)

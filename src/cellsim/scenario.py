@@ -28,10 +28,14 @@ from .geometry import (
     hexagon_contains,
     interferer_cell_centers,
 )
-from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage
+from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage, worker_pool
 from .sir import COMBINER_MODES
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
+# Longest threshold sweep a config may ask for, so that a slip such as
+# 0:1e7:1e-6 fails when the config is built rather than as an array of 10**13
+# points.  Far above any plotted curve.
+MAX_THRESHOLDS = 10**6
 
 
 class ConfigError(ValueError):
@@ -101,8 +105,11 @@ class ScenarioConfig:
         start, stop, step = self.thresholds
         if step <= 0.0 or stop < start:
             raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {self.thresholds}")
-        if not math.isfinite(self._threshold_steps()):
-            raise ConfigError(f"thresholds sweep {self.thresholds} has too many steps to count")
+        if self._threshold_count() > MAX_THRESHOLDS:
+            raise ConfigError(
+                f"thresholds sweep {self.thresholds} has {self._threshold_count()} points, "
+                f"more than the {MAX_THRESHOLDS} allowed"
+            )
         if not 2.0 <= self.rho <= 5.0:
             raise ConfigError(f"rho must be in [2, 5], got {self.rho}")
         if not 0.0 <= self.shadowing_sigma_db <= 12.0:
@@ -157,15 +164,16 @@ class ScenarioConfig:
     def sector_count(self) -> int:
         return int(round(360.0 / self.beamwidth_deg))
 
-    def _threshold_steps(self) -> float:
+    def _threshold_count(self) -> float:
+        """Points of the threshold sweep, stop included; inf if too many to count."""
         start, stop, step = self.thresholds
-        return (stop - start) / step
+        steps = (stop - start) / step + 1e-9
+        return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
     @property
     def thresholds_db(self) -> np.ndarray:
         start, _, step = self.thresholds
-        n = int(math.floor(self._threshold_steps() + 1e-9)) + 1
-        return start + step * np.arange(n)
+        return start + step * np.arange(self._threshold_count())
 
     @property
     def processing_gain(self) -> float:
@@ -229,8 +237,13 @@ _PREFIX_SCALES = {"k": 1e3, "M": 1e6}
 # is its field's name.
 _KEY_FIELDS = {"shadowing_sigma": "shadowing_sigma_db", "beamwidth": "beamwidth_deg"}
 
+# A number as Python's float() spells it, digit-separating underscores
+# included, then an optional unit, which starts with a letter (so "1__0" is a
+# malformed number, not the number 1 in the unit "__0").
+_DIGITS = r"\d+(?:_\d+)*"
 _QUANTITY_RE = re.compile(
-    r"(?i)([-+]?(?:inf(?:inity)?|nan|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?))\s*(\S.*)?"
+    rf"(?i)([-+]?(?:inf(?:inity)?|nan|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+    rf"(?:e[-+]?{_DIGITS})?))\s*([^\W\d_].*)?"
 )
 
 
@@ -349,7 +362,8 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     bounding box that lie in the hexagon, boundary included (30,201 of the
     40,401).  The grid is built once per config, and none for an isolated
     cell.  Gains come from the kernel's ``_path_gains`` on a one-antenna copy
-    of sector 0 of the used layout, one cell at a time.
+    of sector 0 of the used layout, one cell at a time; the cells share one
+    points array and one workspace.
     """
     centers = interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
     if not len(centers):
@@ -357,13 +371,17 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     radius = cfg.cell_radius
     half_w = radius * math.sqrt(3.0) / 2.0
     gx, gy = np.meshgrid(np.linspace(-half_w, half_w, 201), np.linspace(-radius, radius, 201))
-    offsets = np.array([gx.ravel(), gy.ravel()])  # (2, points): x and y rows
-    offsets = offsets[:, hexagon_contains(radius, (0.0, 0.0), offsets.T)]
+    offsets = np.column_stack([gx.ravel(), gy.ravel()])  # (points, 2)
+    offsets = offsets[hexagon_contains(radius, (0.0, 0.0), offsets)]
     used = build_layout(cfg, "used")
     sector0 = replace(used, sites=used.sites[:1], boresights=used.boresights[:1])
-    return [
-        float(np.mean(_path_gains(sector0, (c[:, None] + offsets).T[None], cfg))) for c in centers
-    ]
+    points = np.empty((1,) + offsets.shape)
+    work: dict = {}
+    means = []
+    for center in centers:
+        np.add(offsets, center, out=points[0])
+        means.append(float(np.mean(_path_gains(sector0, points, cfg, work))))
+    return means
 
 
 def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]]:
@@ -422,7 +440,8 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
 
     With ``paired`` set (the default) both architectures are evaluated on
     one shared draw of user positions, shadowing and fading per drop;
-    otherwise each draws its own streams.
+    otherwise each draws its own streams.  With ``workers`` > 1 the
+    Monte Carlo calls share one process pool.
     """
     start = time.perf_counter()
     if cfg.architecture == "both":
@@ -433,13 +452,14 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
 
     layouts = [build_layout(cfg, arch) for arch in archs]
     sweep = (cfg, cfg.thresholds_db, cfg.n_drops, cfg.master_seed)
-    if cfg.paired:
-        curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0)
-    else:
-        curves = [
-            mc_outage([layout], *sweep, workers=workers, stream_tag=1 + k)[0]
-            for k, layout in enumerate(layouts)
-        ]
+    with worker_pool(workers) as pool:
+        if cfg.paired:
+            curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0, pool=pool)
+        else:
+            curves = [
+                mc_outage([layout], *sweep, workers=workers, stream_tag=1 + k, pool=pool)[0]
+                for k, layout in enumerate(layouts)
+            ]
     elapsed = time.perf_counter() - start
     return ExperimentResult(
         config=cfg,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .workspace import buffer
+
 COMBINER_MODES = ("paper", "classical-mrc")
 
 
@@ -23,6 +25,7 @@ def per_antenna_sir_matrix(
     eta: float,
     pg: float,
     n_observed: int | None = None,
+    work: dict | None = None,
 ) -> np.ndarray:
     """Branch SIR for every (antenna, user) pair from gain matrices.
 
@@ -31,37 +34,49 @@ def per_antenna_sir_matrix(
     received power of all users except the one under test.  Only the first
     ``n_observed`` user columns are returned (all users still interfere).
     Handles the eta = 0 corner: positive signal over empty interference is
-    +inf, zero over zero is 0.
+    +inf, zero over zero is 0.  With a ``workspace.buffer`` dict as ``work``
+    the temporaries and the result live in its arrays, and the result is
+    overwritten by the next call.
     """
-    power = np.asarray(gains, dtype=float) * np.asarray(tx_power, dtype=float)
-    totals = power.sum(axis=-1, keepdims=True)
+    gains = np.asarray(gains, dtype=float)
+    tx_power = np.asarray(tx_power, dtype=float)
+    shape = np.broadcast_shapes(gains.shape, tx_power.shape)
+    power = np.multiply(gains, tx_power, out=buffer(work, "power", shape))
+    totals = power.sum(axis=-1, keepdims=True, out=buffer(work, "totals", shape[:-1] + (1,)))
     observed = power if n_observed is None else power[..., :n_observed]
     # max() guards against cancellation when one user dominates the total.
-    interference = np.maximum(totals - observed, 0.0)
-    numer = pg * observed
-    denom = interference + eta
+    denom = np.subtract(totals, observed, out=buffer(work, "denom", observed.shape))
+    np.maximum(denom, 0.0, out=denom)
+    denom += eta
+    numer = np.multiply(observed, pg, out=buffer(work, "numer", observed.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sir = numer / denom
-    return np.where(denom > 0.0, sir, np.where(numer > 0.0, np.inf, 0.0))
+        sir = np.divide(numer, denom, out=buffer(work, "sir", observed.shape))
+    # With eta > 0 and every total finite, every denominator is positive.
+    if not (eta > 0.0 and np.isfinite(totals).all()):
+        np.copyto(sir, np.where(numer > 0.0, np.inf, 0.0), where=~(denom > 0.0))
+    return sir
 
 
-def combine_columns(gamma: np.ndarray, mode: str = "paper") -> np.ndarray:
+def combine_columns(gamma: np.ndarray, mode: str = "paper", work: dict | None = None) -> np.ndarray:
     """Diversity combining over the antenna axis of (..., antennas, users) SIRs.
 
     Returns shape (..., users); a 2-D input combines column by column.  An
     all-zero column combines to 0 and a column with an infinite branch to
-    +inf.
+    +inf.  With a ``workspace.buffer`` dict as ``work`` the temporaries and
+    the result live in its arrays.
     """
     if mode not in COMBINER_MODES:
         raise ValueError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
     gamma = np.asarray(gamma, dtype=float)
+    shape = gamma.shape[:-2] + gamma.shape[-1:]
     if mode == "classical-mrc":
-        return gamma.sum(axis=-2)
-    root = np.sqrt(gamma)
+        return gamma.sum(axis=-2, out=buffer(work, "combined", shape))
+    root = np.sqrt(gamma, out=buffer(work, "root", gamma.shape))
+    weighted = np.multiply(root, gamma, out=buffer(work, "weighted", gamma.shape))
     with np.errstate(invalid="ignore"):
-        numer = (root * gamma).sum(axis=-2)
-        denom = root.sum(axis=-2)
-        combined = numer / denom
+        numer = weighted.sum(axis=-2, out=buffer(work, "combined", shape))
+        denom = root.sum(axis=-2, out=buffer(work, "root_sum", shape))
+        combined = np.divide(numer, denom, out=numer)
     has_inf = np.isinf(gamma).any(axis=-2)
     combined = np.where(has_inf, np.inf, combined)
     return np.where(denom > 0.0, combined, np.where(has_inf, np.inf, 0.0))

@@ -152,6 +152,19 @@ def test_flag_reads_like_its_config_line(tmp_path, monkeypatch, flag, value, lin
     assert cfg != ScenarioConfig()
 
 
+def test_huge_threshold_sweep_flag_fails_cleanly(tmp_path, capsys, monkeypatch):
+    def no_run(cfg, workers):
+        raise AssertionError("a sweep of 10**13 points reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    code, _, stderr = run_cli(
+        ["run", "--out", str(tmp_path / "o.csv"), "--thresholds", "0:1e7:1e-6"], capsys
+    )
+    assert code == 1
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "points" in lines[0], stderr
+
+
 @pytest.mark.parametrize("flag, value", [("--drops", "1.5"), ("--seed", "x")])
 def test_malformed_flag_value_fails_cleanly(tmp_path, capsys, flag, value):
     code, _, stderr = run_cli(["run", "--out", str(tmp_path / "o.csv"), flag, value], capsys)

@@ -151,6 +151,30 @@ class TestRhombusSampler:
         se = math.sqrt((1.0 / 6.0) * (5.0 / 6.0) / xy.shape[0])
         assert np.all(np.abs(shares - 1.0 / 6.0) < 4.0 * se)
 
+    def test_points_are_u_a_plus_v_b_plus_center_bit_for_bit(self):
+        # Every point is u * a + v * b + center, evaluated in that order, from
+        # the documented draws, with or without a workspace, and a smaller
+        # batch in a workspace sized by a larger one reads no stale value.
+        centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 1)])
+        angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
+        edge_a = 1000.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        edge_b = np.roll(edge_a, -1, axis=0)
+        work = {}
+        for drops, seed in ((5, 11), (2, 12)):
+            rng = np.random.default_rng(seed)
+            rhombus = rng.integers(0, 3, size=(drops, 7, 4))
+            uv = rng.random((drops, 7, 4, 2))
+            expected = np.empty((drops, 7, 4, 2))
+            for index in np.ndindex(drops, 7, 4):
+                (ax, ay), (bx, by) = edge_a[rhombus[index]], edge_b[rhombus[index]]
+                (u, v), (cx, cy) = uv[index], centers[index[1]]
+                expected[index] = (u * ax + v * bx + cx, u * ay + v * by + cy)
+            expected = expected.reshape(drops, 28, 2)
+            for scratch in (work, None):
+                rng = np.random.default_rng(seed)
+                xy = sample_hexagon_xy(1000.0, centers, 4, rng, batch=(drops,), work=scratch)
+                assert np.array_equal(xy, expected)
+
     def test_serving_indices_keep_the_batch_axis(self):
         layout = build_layout(make_cfg(), "used")
         xy = sample_hexagon_xy(1000.0, ORIGIN, 30, np.random.default_rng(10), batch=(3,))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage
-from cellsim.geometry import build_layout
+from cellsim.geometry import build_layout, interferer_cell_centers
 from cellsim.outage import OutageCurve, analytic_outage_used, format_report, mc_outage, outage_report
-from cellsim.scenario import ConfigError, ScenarioConfig
+from cellsim.scenario import ConfigError, ScenarioConfig, render_csv, run_experiment
 from scalar_oracle import matched_exponential_outage, oracle_counts, reference_outage_used
 
 rates = st.floats(min_value=0.1, max_value=10.0)
@@ -336,3 +337,127 @@ class TestClosedFormAgainstOracleSweep:
             p_hat = mc_below_sum_oracle(y1, ys, c, n, rng)
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
             assert abs(p_hat - p) < 4.0 * se + 1e-9
+
+
+# Outage counts per layout and threshold, and the sha256 of the CSV text, of
+# 257 drops (a short last block for every config) on the thresholds -10, -5,
+# 0, 5 and 10 dB.  A change to the random streams, to the link arithmetic
+# beyond its last bits, or to what is counted moves them.
+PINNED_BASE = dict(n_drops=257, master_seed=20261018, thresholds=(-10.0, 10.0, 5.0))
+PINNED = {
+    "default": (
+        {},
+        {"used": [3339, 4863, 6503, 7831, 8853], "microzone": [1586, 3497, 5794, 7673, 8833]},
+        "f1fc724081038341c44aefee102f43b796ee75e6027cc5501639fdfa195b6d28",
+    ),
+    "rho2": (
+        dict(rho=2.0),
+        {"used": [1460, 3098, 5446, 7673, 9138], "microzone": [99, 773, 3182, 6723, 9024]},
+        "1901e023281cb72efb21d7cf1b421f2e9924332007a3b0740a2019e2c2b7b66c",
+    ),
+    "rho3": (
+        dict(rho=3.0),
+        {"used": [2204, 3835, 5842, 7594, 8856], "microzone": [483, 1792, 4406, 7110, 8830]},
+        "68edaf460042cf18a60195f3ed8e037565bc8ce991ac6bf809085bca0d30258d",
+    ),
+    "rho5": (
+        dict(rho=5.0),
+        {"used": [4445, 5836, 7096, 8158, 8900], "microzone": [3213, 5075, 6794, 8074, 8883]},
+        "e9ae51e7ec30d36bbb5ddede6ce0e002de931bfe5fd3995455b39ddf1dce0032",
+    ),
+    "eta0_sparse": (
+        dict(noise_power=0.0, n_users=3, interferer_tiers=0),
+        {"used": [18, 31, 50, 74, 123], "microzone": [0, 0, 0, 1, 13]},
+        "4456731491c0111a82ed748b35acd9d9eb9577856973549b988a4d7ad9dc819f",
+    ),
+    "one_user": (
+        dict(n_users=1),
+        {"used": [0, 0, 1, 3, 9], "microzone": [0, 0, 0, 0, 0]},
+        "d89465ab1c91365f2571b693a72ce36bd202ced674ff6c8f61f4f7f83f804037",
+    ),
+    "tier0": (
+        dict(interferer_tiers=0),
+        {"used": [3528, 4984, 6420, 7723, 8756], "microzone": [1398, 3223, 5610, 7541, 8801]},
+        "555f986317ba2fcd4f31869309304e8f61da4b02bc9ebc5520c1baec7c038365",
+    ),
+    "tier2": (
+        dict(interferer_tiers=2),
+        {"used": [3521, 5001, 6565, 7924, 8881], "microzone": [1600, 3425, 5728, 7614, 8802]},
+        "8169de4aae6a78023d5eea9475bd85499445933feb33b6774c8510d96ece304c",
+    ),
+    "beam60": (
+        dict(beamwidth_deg=60.0),
+        {"used": [2044, 3193, 4690, 6265, 7640], "microzone": [1896, 2898, 3931, 5304, 7130]},
+        "28950b58d6e68db845116637e5d5a6c404b34fcfe888c144acc1132a1d3f408b",
+    ),
+    "floor_gain": (
+        dict(floor_gain_db=-20.0),
+        {"used": [3766, 5389, 6981, 8194, 9073], "microzone": [2166, 4360, 6533, 8170, 9089]},
+        "541616f0edbbc63e39b61948e49b3e68d4f9381d717e1029ca69cb6417812e59",
+    ),
+    "paper": (
+        dict(combiner_mode="paper"),
+        {"used": [3339, 4863, 6503, 7831, 8853], "microzone": [2467, 4496, 6460, 7972, 8911]},
+        "26417367485eee9257fe2a80eb37ee66dc218ce155ea804114bc93c126a65253",
+    ),
+    "unpaired": (
+        dict(paired=False),
+        {"used": [3437, 4971, 6538, 7930, 8880], "microzone": [1629, 3488, 5910, 7677, 8792]},
+        "b37e47e36ad908db1e125e728f67d25f7049648d04e75dfe117f60ce53022ade",
+    ),
+    "isolated_lone_user": (
+        dict(n_users=1, interferer_tiers=0, noise_power=0.0),
+        {"used": [0, 0, 0, 0, 0], "microzone": [0, 0, 0, 0, 0]},
+        "c02a2e15f753780fc473d8df7b3627536e55b95a0d22eafd61b25b0754c0cf65",
+    ),
+    "used_no_shadowing": (
+        dict(architecture="used", shadowing_sigma_db=0.0),
+        {"used": [2781, 4337, 6081, 7739, 8832]},
+        "ee9662dbea88b5f83a9ac5038861fcf057b26ecf5d5df68fa68832c055f96efe",
+    ),
+    "dense_paper": (
+        dict(n_users=120, interferer_tiers=2, beamwidth_deg=60.0, combiner_mode="paper", n_drops=23),
+        {"used": [1325, 1755, 2095, 2338, 2517], "microzone": [1228, 1657, 2076, 2342, 2519]},
+        "026a8e5dfe89291aba69c18703f45d85edd01c17546e164d50334c4dd20c1e4f",
+    ),
+}
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_counts_and_csv_digest(self, name):
+        overrides, expected, digest = PINNED[name]
+        cfg = ScenarioConfig(**{**PINNED_BASE, **overrides})
+        result = run_experiment(cfg)
+        n_samples = cfg.n_drops * cfg.n_users
+        counts = {
+            arch: [int(c) for c in np.rint(curve.estimates * n_samples)]
+            for arch, curve in result.curves.items()
+        }
+        assert counts == expected
+        assert hashlib.sha256(render_csv(result).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(n_users=10, interferer_tiers=2, beamwidth_deg=60.0, combiner_mode="paper")],
+    )
+    def test_block_range_is_the_sum_of_single_blocks(self, overrides):
+        # Blocks of different sizes (full ones, then a short last one) run in
+        # one call and one call each must give the same counts: nothing a
+        # block leaves behind changes the next.
+        cfg = ScenarioConfig(n_drops=100, **overrides)
+        layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
+        centers = np.vstack(
+            [np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)]
+        )
+        per_block = outage.LINK_BUDGET // (layouts[0].antenna_count * len(centers) * cfg.n_users)
+        n_blocks = -(-cfg.n_drops // per_block)
+        assert n_blocks >= 3 and cfg.n_drops % per_block
+        thr_linear = 10.0 ** (cfg.thresholds_db / 10.0)
+        job = (layouts, cfg, centers, per_block, thr_linear, 9, 0, cfg.n_drops)
+        whole = outage._count_blocks(job + (0, n_blocks))
+        parts = sum(outage._count_blocks(job + (b, b + 1)) for b in range(n_blocks))
+        np.testing.assert_array_equal(whole, parts)
+        curves = mc_outage(layouts, cfg, cfg.thresholds_db, cfg.n_drops, 9)
+        n_samples = cfg.n_drops * cfg.n_users
+        np.testing.assert_array_equal(whole, np.rint([c.estimates * n_samples for c in curves]))

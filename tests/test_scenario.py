@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellsim import scenario
+from cellsim import outage, scenario
 from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
 from cellsim.outage import analytic_outage_used
@@ -95,6 +95,44 @@ class TestParseConfig:
             parse_config("tx_power = 3 dB")
         with pytest.raises(ConfigError, match=r"cell_radius.*unit"):
             parse_config("cell_radius = 1 km")
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            ("bit_rate = 1_000", "bit_rate", 1000.0),
+            ("bit_rate = 4_5 kb/s", "bit_rate", 45e3),
+            ("chip_rate = 3_800_000 chip/s", "chip_rate", 3.8e6),
+            ("rho = 3.2_5", "rho", 3.25),
+            ("cell_radius = 1_0e0_2 m", "cell_radius", 1000.0),
+            ("tx_power = .2_5 W", "tx_power", 0.25),
+            ("n_users = 1_000", "n_users", 1000),
+            ("thresholds = 1_0:2_0:1_0", "thresholds", (10.0, 20.0, 10.0)),
+        ],
+    )
+    def test_digit_underscores_read_as_python_reads_them(self, line, field, value):
+        assert getattr(parse_config(line), field) == value
+
+    @pytest.mark.parametrize(
+        "line",
+        ["bit_rate = 1__000", "bit_rate = _1000", "bit_rate = 1000_", "rho = 4_.0",
+         "rho = 4._0", "tx_power = 1_ W", "n_users = 1__0", "thresholds = 1__0:20:1"],
+    )
+    def test_misplaced_digit_underscores_rejected(self, line):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=rf"{key}'.*not (a number|an integer)|numeric"):
+            parse_config(line)
+
+    def test_huge_threshold_sweep_rejected_when_built(self, monkeypatch):
+        # Rejected by its point count, before any array of thresholds exists.
+        def no_array(self):
+            raise AssertionError("thresholds_db built for a sweep that must be rejected")
+
+        monkeypatch.setattr(ScenarioConfig, "thresholds_db", property(no_array))
+        with pytest.raises(ConfigError, match=r"10000000000001 points.*1000000 allowed"):
+            ScenarioConfig(thresholds=(0.0, 1e7, 1e-6))
+        with pytest.raises(ConfigError, match=r"1000001 points"):
+            ScenarioConfig(thresholds=(0.0, 1e6, 1.0))
+        assert ScenarioConfig(thresholds=(0.0, 1e6 - 1.0, 1.0))._threshold_count() == 10**6
 
     def test_non_finite_values_rejected(self):
         for text in (
@@ -361,6 +399,23 @@ class TestRunExperiment:
         assert not np.array_equal(
             paired.curves["microzone"].estimates, unpaired.curves["microzone"].estimates
         )
+
+    def test_unpaired_run_starts_one_pool(self, monkeypatch):
+        # The two architectures' Monte Carlo calls share the run's pool, and
+        # the CSV bytes do not depend on it.
+        pools = []
+
+        class CountingPool(outage.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(outage, "ProcessPoolExecutor", CountingPool)
+        cfg = ScenarioConfig(n_drops=100, paired=False, thresholds=(-10.0, 10.0, 5.0))
+        parallel = render_csv(run_experiment(cfg, workers=2))
+        assert len(pools) == 1
+        assert parallel == render_csv(run_experiment(cfg, workers=1))
+        assert len(pools) == 1
 
     def test_analytic_curve_matches_direct_evaluation(self):
         cfg = self.small_cfg()
