@@ -6,7 +6,6 @@ jointly and their branch SIRs are diversity-combined.
 """
 
 from .geometry import Layout, build_layout
-from .channel import SumOfSinusoidsRayleigh
 from .outage import OutageCurve, analytic_outage_used, mc_outage, outage_report
 from .scenario import (
     ConfigError,
@@ -27,7 +26,6 @@ __all__ = [
     "Layout",
     "OutageCurve",
     "ScenarioConfig",
-    "SumOfSinusoidsRayleigh",
     "analytic_outage_used",
     "analytic_used_curve",
     "build_layout",

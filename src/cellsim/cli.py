@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--paired", choices=("true", "false"), help="override drop pairing")
     run.add_argument("--combiner", choices=COMBINER_MODES, help="override combiner_mode")
     run.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="parallel drop workers (default 1)"
+        "--workers", default="1", metavar="N", help="parallel drop workers (default 1)"
     )
     return parser
 
@@ -95,10 +95,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(args.config) if args.config else ScenarioConfig()
         cfg = _apply_overrides(cfg, args)
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        try:
+            workers = int(args.workers)
+        except ValueError:
+            raise ConfigError(f"--workers: not an integer: {args.workers!r}") from None
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
 
-        result = run_experiment(cfg, workers=args.workers)
+        result = run_experiment(cfg, workers=workers)
         emit_csv(result, args.out)
 
         if "used" in result.curves and "microzone" in result.curves:

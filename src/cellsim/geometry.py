@@ -29,10 +29,6 @@ if TYPE_CHECKING:
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
 
-# Slack for inclusive wedge-boundary checks, radians.  Orders of magnitude
-# above atan2 rounding noise, orders of magnitude below any physical bearing.
-ANGLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -139,19 +135,15 @@ def sample_hexagon_xy(
     return xy.reshape(tuple(batch) + (-1, 2))
 
 
-def serving_sector_indices(layout: Layout, points_xy) -> np.ndarray:
-    """Sector antenna id per point, by bearing from the cell center.
+def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
+    """Serving antenna id per user, from the kernel's beam mask.
 
-    ``points_xy`` has shape (..., n, 2) (a single (2,) point counts as one);
-    the result has shape (..., n).  Boundary bearings resolve to the lower
-    antenna id.  Only meaningful for the used architecture; the caller
-    enforces that.
+    ``inside`` is the (..., antennas, users) 0/1 mask of ``outage._path_gains``
+    for the used layout, whose antennas share the cell center; the result has
+    shape (..., users).  The beams cover every bearing, so each user lies in
+    at least one, and a user in two (on a sector edge, or at the center
+    itself) goes to the lower antenna id.
     """
-    q = np.atleast_2d(np.asarray(points_xy, dtype=float))
-    bearing = np.arctan2(q[..., 1], q[..., 0])
-    offset = np.abs(wrap_angle(bearing[..., None, :] - layout.boresights[:, None]))
-    inside = offset <= layout.beamwidth / 2.0 + ANGLE_TOL
-    # Equally spaced wedges cover every bearing; argmax picks the lowest id.
     return np.argmax(inside, axis=-2)
 
 

@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import LN10_OVER_10, path_gain_constant
-from .geometry import (
-    ANGLE_TOL,
-    Layout,
-    interferer_cell_centers,
-    sample_hexagon_xy,
-    serving_sector_indices,
-)
+from .geometry import Layout, interferer_cell_centers, sample_hexagon_xy, serving_sector_indices
 from .sir import combine_columns, per_antenna_sir_matrix
 from .workspace import buffer
 
@@ -135,18 +129,26 @@ def _validate_thresholds(thresholds_db) -> np.ndarray:
     return arr
 
 
+# Slack on the half beamwidth of the inclusive beam test, radians.  It lowers
+# the cosine limit by about 1e-12 of the user's distance: orders of magnitude
+# above the rounding of the boresight projection, orders of magnitude below
+# any physical bearing.  A user on a sector edge lies in both beams.
+ANGLE_TOL = 1e-12
+
+
 def _path_gains(
     layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig", work: dict | None = None
-) -> np.ndarray:
-    """Pattern gain times distance loss, shape (drops, antennas, users).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern gain times distance loss, and the beam mask it was built from.
 
-    ``xy`` is (drops, users, 2).  A user is inside an antenna's beam (boundary
-    inclusive) when the cosine of its bearing offset from boresight is at
-    least cos(beamwidth / 2): the flat-top pattern without an arctangent.
-    Distances are clamped below at ``d_min``.  Antennas that share one site
-    (the used layout's center) share one distance computation.  With a
-    ``workspace.buffer`` dict as ``work`` the result is overwritten by the
-    next call.
+    ``xy`` is (drops, users, 2); both results are (drops, antennas, users).
+    A user is inside an antenna's beam (boundary inclusive) when the cosine
+    of its bearing offset from boresight is at least cos(beamwidth / 2): the
+    flat-top pattern without an arctangent.  The mask holds that test as 0/1
+    ``intp``; it is src's only beam test.  Distances are clamped below at
+    ``d_min``.  Antennas that share one site (the used layout's center) share
+    one distance computation.  With a ``workspace.buffer`` dict as ``work``
+    the results are overwritten by the next call.
     """
     sites = layout.sites
     if np.all(sites == sites[0]):
@@ -172,7 +174,7 @@ def _path_gains(
     # at rho = 2), so the losses are bit-identical to the plain power.
     loss **= -scenario.rho / 2.0
     gains *= loss
-    return gains
+    return gains, inside
 
 
 def _count_blocks(args) -> np.ndarray:
@@ -206,13 +208,13 @@ def _count_blocks(args) -> np.ndarray:
         channel *= rng.standard_exponential(out=buffer(work, "fading", size))
         channel *= scale
         for k, layout in enumerate(layouts):
-            gains = _path_gains(layout, xy, scenario, work)
+            gains, inside = _path_gains(layout, xy, scenario, work)
             gains *= channel
             gamma = per_antenna_sir_matrix(
                 gains, scenario.tx_power, eta, pg, n_observed=n_users, work=work
             )
             if layout.architecture == "used":
-                serving = serving_sector_indices(layout, xy[:, :n_users])
+                serving = serving_sector_indices(inside[:, :, :n_users])
                 sirs = np.take_along_axis(gamma, serving[:, None, :], axis=1)
             else:
                 sirs = combine_columns(gamma, scenario.combiner_mode, work=work)
@@ -220,14 +222,28 @@ def _count_blocks(args) -> np.ndarray:
     return counts
 
 
-def worker_pool(workers: int) -> AbstractContextManager:
-    """The process pool the ``mc_outage`` calls of one run share.
+def _blocks(
+    antenna_count: int, scenario: "ScenarioConfig", n_drops: int
+) -> tuple[np.ndarray, int, int]:
+    """Cell centers, drops per block and block count of one ``mc_outage`` call."""
+    centers = np.vstack(
+        [np.zeros((1, 2)), interferer_cell_centers(scenario.cell_radius, scenario.interferer_tiers)]
+    )
+    per_block = max(1, LINK_BUDGET // (antenna_count * len(centers) * scenario.n_users))
+    return centers, per_block, -(-n_drops // per_block)
 
-    A context manager giving a pool of ``workers`` processes, or None for
-    one worker.  The processes start with the first job, so a run whose
-    calls all fit in one block starts none.
+
+def worker_pool(workers: int, scenario: "ScenarioConfig") -> AbstractContextManager:
+    """The process pool the ``mc_outage`` calls of one run of ``scenario`` share.
+
+    A context manager giving a pool with one process per job of a call:
+    ``workers``, or the block count when that is smaller.  None when that is
+    one, since a lone job runs in this process.  A larger pool would start
+    idle processes: under the fork start method a pool forks all of them at
+    its first job.
     """
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    jobs = min(workers, _blocks(scenario.sector_count, scenario, scenario.n_drops)[2])
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
 
 
 def mc_outage(
@@ -260,12 +276,7 @@ def mc_outage(
     thr_db = _validate_thresholds(thresholds_db)
     thr_linear = 10.0 ** (thr_db / 10.0)
 
-    centers = np.vstack(
-        [np.zeros((1, 2)), interferer_cell_centers(scenario.cell_radius, scenario.interferer_tiers)]
-    )
-    n_links = layouts[0].antenna_count * len(centers) * scenario.n_users
-    per_block = max(1, LINK_BUDGET // n_links)
-    n_blocks = -(-n_drops // per_block)
+    centers, per_block, n_blocks = _blocks(layouts[0].antenna_count, scenario, n_drops)
     bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int)
     jobs = [
         (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,

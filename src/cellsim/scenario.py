@@ -380,7 +380,7 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     means = []
     for center in centers:
         np.add(offsets, center, out=points[0])
-        means.append(float(np.mean(_path_gains(sector0, points, cfg, work))))
+        means.append(float(np.mean(_path_gains(sector0, points, cfg, work)[0])))
     return means
 
 
@@ -452,7 +452,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
 
     layouts = [build_layout(cfg, arch) for arch in archs]
     sweep = (cfg, cfg.thresholds_db, cfg.n_drops, cfg.master_seed)
-    with worker_pool(workers) as pool:
+    with worker_pool(workers, cfg) as pool:
         if cfg.paired:
             curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0, pool=pool)
         else:

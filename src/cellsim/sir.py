@@ -21,7 +21,7 @@ COMBINER_MODES = ("paper", "classical-mrc")
 
 def per_antenna_sir_matrix(
     gains: np.ndarray,
-    tx_power,
+    tx_power: float,
     eta: float,
     pg: float,
     n_observed: int | None = None,
@@ -30,19 +30,18 @@ def per_antenna_sir_matrix(
     """Branch SIR for every (antenna, user) pair from gain matrices.
 
     ``gains`` has shape (..., antennas, users): one drop, or a batch of
-    drops along the leading axes.  Interference at an antenna sums the
-    received power of all users except the one under test.  Only the first
-    ``n_observed`` user columns are returned (all users still interfere).
+    drops along the leading axes; every user transmits ``tx_power`` watts.
+    Interference at an antenna sums the received power of all users except
+    the one under test.  Only the first ``n_observed`` user columns are
+    returned (all users still interfere).
     Handles the eta = 0 corner: positive signal over empty interference is
     +inf, zero over zero is 0.  With a ``workspace.buffer`` dict as ``work``
     the temporaries and the result live in its arrays, and the result is
     overwritten by the next call.
     """
     gains = np.asarray(gains, dtype=float)
-    tx_power = np.asarray(tx_power, dtype=float)
-    shape = np.broadcast_shapes(gains.shape, tx_power.shape)
-    power = np.multiply(gains, tx_power, out=buffer(work, "power", shape))
-    totals = power.sum(axis=-1, keepdims=True, out=buffer(work, "totals", shape[:-1] + (1,)))
+    power = np.multiply(gains, tx_power, out=buffer(work, "power", gains.shape))
+    totals = power.sum(axis=-1, keepdims=True, out=buffer(work, "totals", power.shape[:-1] + (1,)))
     observed = power if n_observed is None else power[..., :n_observed]
     # max() guards against cancellation when one user dominates the total.
     denom = np.subtract(totals, observed, out=buffer(work, "denom", observed.shape))

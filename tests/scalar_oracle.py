@@ -66,6 +66,11 @@ def _in_beam(layout, k: int, x: float, y: float) -> bool:
     return abs(offset) <= layout.beamwidth / 2.0 + 1e-12
 
 
+def serving_antenna(layout, x: float, y: float) -> int:
+    """The used layout's serving antenna: the lowest id whose beam holds (x, y)."""
+    return next(k for k in range(layout.antenna_count) if _in_beam(layout, k, x, y))
+
+
 def _path_gain(layout, k: int, x: float, y: float, cfg) -> float:
     sx, sy = layout.sites[k]
     pattern = layout.max_gain if _in_beam(layout, k, x, y) else layout.floor_gain
@@ -125,8 +130,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
                     if layout.architecture == "used":
                         # Used antennas sit at the center: the serving sector
                         # is the lowest id whose beam holds the user.
-                        serving = next(k for k in range(n_ant) if _in_beam(layout, k, *users[i]))
-                        combined = branches[serving]
+                        combined = branches[serving_antenna(layout, *users[i])]
                     else:
                         combined = diversity_combine(branches, cfg.combiner_mode)
                     counts[n] += combined <= thresholds

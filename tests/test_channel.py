@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cellsim.channel import (
-    LN10_OVER_10,
-    SumOfSinusoidsRayleigh,
-    path_gain_constant,
-    sos_rayleigh_envelopes,
-)
+from cellsim.channel import LN10_OVER_10, path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy
 from cellsim.outage import _count_blocks, _path_gains
 from cellsim.scenario import ConfigError, ScenarioConfig
@@ -104,7 +99,7 @@ class TestDrawLinkMatrix:
     # every (drop, antenna, user).
     def test_zero_users(self):
         layout = build_layout(ScenarioConfig(), "used")
-        assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig()).shape == (1, 3, 0)
+        assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig())[0].shape == (1, 3, 0)
 
     def test_deterministic_given_seed(self):
         # A block's draw is keyed by (seed, stream tag, block index) alone.
@@ -124,7 +119,7 @@ class TestDrawLinkMatrix:
         cfg = ScenarioConfig(floor_gain_db=-10.0)
         layout = build_layout(cfg, "microzone")
         xy = sample_hexagon_xy(800.0, (0.0, 0.0), 30, np.random.default_rng(10), batch=(2,))
-        gains = _path_gains(layout, xy, cfg)
+        gains, _ = _path_gains(layout, xy, cfg)
         assert gains.shape == (2, 3, 30)
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
@@ -140,30 +135,3 @@ class TestChannelParams:
         with pytest.raises(ConfigError):
             replace(ScenarioConfig(), shadowing_sigma_db=15.0)
 
-
-class TestSumOfSinusoids:
-    def test_unit_power(self):
-        env = sos_rayleigh_envelopes(100_000, 32, np.random.default_rng(6))
-        assert abs((env**2).mean() - 1.0) < 0.02
-
-    def test_envelope_matches_rayleigh_cdf(self):
-        # Oracle: closed-form Rayleigh CDF 1 - exp(-r^2) for unit mean power.
-        env = np.sort(sos_rayleigh_envelopes(100_000, 32, np.random.default_rng(7)))
-        model = 1.0 - np.exp(-(env**2))
-        n = env.size
-        ecdf_hi = np.arange(1, n + 1) / n
-        ecdf_lo = np.arange(0, n) / n
-        ks = max(np.abs(ecdf_hi - model).max(), np.abs(model - ecdf_lo).max())
-        assert ks < 0.02
-
-    def test_zero_doppler_is_constant_in_time(self):
-        gen = SumOfSinusoidsRayleigh(16, 0.0, np.random.default_rng(8))
-        assert gen.sample(0.0) == gen.sample(12.7)
-
-    def test_varies_in_time_with_doppler(self):
-        gen = SumOfSinusoidsRayleigh(16, 50.0, np.random.default_rng(8))
-        assert gen.sample(0.0) != gen.sample(0.015)
-
-    def test_rejects_too_few_oscillators(self):
-        with pytest.raises(ValueError):
-            SumOfSinusoidsRayleigh(4, 0.0, np.random.default_rng(0))

@@ -165,7 +165,10 @@ def test_huge_threshold_sweep_flag_fails_cleanly(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("error:") and "points" in lines[0], stderr
 
 
-@pytest.mark.parametrize("flag, value", [("--drops", "1.5"), ("--seed", "x")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--drops", "1.5"), ("--seed", "x"), ("--workers", "x"), ("--workers", "1.5")],
+)
 def test_malformed_flag_value_fails_cleanly(tmp_path, capsys, flag, value):
     code, _, stderr = run_cli(["run", "--out", str(tmp_path / "o.csv"), flag, value], capsys)
     assert code == 1

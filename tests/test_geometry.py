@@ -14,6 +14,7 @@ from cellsim.geometry import (
 )
 from cellsim.outage import _path_gains
 from cellsim.scenario import ConfigError, ScenarioConfig
+from scalar_oracle import serving_antenna
 
 ORIGIN = (0.0, 0.0)
 
@@ -30,7 +31,13 @@ def one_antenna(boresight=0.0, beamwidth=2.0 * math.pi / 3.0, floor_gain=0.0):
 def kernel_gain(layout, point, **cfg):
     """The kernel's path gain (pattern times distance loss) toward one point."""
     xy = np.array([[point]], dtype=float)
-    return float(_path_gains(layout, xy, ScenarioConfig(**cfg))[0, 0, 0])
+    return float(_path_gains(layout, xy, ScenarioConfig(**cfg))[0][0, 0, 0])
+
+
+def kernel_serving(layout, xy, cfg=None):
+    """The kernel's serving antenna per user of (drops, users, 2) points."""
+    _, inside = _path_gains(layout, np.asarray(xy, dtype=float), cfg or ScenarioConfig())
+    return serving_sector_indices(inside)
 
 
 class TestBuildLayout:
@@ -178,10 +185,10 @@ class TestRhombusSampler:
     def test_serving_indices_keep_the_batch_axis(self):
         layout = build_layout(make_cfg(), "used")
         xy = sample_hexagon_xy(1000.0, ORIGIN, 30, np.random.default_rng(10), batch=(3,))
-        batched = serving_sector_indices(layout, xy)
+        batched = kernel_serving(layout, xy)
         assert batched.shape == (3, 30)
         for row, points in zip(batched, xy):
-            assert np.array_equal(row, serving_sector_indices(layout, points))
+            assert np.array_equal(row, kernel_serving(layout, points[None])[0])
 
 
 class TestPatternGain:
@@ -246,19 +253,19 @@ class TestServingAntenna:
         layout = build_layout(make_cfg(), "used")
         for k, b in enumerate(layout.boresights):
             p = (500.0 * math.cos(b), 500.0 * math.sin(b))
-            assert serving_sector_indices(layout, p)[0] == k
+            assert kernel_serving(layout, [[p]])[0, 0] == k
 
     def test_boundary_tie_breaks_to_lower_id(self):
         layout = build_layout(make_cfg(), "used")
         # Wedges meet at 150 degrees (between antennas 0 and 1).
         p = (400.0 * math.cos(math.radians(150.0)), 400.0 * math.sin(math.radians(150.0)))
-        assert serving_sector_indices(layout, p)[0] == 0
+        assert kernel_serving(layout, [[p]])[0, 0] == 0
 
     def test_partition_of_the_cell(self):
         layout = build_layout(make_cfg(), "used")
         rng = np.random.default_rng(5)
         xy = sample_hexagon_xy(1000.0, ORIGIN, 500, rng)
-        serving = serving_sector_indices(layout, xy)
+        serving = kernel_serving(layout, xy[None])[0]
         assert serving.min() >= 0 and serving.max() < 3
         bearings = np.arctan2(xy[:, 1], xy[:, 0])
         half = layout.beamwidth / 2.0
@@ -273,6 +280,62 @@ class TestServingAntenna:
             ]
             if len(strict) == 1:
                 assert s == strict[0]
+
+
+@pytest.mark.parametrize("beamwidth_deg", [60.0, 120.0])
+class TestServingFromBeamMask:
+    # The used architecture's serving antenna is the lowest id in the
+    # kernel's beam mask.  argmax over an all-zero column would return 0
+    # without complaint, so the beams must hold every home-cell user.
+    def test_every_home_cell_user_lies_in_a_beam(self, beamwidth_deg):
+        cfg = make_cfg(beamwidth_deg=beamwidth_deg, n_users=20)
+        layout = build_layout(cfg, "used")
+        centers = np.vstack([ORIGIN, interferer_cell_centers(cfg.cell_radius, 1)])
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            xy = sample_hexagon_xy(cfg.cell_radius, centers, 20, rng, batch=(39,))
+            _, inside = _path_gains(layout, xy, cfg)
+            assert inside[:, :, :20].any(axis=1).all()
+        # Points exactly on the sector edges lie in both beams.
+        edges = layout.boresights + layout.beamwidth / 2.0
+        radii = np.geomspace(1e-3, 1000.0, 40)
+        xy = np.stack([np.outer(radii, np.cos(edges)), np.outer(radii, np.sin(edges))], -1)
+        _, inside = _path_gains(layout, xy.reshape(1, -1, 2), cfg)
+        assert np.all(inside.sum(axis=1) == 2)
+
+    def test_serving_antenna_has_the_max_gain(self, beamwidth_deg):
+        cfg = make_cfg(beamwidth_deg=beamwidth_deg, max_gain_db=3.0, floor_gain_db=-20.0)
+        layout = build_layout(cfg, "used")
+        xy = sample_hexagon_xy(cfg.cell_radius, ORIGIN, 400, np.random.default_rng(21), batch=(5,))
+        gains, inside = _path_gains(layout, xy, cfg)
+        served = np.take_along_axis(gains, serving_sector_indices(inside)[:, None, :], axis=1)
+        loss = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), cfg.d_min) ** -cfg.rho
+        np.testing.assert_allclose(served[:, 0] / loss, cfg.max_gain, rtol=1e-12)
+
+    def test_matches_the_oracle_away_from_edges(self, beamwidth_deg):
+        cfg = make_cfg(beamwidth_deg=beamwidth_deg)
+        layout = build_layout(cfg, "used")
+        rng = np.random.default_rng(22)
+        edges = layout.boresights + layout.beamwidth / 2.0
+        points = list(sample_hexagon_xy(cfg.cell_radius, ORIGIN, 2000, rng))
+        # And the hardest points kept: 2e-9 rad to either side of every edge.
+        for edge in edges:
+            for r in (0.5, 37.0, 999.0):
+                for side in (-2e-9, 2e-9):
+                    points.append((r * math.cos(edge + side), r * math.sin(edge + side)))
+        kept = [
+            (x, y) for x, y in points
+            if min(abs(math.remainder(math.atan2(y, x) - e, 2.0 * math.pi)) for e in edges) >= 1e-9
+        ]
+        assert len(kept) >= 2000
+        serving = kernel_serving(layout, [kept])[0]
+        assert serving.tolist() == [serving_antenna(layout, x, y) for x, y in kept]
+
+    def test_user_at_the_site_is_served_by_antenna_0(self, beamwidth_deg):
+        layout = build_layout(make_cfg(beamwidth_deg=beamwidth_deg), "used")
+        _, inside = _path_gains(layout, np.zeros((1, 1, 2)), make_cfg())
+        assert inside.all()
+        assert serving_sector_indices(inside).tolist() == [[0]]
 
 
 class TestInterfererCells:

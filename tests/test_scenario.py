@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cellsim import outage, scenario
 from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-from cellsim.outage import analytic_outage_used
+from cellsim.outage import _path_gains, analytic_outage_used
 from cellsim.sir import COMBINER_MODES
 from cellsim.scenario import (
     ARCHITECTURE_CHOICES,
@@ -270,7 +270,7 @@ class TestMeanReceivedPowers:
         rng = np.random.default_rng(17)
         layout = build_layout(cfg, "used")
         xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 400_000, rng)
-        serving = serving_sector_indices(layout, xy)
+        serving = serving_sector_indices(_path_gains(layout, xy[None], cfg)[1])[0]
         wedge = xy[serving == 0]
         d = np.maximum(np.hypot(wedge[:, 0], wedge[:, 1]), cfg.d_min)
         base = path_gain_constant(cfg.wavelength)
@@ -406,16 +406,44 @@ class TestRunExperiment:
         pools = []
 
         class CountingPool(outage.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(outage, "ProcessPoolExecutor", CountingPool)
         cfg = ScenarioConfig(n_drops=100, paired=False, thresholds=(-10.0, 10.0, 5.0))
         parallel = render_csv(run_experiment(cfg, workers=2))
-        assert len(pools) == 1
+        assert pools == [2]
         assert parallel == render_csv(run_experiment(cfg, workers=1))
-        assert len(pools) == 1
+        assert pools == [2]
+
+    def test_pool_is_no_larger_than_the_job_count(self, monkeypatch):
+        # A pool forks all of its processes at its first job, so it must not
+        # outnumber the jobs.  The recording executor runs the jobs in this
+        # process and starts none.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
+        cfg = ScenarioConfig(n_drops=200)
+        jobs = outage._blocks(cfg.sector_count, cfg, cfg.n_drops)[2]
+        assert jobs == 6
+        wide = render_csv(run_experiment(cfg, workers=64))
+        assert pools == [6]
+        assert wide == render_csv(run_experiment(cfg, workers=1))
+        assert pools == [6]
 
     def test_analytic_curve_matches_direct_evaluation(self):
         cfg = self.small_cfg()

@@ -28,13 +28,14 @@ def combine(branches, mode="paper"):
 
 
 def drop_sirs(arch, seed, **cfg):
-    """Branch SIRs (1, antennas, users) of one home-cell drop, built from kernel stages."""
+    """Beam mask and branch SIRs (1, antennas, users) of one home-cell drop, from kernel stages."""
     cfg = ScenarioConfig(interferer_tiers=0, **cfg)
     layout = build_layout(cfg, arch)
     rng = np.random.default_rng(seed)
     xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
-    gains = _path_gains(layout, xy, cfg) * rng.exponential(1.0, (1, 3, 12))
-    return layout, xy, per_antenna_sir_matrix(gains, cfg.tx_power, 1e-18, cfg.processing_gain)
+    gains, inside = _path_gains(layout, xy, cfg)
+    gains = gains * rng.exponential(1.0, (1, 3, 12))
+    return inside, per_antenna_sir_matrix(gains, cfg.tx_power, 1e-18, cfg.processing_gain)
 
 
 class TestProcessingGain:
@@ -210,15 +211,15 @@ class TestDropSirSamples:
         # With ideal isolation (floor gain 0) a home-cell user reaches only
         # the antenna whose beam holds it: serving_sector_indices must pick
         # that antenna, the user's only nonzero branch.
-        layout, xy, gamma = drop_sirs("used", 4)
-        serving = serving_sector_indices(layout, xy)
+        inside, gamma = drop_sirs("used", 4)
+        serving = serving_sector_indices(inside)
         combined = np.take_along_axis(gamma, serving[:, None, :], axis=1)[:, 0]
         assert np.all(combined > 0.0)
         assert np.array_equal(combined, gamma.max(axis=1))
         assert np.all(np.sort(gamma, axis=1)[:, :-1] == 0.0)
 
     def test_microzone_combined_between_branch_extremes(self):
-        _, _, gamma = drop_sirs("microzone", 5, floor_gain_db=-20.0)
+        _, gamma = drop_sirs("microzone", 5, floor_gain_db=-20.0)
         combined = combine_columns(gamma, "paper")
         assert np.all(gamma.min(axis=1) * (1.0 - 1e-9) <= combined)
         assert np.all(combined <= gamma.max(axis=1) * (1.0 + 1e-9))
