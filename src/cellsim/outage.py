@@ -10,7 +10,9 @@ construction.
 
 Drops run in fixed-size blocks, one generator per block keyed by (seed,
 stream tag, block index) alone; the block size depends only on the scenario.
-Results are therefore independent of evaluation order and worker count.
+Results are therefore independent of evaluation order and worker count.  The
+stream tag is the run's stream layout: a paired run evaluates every layout on
+tag 0, and an unpaired run evaluates layout k alone on tag 1 + k.
 
 The kernel allocates no array per block.  Each job (one worker's range of
 blocks) keeps one workspace (``workspace.buffer``) of arrays sized to one
@@ -23,8 +25,8 @@ with fresh arrays, so the reuse changes no bit of any result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -110,23 +112,18 @@ def analytic_outage_used(
     its shape, and a scalar threshold gives a scalar.  With
     ``pg = threshold = 1`` it is P(z_desired <= sum(z_i) + eta) for
     exponentials of the given means.  Zero-mean interferers contribute
-    nothing; the scenario config guarantees a positive desired mean.
+    nothing, and an infinite threshold (a sweep point beyond float range) is
+    an outage of 1, as P(SIR <= inf) is; the scenario config guarantees a
+    positive desired mean.
     """
     threshold = np.asarray(threshold, dtype=float)
     scale = pg * mean_desired
-    with np.errstate(over="ignore"):  # an infinite factor is an outage of 1
+    # At an infinite threshold a zero mean, or a zero eta, makes an inf * 0
+    # nan term; the factor there is infinite whatever the terms.
+    with np.errstate(over="ignore", invalid="ignore"):
         ratios = np.multiply.outer(threshold, np.asarray(mean_interferers, dtype=float)) / scale
         log_factor = eta * threshold / scale + np.log1p(ratios).sum(axis=-1)
-    return -np.expm1(-log_factor)
-
-
-def _validate_thresholds(thresholds_db) -> np.ndarray:
-    arr = np.asarray(thresholds_db, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("thresholds must be a nonempty 1-D sequence")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("thresholds must be sorted strictly ascending")
-    return arr
+    return -np.expm1(-np.where(threshold == np.inf, np.inf, log_factor))
 
 
 # Slack on the half beamwidth of the inclusive beam test, radians.  It lowers
@@ -180,14 +177,14 @@ def _path_gains(
 def _count_blocks(args) -> np.ndarray:
     """Outage counts per layout and threshold over a contiguous range of blocks.
 
-    Each block draws, from its own generator and in this order, every
+    Each block draws, from its own generator (keyed by the scenario's seed,
+    ``stream_tag`` and the block index) and in this order, every
     cell's user positions, standard-normal shadowing and unit exponential
     fading, all for (drops, antennas, users of every cell).  Every layout
     is evaluated on that one draw.  The blocks share one workspace: its
     arrays are allocated by the first block, the largest, and reused.
     """
-    (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
-     block_start, block_stop) = args
+    layouts, scenario, centers, per_block, thr_linear, stream_tag, block_start, block_stop = args
     n_users = scenario.n_users
     scale = path_gain_constant(scenario.wavelength)
     shadow_nepers = scenario.shadowing_sigma_db * LN10_OVER_10
@@ -196,12 +193,13 @@ def _count_blocks(args) -> np.ndarray:
     counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)
     work: dict = {}
     for block in range(block_start, block_stop):
-        drops = min(per_block, n_drops - block * per_block)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
+        drops = min(per_block, scenario.n_drops - block * per_block)
+        key = np.random.SeedSequence(scenario.master_seed, spawn_key=(stream_tag, block))
+        rng = np.random.default_rng(key)
         xy = sample_hexagon_xy(
             scenario.cell_radius, centers, n_users, rng, batch=(drops,), work=work
         )
-        size = (drops, layouts[0].antenna_count, xy.shape[1])
+        size = (drops, scenario.sector_count, xy.shape[1])
         channel = rng.standard_normal(out=buffer(work, "channel", size))
         channel *= shadow_nepers
         np.exp(channel, out=channel)
@@ -222,89 +220,62 @@ def _count_blocks(args) -> np.ndarray:
     return counts
 
 
-def _blocks(
-    antenna_count: int, scenario: "ScenarioConfig", n_drops: int
-) -> tuple[np.ndarray, int, int]:
-    """Cell centers, drops per block and block count of one ``mc_outage`` call."""
+def _blocks(scenario: "ScenarioConfig") -> tuple[np.ndarray, int, int]:
+    """Cell centers, drops per block and block count of a run of ``scenario``."""
     centers = np.vstack(
         [np.zeros((1, 2)), interferer_cell_centers(scenario.cell_radius, scenario.interferer_tiers)]
     )
-    per_block = max(1, LINK_BUDGET // (antenna_count * len(centers) * scenario.n_users))
-    return centers, per_block, -(-n_drops // per_block)
-
-
-def worker_pool(workers: int, scenario: "ScenarioConfig") -> AbstractContextManager:
-    """The process pool the ``mc_outage`` calls of one run of ``scenario`` share.
-
-    A context manager giving a pool with one process per job of a call:
-    ``workers``, or the block count when that is smaller.  None when that is
-    one, since a lone job runs in this process.  A larger pool would start
-    idle processes: under the fork start method a pool forks all of them at
-    its first job.
-    """
-    jobs = min(workers, _blocks(scenario.sector_count, scenario, scenario.n_drops)[2])
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    per_block = max(1, LINK_BUDGET // (scenario.sector_count * len(centers) * scenario.n_users))
+    return centers, per_block, -(-scenario.n_drops // per_block)
 
 
 def mc_outage(
-    layouts: Sequence[Layout],
-    scenario: "ScenarioConfig",
-    thresholds_db,
-    n_drops: int,
-    seed: int,
-    workers: int = 1,
-    stream_tag: int = 0,
-    pool: Executor | None = None,
+    layouts: Sequence[Layout], scenario: "ScenarioConfig", workers: int = 1
 ) -> list[OutageCurve]:
-    """Monte Carlo outage curves, one per layout, on one shared draw.
+    """Monte Carlo outage curves of ``scenario``, one per layout, in layout order.
 
-    All layouts (equal antenna counts) are evaluated on one draw of
-    positions, shadowing and fading per drop; the curves come back in
-    layout order.  Every threshold is evaluated against the same drops, so
-    each curve is exactly non-decreasing.  Counts are integers and workers
-    take whole blocks of drops, which keeps the result identical for any
-    ``workers``.  ``stream_tag`` namespaces the random streams.  With more
-    than one job the jobs run on ``pool`` (see ``worker_pool``), or on a
-    pool of this call's own when it is None.
+    The sweep, drop count, seed and pairing are the scenario's.  Paired,
+    every layout is evaluated on one draw of positions, shadowing and fading
+    per drop (stream tag 0); unpaired, layout k draws its own streams (tag
+    1 + k).  Every threshold is evaluated against the same drops, so each
+    curve is exactly non-decreasing.  Each layout group's blocks are split
+    into ``workers`` ranges at most, one job each; the jobs run in this
+    process when there is one worker or one job, and otherwise on one
+    process pool of ``min(workers, jobs)`` (a larger pool would fork idle
+    processes at its first job).  Counts are integers summed per group,
+    which keeps the result identical for any ``workers``.
     """
-    if len({lay.antenna_count for lay in layouts}) != 1:
-        raise ValueError("paired layouts must have one antenna count")
-    if n_drops < 1:
-        raise ValueError(f"n_drops must be >= 1, got {n_drops}")
+    if {lay.antenna_count for lay in layouts} != {scenario.sector_count}:
+        raise ValueError("layouts must have the scenario's antenna count")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    thr_db = _validate_thresholds(thresholds_db)
-    thr_linear = 10.0 ** (thr_db / 10.0)
-
-    centers, per_block, n_blocks = _blocks(layouts[0].antenna_count, scenario, n_drops)
-    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int)
+    groups = [(layouts, 0)] if scenario.paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
+    centers, per_block, n_blocks = _blocks(scenario)
+    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int).tolist()
+    thr_linear = scenario.thresholds_linear
     jobs = [
-        (layouts, scenario, centers, per_block, thr_linear, seed, stream_tag, n_drops,
-         int(a), int(b))
+        (group, scenario, centers, per_block, thr_linear, tag, a, b)
         for a, b in zip(bounds[:-1], bounds[1:])
+        for group, tag in groups
     ]
-    if len(jobs) == 1:
-        counts = _count_blocks(jobs[0])
-    else:
-        with nullcontext(pool) if pool is not None else ProcessPoolExecutor(len(jobs)) as runner:
-            counts = sum(runner.map(_count_blocks, jobs))
-    n_samples = n_drops * scenario.n_users
-    return [
-        _curve_from_counts(lay.architecture, thr_db, c, n_samples, n_drops, seed)
-        for lay, c in zip(layouts, counts)
-    ]
+    processes = min(workers, len(jobs))
+    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_count_blocks, jobs))
+    # Job j belongs to group j % len(groups); the groups hold the layouts in order.
+    counts = np.concatenate([sum(results[g::len(groups)]) for g in range(len(groups))])
+    return [_curve_from_counts(lay.architecture, scenario, c) for lay, c in zip(layouts, counts)]
 
 
-def _curve_from_counts(architecture, thr_db, counts, n_samples, n_drops, seed) -> OutageCurve:
-    estimates = counts / n_samples
-    half_widths = Z_95 * np.sqrt(estimates * (1.0 - estimates) / n_drops)
+def _curve_from_counts(architecture, scenario: "ScenarioConfig", counts) -> OutageCurve:
+    estimates = counts / (scenario.n_drops * scenario.n_users)
+    half_widths = Z_95 * np.sqrt(estimates * (1.0 - estimates) / scenario.n_drops)
     return OutageCurve(
         architecture=architecture,
-        thresholds_db=thr_db,
+        thresholds_db=scenario.thresholds_db,
         estimates=estimates,
         ci_half_widths=half_widths,
-        n_drops=n_drops,
-        seed=seed,
+        n_drops=scenario.n_drops,
+        seed=scenario.master_seed,
     )
 
 

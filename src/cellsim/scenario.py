@@ -28,7 +28,7 @@ from .geometry import (
     hexagon_contains,
     interferer_cell_centers,
 )
-from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage, worker_pool
+from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage
 from .sir import COMBINER_MODES
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
@@ -105,11 +105,17 @@ class ScenarioConfig:
         start, stop, step = self.thresholds
         if step <= 0.0 or stop < start:
             raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {self.thresholds}")
-        if self._threshold_count() > MAX_THRESHOLDS:
+        count = self._threshold_count()
+        if count > MAX_THRESHOLDS:
             raise ConfigError(
-                f"thresholds sweep {self.thresholds} has {self._threshold_count()} points, "
+                f"thresholds sweep {self.thresholds} has {count} points, "
                 f"more than the {MAX_THRESHOLDS} allowed"
             )
+        # Points a few float spacings of the sweep's magnitude apart round onto
+        # each other; this bound keeps every point distinct.
+        magnitude = max(abs(start), abs(stop))
+        if count > 1 and step < 4.0 * math.ulp(2.0 * magnitude):
+            raise ConfigError(f"thresholds step {step} is too fine for distinct points near {magnitude}")
         if not 2.0 <= self.rho <= 5.0:
             raise ConfigError(f"rho must be in [2, 5], got {self.rho}")
         if not 0.0 <= self.shadowing_sigma_db <= 12.0:
@@ -174,6 +180,12 @@ class ScenarioConfig:
     def thresholds_db(self) -> np.ndarray:
         start, _, step = self.thresholds
         return start + step * np.arange(self._threshold_count())
+
+    @property
+    def thresholds_linear(self) -> np.ndarray:
+        """The sweep as linear ratios; a point beyond float range is inf, an outage of 1."""
+        with np.errstate(over="ignore"):
+            return 10.0 ** (self.thresholds_db / 10.0)
 
     @property
     def processing_gain(self) -> float:
@@ -427,9 +439,8 @@ def analytic_used_curve(cfg: ScenarioConfig) -> np.ndarray:
     means = np.repeat(
         [mean_in_cell, *neighbor_means], [cfg.n_users - 1] + [cfg.n_users] * len(neighbor_means)
     )
-    thresholds = 10.0 ** (cfg.thresholds_db / 10.0)
     return analytic_outage_used(
-        mean_desired, means, cfg.resolved_noise_power(), cfg.processing_gain, thresholds
+        mean_desired, means, cfg.resolved_noise_power(), cfg.processing_gain, cfg.thresholds_linear
     )
 
 
@@ -440,8 +451,8 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
 
     With ``paired`` set (the default) both architectures are evaluated on
     one shared draw of user positions, shadowing and fading per drop;
-    otherwise each draws its own streams.  With ``workers`` > 1 the
-    Monte Carlo calls share one process pool.
+    otherwise each draws its own streams.  ``mc_outage`` runs them all on
+    up to ``workers`` processes.
     """
     start = time.perf_counter()
     if cfg.architecture == "both":
@@ -451,15 +462,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
     analytic = analytic_used_curve(cfg) if "used" in archs else None
 
     layouts = [build_layout(cfg, arch) for arch in archs]
-    sweep = (cfg, cfg.thresholds_db, cfg.n_drops, cfg.master_seed)
-    with worker_pool(workers, cfg) as pool:
-        if cfg.paired:
-            curves = mc_outage(layouts, *sweep, workers=workers, stream_tag=0, pool=pool)
-        else:
-            curves = [
-                mc_outage([layout], *sweep, workers=workers, stream_tag=1 + k, pool=pool)[0]
-                for k, layout in enumerate(layouts)
-            ]
+    curves = mc_outage(layouts, cfg, workers)
     elapsed = time.perf_counter() - start
     return ExperimentResult(
         config=cfg,

@@ -60,8 +60,13 @@ def diversity_combine(per_antenna, mode: str = "paper") -> float:
 
 
 def _in_beam(layout, k: int, x: float, y: float) -> bool:
-    """Whether (x, y) lies in antenna k's beam, boundary inclusive."""
+    """Whether (x, y) lies in antenna k's beam, boundary inclusive.
+
+    The antenna's own site, where the bearing is undefined, lies in its beam.
+    """
     sx, sy = layout.sites[k]
+    if math.hypot(x - sx, y - sy) == 0.0:
+        return True
     offset = math.remainder(math.atan2(y - sy, x - sx) - layout.boresights[k], 2.0 * math.pi)
     return abs(offset) <= layout.beamwidth / 2.0 + 1e-12
 

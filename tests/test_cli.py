@@ -29,6 +29,20 @@ def test_run_with_default_scenario(tmp_path, capsys):
     assert "micro" in stdout
 
 
+def test_sweep_beyond_float_range_reads_outage_1(tmp_path, capsys, recwarn):
+    # 10**309 overflows to inf; the default ideal isolation gives neighbor
+    # cells of mean 0, which must not turn the analytic column into nan.
+    out = tmp_path / "far.csv"
+    code, _, stderr = run_cli(
+        ["run", "--out", str(out), "--drops", "10", "--thresholds", "3070:3090:10"], capsys
+    )
+    assert code == 0, stderr
+    assert out.read_text().splitlines()[1:] == [
+        "3070,1,0,1,1,0,0", "3080,1,0,1,1,0,0", "3090,1,0,1,1,0,0",
+    ]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_run_single_architecture(tmp_path, capsys):
     out = tmp_path / "used.csv"
     code, stdout, _ = run_cli(

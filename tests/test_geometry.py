@@ -14,7 +14,7 @@ from cellsim.geometry import (
 )
 from cellsim.outage import _path_gains
 from cellsim.scenario import ConfigError, ScenarioConfig
-from scalar_oracle import serving_antenna
+from scalar_oracle import _path_gain, serving_antenna
 
 ORIGIN = (0.0, 0.0)
 
@@ -332,10 +332,20 @@ class TestServingFromBeamMask:
         assert serving.tolist() == [serving_antenna(layout, x, y) for x, y in kept]
 
     def test_user_at_the_site_is_served_by_antenna_0(self, beamwidth_deg):
-        layout = build_layout(make_cfg(beamwidth_deg=beamwidth_deg), "used")
+        cfg = make_cfg(beamwidth_deg=beamwidth_deg)
+        layout = build_layout(cfg, "used")
         _, inside = _path_gains(layout, np.zeros((1, 1, 2)), make_cfg())
         assert inside.all()
         assert serving_sector_indices(inside).tolist() == [[0]]
+        assert serving_antenna(layout, 0.0, 0.0) == 0
+        # A user at an antenna's site lies in that antenna's beam, in the
+        # kernel (0 >= 0) and the oracle alike: the used center, and every
+        # microzone edge-antenna site.
+        for lay in (layout, build_layout(cfg, "microzone")):
+            for x, y in lay.sites:
+                gains, _ = _path_gains(lay, np.array([[[x, y]]]), cfg)
+                oracle = [_path_gain(lay, k, x, y, cfg) for k in range(lay.antenna_count)]
+                np.testing.assert_allclose(gains[0, :, 0], oracle, rtol=1e-12)
 
 
 class TestInterfererCells:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestAnalyticOutage:
     def test_zero_threshold(self):
         assert analytic_outage_used(1.0, [1.0], 0.5, 10.0, 0.0) == 0.0
 
+    def test_infinite_threshold_with_a_zero_mean_interferer(self):
+        # P(SIR <= inf) = 1: a zero mean, or no interference and no noise at
+        # all (where the kernel's SIR is inf too), must not make it nan or 0.
+        with np.errstate(all="raise"):
+            assert analytic_outage_used(1, [0.0, 1.0], 0, 1, np.inf) == 1.0
+            assert analytic_outage_used(1.0, [], 0.0, 1.0, np.inf) == 1.0
+            np.testing.assert_array_equal(
+                analytic_outage_used(1.0, [0.0, 1.0], 0.5, 1.0, [np.inf, 0.0]), [1.0, 0.0]
+            )
+
     def test_single_equal_mean_interferer(self):
         assert analytic_outage_used(1.0, [1.0], 0.0, 1.0, 1.0) == pytest.approx(0.5)
 
@@ -149,42 +160,33 @@ class TestMcOutage:
         return ScenarioConfig(**defaults)
 
     def test_interference_free_limit(self):
-        cfg = self.small_cfg(n_users=1, noise_power=0.0, n_drops=1)
+        cfg = self.small_cfg(n_users=1, noise_power=0.0, n_drops=1, master_seed=0)
         for arch in ("used", "microzone"):
-            (curve,) = mc_outage([build_layout(cfg, arch)], cfg, cfg.thresholds_db, 1, seed=0)
+            (curve,) = mc_outage([build_layout(cfg, arch)], cfg)
             assert np.all(curve.estimates == 0.0)
 
     def test_monotone_estimates(self):
-        cfg = self.small_cfg()
-        (curve,) = mc_outage([build_layout(cfg, "used")], cfg, cfg.thresholds_db, 50, seed=1)
+        cfg = self.small_cfg(n_drops=50, master_seed=1)
+        (curve,) = mc_outage([build_layout(cfg, "used")], cfg)
         assert np.all(np.diff(curve.estimates) >= 0.0)
 
     def test_deterministic_and_worker_invariant(self):
-        cfg = self.small_cfg()
+        cfg = self.small_cfg(n_drops=40, master_seed=5)
         layouts = [build_layout(cfg, "microzone")]
-        (a,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
-        (b,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=2)
-        (c,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, workers=1)
+        (a,) = mc_outage(layouts, cfg, workers=1)
+        (b,) = mc_outage(layouts, cfg, workers=2)
+        (c,) = mc_outage(layouts, cfg, workers=1)
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.estimates, c.estimates)
         assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
-    def test_stream_tag_changes_draws(self):
-        cfg = self.small_cfg()
-        layouts = [build_layout(cfg, "used")]
-        (a,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=0)
-        (b,) = mc_outage(layouts, cfg, cfg.thresholds_db, 40, seed=5, stream_tag=1)
-        assert not np.array_equal(a.estimates, b.estimates)
-
     def test_rejects_bad_arguments(self):
         cfg = self.small_cfg()
         layouts = [build_layout(cfg, "used")]
-        with pytest.raises(ValueError):
-            mc_outage(layouts, cfg, cfg.thresholds_db, 0, seed=1)
-        with pytest.raises(ValueError):
-            mc_outage(layouts, cfg, [], 10, seed=1)
-        with pytest.raises(ValueError):
-            mc_outage(layouts, cfg, [3.0, 1.0], 10, seed=1)
+        with pytest.raises(ValueError, match="workers"):
+            mc_outage(layouts, cfg, workers=0)
+        with pytest.raises(ValueError, match="antenna count"):
+            mc_outage([], cfg)
 
     def test_ci_shrinks_like_root_n(self):
         # The matched-means sampler criterion 2 takes its intervals from.
@@ -197,8 +199,9 @@ class TestMcOutage:
     def test_geometric_ci_shrinks_like_root_n(self):
         cfg = self.small_cfg()
         layouts = [build_layout(cfg, "used")]
-        (small,) = mc_outage(layouts, cfg, [0.0], 400, seed=2)
-        (large,) = mc_outage(layouts, cfg, [0.0], 1600, seed=2)
+        sweep = dict(thresholds=(0.0, 0.0, 1.0), master_seed=2)
+        (small,) = mc_outage(layouts, replace(cfg, n_drops=400, **sweep))
+        (large,) = mc_outage(layouts, replace(cfg, n_drops=1600, **sweep))
         ratio = small.ci_half_widths[0] / large.ci_half_widths[0]
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
@@ -206,9 +209,11 @@ class TestMcOutage:
         # Independent oracle: rebuild the block streams and recount every drop
         # user by user in scalar_oracle.  45 drops at 39 drops per block
         # exercise a full block and a partial one.
-        cfg = ScenarioConfig(interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0))
+        cfg = ScenarioConfig(
+            interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0), n_drops=45, master_seed=31
+        )
         layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
-        curves = mc_outage(layouts, cfg, cfg.thresholds_db, 45, seed=31)
+        curves = mc_outage(layouts, cfg)
         counts = oracle_counts(layouts, cfg, 45, seed=31, stream_tag=0)
         for curve, expected in zip(curves, counts):
             np.testing.assert_array_equal(curve.estimates, expected / (45 * cfg.n_users))
@@ -216,18 +221,21 @@ class TestMcOutage:
     def test_paired_run_shares_one_draw(self):
         # A layout evaluated alongside another sees exactly the drops it
         # sees alone on the same seed and tag.
-        cfg = self.small_cfg(interferer_tiers=1)
+        cfg = self.small_cfg(interferer_tiers=1, n_drops=30, master_seed=4)
         used, micro = (build_layout(cfg, arch) for arch in ("used", "microzone"))
-        paired = mc_outage([used, micro], cfg, cfg.thresholds_db, 30, seed=4)
-        alone = [mc_outage([lay], cfg, cfg.thresholds_db, 30, seed=4)[0] for lay in (used, micro)]
+        paired = mc_outage([used, micro], cfg)
+        alone = [mc_outage([lay], cfg)[0] for lay in (used, micro)]
         for a, b in zip(paired, alone):
             assert np.array_equal(a.estimates, b.estimates)
 
     def test_rejects_mixed_antenna_counts(self):
         used = build_layout(self.small_cfg(), "used")
         wide = build_layout(self.small_cfg(beamwidth_deg=60.0), "microzone")
+        cfg = self.small_cfg(thresholds=(0.0, 0.0, 1.0), n_drops=5, master_seed=1)
         with pytest.raises(ValueError, match="antenna count"):
-            mc_outage([used, wide], self.small_cfg(), [0.0], 5, seed=1)
+            mc_outage([used, wide], cfg)
+        with pytest.raises(ValueError, match="antenna count"):
+            mc_outage([wide], cfg)
 
 
 class TestKernelAgainstScalarOracle:
@@ -255,24 +263,29 @@ class TestKernelAgainstScalarOracle:
             beamwidth_deg=beamwidth, interferer_tiers=tiers, n_users=n_users,
             noise_power=noise_power, floor_gain_db=floor_gain_db, combiner_mode=combiner,
             architecture=architecture, paired=paired, rho=rho, shadowing_sigma_db=sigma,
-            thresholds=(-10.0, 10.0, 2.5),
+            thresholds=(-10.0, 10.0, 2.5), n_drops=n_drops, master_seed=seed,
         )
         archs = ["used", "microzone"] if architecture == "both" else [architecture]
         layouts = [build_layout(cfg, arch) for arch in archs]
+        # The stream layout, spelled out here rather than read from src: a
+        # paired run draws every layout on tag 0, an unpaired one layout k
+        # alone on tag 1 + k.
         groups = [(layouts, 0)] if paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
         # A small link budget gives many blocks, most of them partial tails.
         with mock.patch.object(outage, "LINK_BUDGET", link_budget):
-            for group, tag in groups:
-                single = mc_outage(group, cfg, cfg.thresholds_db, n_drops, seed, stream_tag=tag)
-                expected = oracle_counts(group, cfg, n_drops, seed, tag, link_budget)
-                for curve, counts in zip(single, expected):
-                    np.testing.assert_array_equal(curve.estimates, counts / (n_drops * n_users))
-                dual = mc_outage(
-                    group, cfg, cfg.thresholds_db, n_drops, seed, workers=2, stream_tag=tag
-                )
-                for a, b in zip(single, dual):
-                    assert np.array_equal(a.estimates, b.estimates)
-                    assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
+            single = mc_outage(layouts, cfg)
+            expected = [
+                counts
+                for group, tag in groups
+                for counts in oracle_counts(group, cfg, n_drops, seed, tag, link_budget)
+            ]
+            assert len(single) == len(expected) == len(layouts)
+            for curve, counts in zip(single, expected):
+                np.testing.assert_array_equal(curve.estimates, counts / (n_drops * n_users))
+            dual = mc_outage(layouts, cfg, workers=2)
+            for a, b in zip(single, dual):
+                assert np.array_equal(a.estimates, b.estimates)
+                assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
 
 class TestOutageCurveInvariants:
@@ -445,7 +458,7 @@ class TestPinnedCounts:
         # Blocks of different sizes (full ones, then a short last one) run in
         # one call and one call each must give the same counts: nothing a
         # block leaves behind changes the next.
-        cfg = ScenarioConfig(n_drops=100, **overrides)
+        cfg = ScenarioConfig(n_drops=100, master_seed=9, **overrides)
         layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
         centers = np.vstack(
             [np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)]
@@ -454,10 +467,10 @@ class TestPinnedCounts:
         n_blocks = -(-cfg.n_drops // per_block)
         assert n_blocks >= 3 and cfg.n_drops % per_block
         thr_linear = 10.0 ** (cfg.thresholds_db / 10.0)
-        job = (layouts, cfg, centers, per_block, thr_linear, 9, 0, cfg.n_drops)
+        job = (layouts, cfg, centers, per_block, thr_linear, 0)
         whole = outage._count_blocks(job + (0, n_blocks))
         parts = sum(outage._count_blocks(job + (b, b + 1)) for b in range(n_blocks))
         np.testing.assert_array_equal(whole, parts)
-        curves = mc_outage(layouts, cfg, cfg.thresholds_db, cfg.n_drops, 9)
+        curves = mc_outage(layouts, cfg)
         n_samples = cfg.n_drops * cfg.n_users
         np.testing.assert_array_equal(whole, np.rint([c.estimates * n_samples for c in curves]))

@@ -85,6 +85,12 @@ class TestParseConfig:
             parse_config("cluster_size = 3")
         with pytest.raises(ConfigError):
             parse_config("combiner_mode = selection")
+        # The drop count and sweep a Monte Carlo run reads: at least one drop,
+        # and an ascending sweep.
+        with pytest.raises(ConfigError, match="n_drops"):
+            parse_config("n_drops = 0")
+        with pytest.raises(ConfigError, match="stop >= start"):
+            parse_config("thresholds = 3:1:1")
 
     def test_floor_gain_negative_infinity(self):
         cfg = parse_config("floor_gain_db = -inf")
@@ -133,6 +139,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"1000001 points"):
             ScenarioConfig(thresholds=(0.0, 1e6, 1.0))
         assert ScenarioConfig(thresholds=(0.0, 1e6 - 1.0, 1.0))._threshold_count() == 10**6
+
+    def test_sweep_of_repeated_points_rejected_when_built(self, monkeypatch):
+        # 10,001 points a sixteenth of a float spacing apart: as an array,
+        # most of them would repeat.
+        def no_array(self):
+            raise AssertionError("thresholds_db built for a sweep that must be rejected")
+
+        monkeypatch.setattr(ScenarioConfig, "thresholds_db", property(no_array))
+        with pytest.raises(ConfigError, match="too fine for distinct points"):
+            parse_config("thresholds = 1e17:1.0000000000001e17:1")
+
+    @given(
+        start=st.floats(-1e18, 1e18),
+        count=st.integers(1, 1000),
+        spacing=st.floats(0.5, 32.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_accepted_sweeps_are_strictly_ascending(self, start, count, spacing):
+        # Steps of a few float spacings of the start, around the bound.
+        step = spacing * math.ulp(abs(start))
+        stop = start + step * (count - 1)
+        try:
+            cfg = ScenarioConfig(thresholds=(start, stop, step))
+        except ConfigError:
+            # Never for steps of 16 spacings of the sweep's magnitude or more.
+            assert step < 16.0 * math.ulp(max(abs(start), abs(stop)))
+            return
+        assert np.all(np.diff(cfg.thresholds_db) > 0.0)
 
     def test_non_finite_values_rejected(self):
         for text in (
@@ -438,7 +472,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
         cfg = ScenarioConfig(n_drops=200)
-        jobs = outage._blocks(cfg.sector_count, cfg, cfg.n_drops)[2]
+        jobs = outage._blocks(cfg)[2]
         assert jobs == 6
         wide = render_csv(run_experiment(cfg, workers=64))
         assert pools == [6]
