@@ -6,7 +6,7 @@ jointly and their branch SIRs are diversity-combined.
 """
 
 from .geometry import Layout, build_layout
-from .outage import OutageCurve, analytic_outage_used, mc_outage, outage_report
+from .outage import OutageCurve, analytic_outage_used, mc_outage
 from .scenario import (
     ConfigError,
     ExperimentResult,
@@ -31,7 +31,6 @@ __all__ = [
     "build_layout",
     "emit_csv",
     "mc_outage",
-    "outage_report",
     "parse_config",
     "run_experiment",
     "serialize_config",

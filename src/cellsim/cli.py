@@ -13,17 +13,26 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .outage import format_report, outage_report
 from .scenario import (
     ARCHITECTURE_CHOICES,
     ConfigError,
     ScenarioConfig,
     emit_csv,
+    format_report,
     parse_config_file,
     parse_value,
     run_experiment,
 )
 from .sir import COMBINER_MODES
+
+
+def _names(values) -> str:
+    """A flag's accepted values for --help, spelled as argparse spells ``choices``.
+
+    The flags take no ``choices``: their values are checked as a config
+    file's are, so a bad one fails with one ``error:`` line.
+    """
+    return "{" + ",".join(values) + "}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,15 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", metavar="PATH", help="config file (omit for the default scenario)")
     run.add_argument("--seed", metavar="U64", help="override master_seed")
     run.add_argument("--drops", metavar="N", help="override n_drops")
-    run.add_argument("--arch", choices=ARCHITECTURE_CHOICES, help="override architecture")
+    run.add_argument("--arch", metavar=_names(ARCHITECTURE_CHOICES), help="override architecture")
     run.add_argument("--out", metavar="PATH", required=True, help="output CSV path")
     run.add_argument(
         "--thresholds",
         metavar="START:STOP:STEP_dB",
         help="override the threshold sweep, e.g. -10:10:1",
     )
-    run.add_argument("--paired", choices=("true", "false"), help="override drop pairing")
-    run.add_argument("--combiner", choices=COMBINER_MODES, help="override combiner_mode")
+    run.add_argument("--paired", metavar=_names(("true", "false")), help="override drop pairing")
+    run.add_argument("--combiner", metavar=_names(COMBINER_MODES), help="override combiner_mode")
     run.add_argument(
         "--workers", default="1", metavar="N", help="parallel drop workers (default 1)"
     )
@@ -105,13 +114,7 @@ def main(argv=None) -> int:
         result = run_experiment(cfg, workers=workers)
         emit_csv(result, args.out)
 
-        if "used" in result.curves and "microzone" in result.curves:
-            rows = outage_report(result.curves["used"], result.curves["microzone"])
-            print(format_report(rows))
-        else:
-            (arch, curve), = result.curves.items()
-            for thr, est, ci in zip(curve.thresholds_db, curve.estimates, curve.ci_half_widths):
-                print(f"{arch} @ {thr:g} dB: outage {est:.6g} +- {ci:.3g}")
+        print(format_report(result))
         print(
             f"wrote {args.out} ({cfg.n_drops} drops, seed {cfg.master_seed}, "
             f"{result.elapsed_seconds:.1f} s)"

@@ -50,44 +50,24 @@ LINK_BUDGET = 2**15
 
 @dataclass(frozen=True)
 class OutageCurve:
-    """Outage estimates over a threshold sweep, with 95% half-widths.
+    """Outage estimates over a run's threshold sweep, with 95% half-widths.
 
-    Drops are the independent unit for the confidence intervals; users within
-    a drop share interference and are correlated.
+    Both are arrays with one entry per threshold of the config the curve was
+    run on; the sweep, drop count and seed are that config's.  Drops are the
+    independent unit for the confidence intervals; users within a drop share
+    interference and are correlated.
     """
 
-    architecture: str
-    thresholds_db: np.ndarray
     estimates: np.ndarray
     ci_half_widths: np.ndarray
-    n_drops: int
-    seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds_db", np.asarray(self.thresholds_db, float))
-        object.__setattr__(self, "estimates", np.asarray(self.estimates, float))
-        object.__setattr__(self, "ci_half_widths", np.asarray(self.ci_half_widths, float))
-        if not (
-            self.thresholds_db.shape == self.estimates.shape == self.ci_half_widths.shape
-        ):
-            raise ValueError("curve arrays must share one shape")
         if np.any(self.estimates < 0.0) or np.any(self.estimates > 1.0):
             raise ValueError("outage estimates must lie in [0, 1]")
         if np.any(np.diff(self.estimates) < 0.0):
             raise ValueError("estimates must be non-decreasing in threshold")
         if np.any(self.ci_half_widths < 0.0):
             raise ValueError("confidence half-widths must be >= 0")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    threshold_db: float
-    used: float
-    used_ci: float
-    micro: float
-    micro_ci: float
-    micro_minus_used: float
-    micro_not_better: bool
 
 
 def analytic_outage_used(
@@ -234,9 +214,10 @@ def mc_outage(
 ) -> list[OutageCurve]:
     """Monte Carlo outage curves of ``scenario``, one per layout, in layout order.
 
-    The sweep, drop count, seed and pairing are the scenario's.  Paired,
-    every layout is evaluated on one draw of positions, shadowing and fading
-    per drop (stream tag 0); unpaired, layout k draws its own streams (tag
+    The sweep, drop count, seed and pairing are the scenario's, and each
+    curve holds only its estimates and their half-widths.  Paired, every
+    layout is evaluated on one draw of positions, shadowing and fading per
+    drop (stream tag 0); unpaired, layout k draws its own streams (tag
     1 + k).  Every threshold is evaluated against the same drops, so each
     curve is exactly non-decreasing.  Each layout group's blocks are split
     into ``workers`` ranges at most, one job each; the jobs run in this
@@ -263,62 +244,6 @@ def mc_outage(
         results = list((pool.map if pool else map)(_count_blocks, jobs))
     # Job j belongs to group j % len(groups); the groups hold the layouts in order.
     counts = np.concatenate([sum(results[g::len(groups)]) for g in range(len(groups))])
-    return [_curve_from_counts(lay.architecture, scenario, c) for lay, c in zip(layouts, counts)]
-
-
-def _curve_from_counts(architecture, scenario: "ScenarioConfig", counts) -> OutageCurve:
     estimates = counts / (scenario.n_drops * scenario.n_users)
     half_widths = Z_95 * np.sqrt(estimates * (1.0 - estimates) / scenario.n_drops)
-    return OutageCurve(
-        architecture=architecture,
-        thresholds_db=scenario.thresholds_db,
-        estimates=estimates,
-        ci_half_widths=half_widths,
-        n_drops=scenario.n_drops,
-        seed=scenario.master_seed,
-    )
-
-
-def outage_report(used_curve: OutageCurve, micro_curve: OutageCurve) -> list[ReportRow]:
-    """Per-threshold comparison of the two architectures.
-
-    Curves must come from the same sweep, drop count and seed.  Rows flag
-    thresholds where the microzone estimate is strictly worse than used.
-    """
-    if not np.array_equal(used_curve.thresholds_db, micro_curve.thresholds_db):
-        raise ValueError("curves have mismatched thresholds")
-    if used_curve.n_drops != micro_curve.n_drops:
-        raise ValueError("curves have mismatched drop counts")
-    if used_curve.seed != micro_curve.seed:
-        raise ValueError("curves have mismatched seeds")
-    rows = []
-    for i, thr in enumerate(used_curve.thresholds_db):
-        diff = float(micro_curve.estimates[i] - used_curve.estimates[i])
-        rows.append(
-            ReportRow(
-                threshold_db=float(thr),
-                used=float(used_curve.estimates[i]),
-                used_ci=float(used_curve.ci_half_widths[i]),
-                micro=float(micro_curve.estimates[i]),
-                micro_ci=float(micro_curve.ci_half_widths[i]),
-                micro_minus_used=diff,
-                micro_not_better=diff > 0.0,
-            )
-        )
-    return rows
-
-
-def format_report(rows: Sequence[ReportRow]) -> str:
-    """Readable table for terminal output."""
-    header = (
-        f"{'thr_dB':>7} {'used':>10} {'used_ci':>10} {'micro':>10} "
-        f"{'micro_ci':>10} {'micro-used':>11}  flag"
-    )
-    lines = [header]
-    for row in rows:
-        flag = "micro>=used" if row.micro_not_better else ""
-        lines.append(
-            f"{row.threshold_db:>7.6g} {row.used:>10.6g} {row.used_ci:>10.3g} "
-            f"{row.micro:>10.6g} {row.micro_ci:>10.3g} {row.micro_minus_used:>11.6g}  {flag}"
-        )
-    return "\n".join(lines)
+    return [OutageCurve(e, h) for e, h in zip(estimates, half_widths)]

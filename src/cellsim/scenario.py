@@ -3,8 +3,9 @@
 Configs are flat ``key = value`` text, one key per line, ``#`` comments;
 numeric values take the unit suffixes their field lists in ``_UNITS``.
 Unknown keys are rejected rather than silently ignored.  ``run_experiment`` evaluates the
-requested architectures on identical random streams (paired drops) and emits
-a CSV threshold table any plotting tool can consume.
+requested architectures on identical random streams (paired drops).  Its
+result is one per-threshold table, which ``render_csv`` writes as CSV any
+plotting tool can consume and ``format_report`` prints for the terminal.
 """
 
 from __future__ import annotations
@@ -216,6 +217,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One run's results.
+
+    ``curves`` maps each architecture run to its Monte Carlo curve, and
+    ``analytic_used`` is the closed-form used curve, or None when the used
+    architecture was not run.
+    """
+
     config: ScenarioConfig
     curves: dict[str, OutageCurve]
     analytic_used: Optional[np.ndarray]
@@ -472,9 +480,27 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
     )
 
 
-# CSV export ---------------------------------------------------------------
+# Result table -------------------------------------------------------------
 
 CSV_HEADER = "threshold_db,used_mc,used_ci,used_analytic,micro_mc,micro_ci,micro_minus_used"
+
+
+def _rows(result: ExperimentResult) -> list[tuple]:
+    """The per-threshold table: one tuple of the ``CSV_HEADER`` columns per threshold.
+
+    A column the run has no curve for holds None.  ``micro_minus_used`` is
+    the microzone estimates minus the used ones.  A curve whose length is not
+    the sweep's raises ValueError.
+    """
+    used = result.curves.get("used")
+    micro = result.curves.get("microzone")
+    columns = [result.config.thresholds_db]
+    columns += [None, None] if used is None else [used.estimates, used.ci_half_widths]
+    columns.append(result.analytic_used)
+    columns += [None, None] if micro is None else [micro.estimates, micro.ci_half_widths]
+    columns.append(None if used is None or micro is None else micro.estimates - used.estimates)
+    count = len(columns[0])
+    return list(zip(*([None] * count if c is None else c.tolist() for c in columns), strict=True))
 
 
 def _csv_num(value: Optional[float]) -> str:
@@ -483,44 +509,41 @@ def _csv_num(value: Optional[float]) -> str:
 
 def render_csv(result: ExperimentResult) -> str:
     """CSV text with one row per threshold; absent columns hold 'NA'."""
-    used = result.curves.get("used")
-    micro = result.curves.get("microzone")
-    thresholds = result.config.thresholds_db
-    lines = [CSV_HEADER]
-    for i, thr in enumerate(thresholds):
-        used_mc = float(used.estimates[i]) if used is not None else None
-        used_ci = float(used.ci_half_widths[i]) if used is not None else None
-        analytic = (
-            float(result.analytic_used[i]) if result.analytic_used is not None else None
-        )
-        micro_mc = float(micro.estimates[i]) if micro is not None else None
-        micro_ci = float(micro.ci_half_widths[i]) if micro is not None else None
-        diff = micro_mc - used_mc if used is not None and micro is not None else None
-        lines.append(
-            ",".join(
-                [
-                    _csv_num(float(thr)),
-                    _csv_num(used_mc),
-                    _csv_num(used_ci),
-                    _csv_num(analytic),
-                    _csv_num(micro_mc),
-                    _csv_num(micro_ci),
-                    _csv_num(diff),
-                ]
-            )
-        )
+    lines = [CSV_HEADER, *(",".join(map(_csv_num, row)) for row in _rows(result))]
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(result: ExperimentResult, destination) -> None:
-    """Write the CSV table to a path or text file object."""
-    text = render_csv(result)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    path = Path(destination)
+def format_report(result: ExperimentResult) -> str:
+    """The per-threshold table for the terminal.
+
+    A run of both architectures gives an aligned table of both curves and
+    their difference, and flags ``micro>used`` where the microzone estimate
+    is strictly above the used one.  A run of one architecture gives one
+    ``arch @ thr dB: outage estimate +- half-width`` line per threshold.
+    """
+    rows = _rows(result)
+    if len(result.curves) == 1:
+        arch, = result.curves
+        at = 1 if arch == "used" else 4  # the columns of its estimate and half-width
+        lines = [f"{arch} @ {r[0]:g} dB: outage {r[at]:.6g} +- {r[at + 1]:.3g}" for r in rows]
+    else:
+        lines = [
+            f"{'thr_dB':>7} {'used':>10} {'used_ci':>10} {'micro':>10} "
+            f"{'micro_ci':>10} {'micro-used':>11}  flag"
+        ]
+        for thr, used, used_ci, _, micro, micro_ci, diff in rows:
+            flag = "micro>used" if diff > 0.0 else ""
+            lines.append(
+                f"{thr:>7.6g} {used:>10.6g} {used_ci:>10.3g} "
+                f"{micro:>10.6g} {micro_ci:>10.3g} {diff:>11.6g}  {flag}"
+            )
+    return "\n".join(lines)
+
+
+def emit_csv(result: ExperimentResult, path) -> None:
+    """Write the CSV table to ``path``."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(render_csv(result))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc

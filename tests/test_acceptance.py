@@ -129,8 +129,8 @@ def test_criterion_4_architecture_ordering(default_sweep):
     used = result.curves["used"]
     micro = result.curves["microzone"]
     gap = used.estimates - micro.estimates
-    se_used = np.sqrt(used.estimates * (1.0 - used.estimates) / used.n_drops)
-    se_micro = np.sqrt(micro.estimates * (1.0 - micro.estimates) / micro.n_drops)
+    se_used = np.sqrt(used.estimates * (1.0 - used.estimates) / cfg.n_drops)
+    se_micro = np.sqrt(micro.estimates * (1.0 - micro.estimates) / cfg.n_drops)
     combined_se = np.sqrt(se_used**2 + se_micro**2)
     ordered_everywhere = bool(np.all(micro.estimates <= used.estimates))
     significant = int(np.sum(gap > 2.0 * combined_se))

@@ -188,3 +188,54 @@ def test_malformed_flag_value_fails_cleanly(tmp_path, capsys, flag, value):
     assert code == 1
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag}:"), stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--arch", "bogus"), ("--combiner", "x"), ("--paired", "maybe")])
+def test_bad_named_value_fails_cleanly(tmp_path, capsys, monkeypatch, flag, value):
+    def no_run(cfg, workers):
+        raise AssertionError("a bad flag value reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    code, _, stderr = run_cli(["run", "--out", str(tmp_path / "o.csv"), flag, value], capsys)
+    assert code == 1
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+# The terminal report of `run --drops 40 --seed 3 --thresholds -10:10:5`,
+# without its closing `wrote` line.  No row is flagged.
+PINNED_REPORTS = {
+    "both": [
+        " thr_dB       used    used_ci      micro   micro_ci  micro-used  flag",
+        "    -10       0.39      0.151    0.13625      0.106    -0.25375  ",
+        "     -5   0.549375      0.154   0.325625      0.145    -0.22375  ",
+        "      0   0.683125      0.144   0.536875      0.155    -0.14625  ",
+        "      5   0.795625      0.125    0.74875      0.134   -0.046875  ",
+        "     10   0.870625      0.104   0.860625      0.107       -0.01  ",
+    ],
+    "used": [
+        "used @ -10 dB: outage 0.39 +- 0.151",
+        "used @ -5 dB: outage 0.549375 +- 0.154",
+        "used @ 0 dB: outage 0.683125 +- 0.144",
+        "used @ 5 dB: outage 0.795625 +- 0.125",
+        "used @ 10 dB: outage 0.870625 +- 0.104",
+    ],
+    "microzone": [
+        "microzone @ -10 dB: outage 0.13625 +- 0.106",
+        "microzone @ -5 dB: outage 0.325625 +- 0.145",
+        "microzone @ 0 dB: outage 0.536875 +- 0.155",
+        "microzone @ 5 dB: outage 0.74875 +- 0.134",
+        "microzone @ 10 dB: outage 0.860625 +- 0.107",
+    ],
+}
+
+
+@pytest.mark.parametrize("arch", list(PINNED_REPORTS))
+def test_terminal_report_is_pinned(tmp_path, capsys, arch):
+    out = tmp_path / "c.csv"
+    args = ["run", "--out", str(out), "--drops", "40", "--seed", "3", "--thresholds", "-10:10:5"]
+    code, stdout, stderr = run_cli(args + ["--arch", arch], capsys)
+    assert code == 0, stderr
+    *report, wrote = stdout.split("\n")[:-1]
+    assert report == PINNED_REPORTS[arch]
+    assert wrote.startswith(f"wrote {out} (40 drops, seed 3, ")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cellsim import outage
 from cellsim.geometry import build_layout, interferer_cell_centers
-from cellsim.outage import OutageCurve, analytic_outage_used, format_report, mc_outage, outage_report
+from cellsim.outage import OutageCurve, analytic_outage_used, mc_outage
 from cellsim.scenario import ConfigError, ScenarioConfig, render_csv, run_experiment
 from scalar_oracle import matched_exponential_outage, oracle_counts, reference_outage_used
 
@@ -291,48 +291,15 @@ class TestKernelAgainstScalarOracle:
 class TestOutageCurveInvariants:
     def test_rejects_out_of_range_estimates(self):
         with pytest.raises(ValueError):
-            OutageCurve("used", [0.0], [1.5], [0.0], 10, 1)
+            OutageCurve(np.array([1.5]), np.array([0.0]))
 
     def test_rejects_decreasing_estimates(self):
         with pytest.raises(ValueError):
-            OutageCurve("used", [0.0, 1.0], [0.5, 0.4], [0.0, 0.0], 10, 1)
+            OutageCurve(np.array([0.5, 0.4]), np.array([0.0, 0.0]))
 
-
-class TestOutageReport:
-    def curve(self, estimates, arch="used", seed=1):
-        n = len(estimates)
-        return OutageCurve(arch, np.arange(n, dtype=float), estimates, [0.01] * n, 100, seed)
-
-    def test_self_comparison_has_no_flags(self):
-        u = self.curve([0.1, 0.2, 0.3])
-        m = self.curve([0.1, 0.2, 0.3], arch="microzone")
-        rows = outage_report(u, m)
-        assert all(r.micro_minus_used == 0.0 for r in rows)
-        assert not any(r.micro_not_better for r in rows)
-
-    def test_flags_where_micro_worse(self):
-        u = self.curve([0.1, 0.2, 0.3])
-        m = self.curve([0.05, 0.25, 0.3], arch="microzone")
-        rows = outage_report(u, m)
-        assert [r.micro_not_better for r in rows] == [False, True, False]
-
-    def test_mismatched_thresholds_error(self):
-        u = self.curve([0.1, 0.2, 0.3])
-        m = OutageCurve("microzone", [0.0, 1.0], [0.1, 0.2], [0.0, 0.0], 100, 1)
-        with pytest.raises(ValueError, match="thresholds"):
-            outage_report(u, m)
-
-    def test_mismatched_seed_error(self):
-        u = self.curve([0.1, 0.2, 0.3])
-        m = self.curve([0.1, 0.2, 0.3], arch="microzone", seed=2)
-        with pytest.raises(ValueError, match="seed"):
-            outage_report(u, m)
-
-    def test_format_is_one_line_per_threshold(self):
-        u = self.curve([0.1, 0.2, 0.3])
-        m = self.curve([0.1, 0.2, 0.3], arch="microzone")
-        text = format_report(outage_report(u, m))
-        assert len(text.splitlines()) == 4  # header + 3 rows
+    def test_rejects_negative_half_widths(self):
+        with pytest.raises(ValueError):
+            OutageCurve(np.array([0.1, 0.2]), np.array([0.01, -0.01]))
 
 
 class TestClosedFormAgainstOracleSweep:

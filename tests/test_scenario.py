@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import re
@@ -13,14 +12,16 @@ from hypothesis import strategies as st
 from cellsim import outage, scenario
 from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-from cellsim.outage import _path_gains, analytic_outage_used
+from cellsim.outage import OutageCurve, _path_gains, analytic_outage_used
 from cellsim.sir import COMBINER_MODES
 from cellsim.scenario import (
     ARCHITECTURE_CHOICES,
     ConfigError,
+    ExperimentResult,
     ScenarioConfig,
     analytic_used_curve,
     emit_csv,
+    format_report,
     mean_received_powers,
     parse_config,
     render_csv,
@@ -508,9 +509,7 @@ class TestEmitCsv:
             architecture="microzone", n_users=4, n_drops=5, interferer_tiers=0,
             thresholds=(0.0, 5.0, 5.0),
         )
-        buf = io.StringIO()
-        emit_csv(run_experiment(cfg), buf)
-        for line in buf.getvalue().splitlines()[1:]:
+        for line in render_csv(run_experiment(cfg)).splitlines()[1:]:
             cols = line.split(",")
             assert cols[1] == "NA" and cols[2] == "NA" and cols[3] == "NA"
             assert cols[6] == "NA"
@@ -529,3 +528,58 @@ class TestEmitCsv:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(result, missing)
+
+
+class TestFormatReport:
+    @staticmethod
+    def result(used=None, micro=None):
+        """A result over the sweep 0, 1, 2, ... dB with the given estimates."""
+        curves = {
+            arch: OutageCurve(np.array(estimates), np.full(len(estimates), 0.01))
+            for arch, estimates in (("used", used), ("microzone", micro))
+            if estimates is not None
+        }
+        count = len(used if used is not None else micro)
+        cfg = ScenarioConfig(
+            architecture="both" if len(curves) == 2 else next(iter(curves)),
+            thresholds=(0.0, count - 1.0, 1.0),
+        )
+        return ExperimentResult(cfg, curves, None, 0.0)
+
+    def test_self_comparison_has_no_flags(self):
+        text = format_report(self.result([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]))
+        rows = text.splitlines()[1:]
+        assert [float(row.split()[5]) for row in rows] == [0.0, 0.0, 0.0]
+        assert all(row.endswith("  ") for row in rows)
+
+    def test_flags_where_micro_worse(self):
+        # Flagged exactly where micro is strictly above used: ties are not.
+        used = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        micro = np.array([0.05, 0.25, 0.3, 0.35, 0.6, 0.6])
+        result = self.result(used, micro)
+        lines = format_report(result).splitlines()
+        assert lines[0].endswith("  flag")
+        flagged = [line.endswith("  micro>used") for line in lines[1:]]
+        assert flagged == (micro > used).tolist() == [False, True, False, False, True, False]
+        assert [line.endswith("  ") for line in lines[1:]] == [not f for f in flagged]
+        diffs = [float(line.split(",")[6]) for line in render_csv(result).splitlines()[1:]]
+        assert [d > 0.0 for d in diffs] == flagged
+
+    def test_format_is_one_line_per_threshold(self):
+        text = format_report(self.result([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]))
+        assert len(text.splitlines()) == 4  # header + 3 rows
+
+    def test_single_architecture_format(self):
+        assert format_report(self.result(used=[0.1, 0.25])).splitlines() == [
+            "used @ 0 dB: outage 0.1 +- 0.01", "used @ 1 dB: outage 0.25 +- 0.01",
+        ]
+        assert format_report(self.result(micro=[0.125])).splitlines() == [
+            "microzone @ 0 dB: outage 0.125 +- 0.01",
+        ]
+
+    def test_curve_off_the_sweep_is_rejected(self):
+        result = self.result([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+        short = replace(result, config=replace(result.config, thresholds=(0.0, 1.0, 1.0)))
+        for render in (format_report, render_csv):
+            with pytest.raises(ValueError):
+                render(short)
