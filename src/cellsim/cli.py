@@ -10,6 +10,7 @@ success, 1 with a diagnostic line on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -110,6 +111,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers: not an integer: {args.workers!r}") from None
         if workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {workers}")
+        # Fail on an unwritable --out before the run rather than after it.
+        # Append mode creates a missing file and leaves an existing one as is.
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise OSError(f"cannot write CSV to {args.out}: {exc}") from exc
 
         result = run_experiment(cfg, workers=workers)
         emit_csv(result, args.out)
@@ -119,7 +126,14 @@ def main(argv=None) -> int:
             f"wrote {args.out} ({cfg.n_drops} drops, seed {cfg.master_seed}, "
             f"{result.elapsed_seconds:.1f} s)"
         )
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return 0
+    except BrokenPipeError:
+        # The reader of stdout has gone, as with `| head`.  Point stdout at
+        # devnull so the interpreter's final flush stays silent, and exit 1
+        # as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

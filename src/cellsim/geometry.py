@@ -70,14 +70,6 @@ def hexagon_contains(radius: float, center, points_xy) -> np.ndarray:
     return (np.abs(x) <= limit) & (np.abs(half_x + rise) <= limit) & (np.abs(half_x - rise) <= limit)
 
 
-def hexagon_boundary_radius(theta, radius: float):
-    """Distance from the hexagon center to its boundary along bearing theta."""
-    # Fold onto the nearest edge normal (normals sit at multiples of 60 deg).
-    sixth = np.pi / 3.0
-    local = np.asarray(theta) - sixth * np.round(np.asarray(theta) / sixth)
-    return (radius * SQRT3 / 2.0) / np.cos(local)
-
-
 def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
     """The antenna layout of ``architecture`` ("used" or "microzone") for ``cfg``."""
     if architecture not in ("used", "microzone"):

@@ -19,16 +19,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .channel import LN10_OVER_10, path_gain_constant
-from .geometry import (
-    build_layout,
-    hexagon_area,
-    hexagon_boundary_radius,
-    hexagon_contains,
-    interferer_cell_centers,
-)
+from .geometry import SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
 from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage
 from .sir import COMBINER_MODES
 
@@ -362,16 +355,34 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 # Analytic reference curve -------------------------------------------------
 
-def _radial_gain_integral(r_max: float, rho: float, d_min: float) -> float:
-    """Integral of max(d, d_min)**-rho * d over d in [0, r_max]."""
-    if r_max <= d_min:
-        return d_min ** (-rho) * r_max * r_max / 2.0
-    near = d_min ** (2.0 - rho) / 2.0
+# Gauss-Legendre nodes and weights on [-1, 1] for the in-cell slice integral.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _slice_gain_integral(cfg: ScenarioConfig) -> float:
+    """Integral of max(d, d_min)**-rho over the cell's slice of bearings [0, pi/6].
+
+    The slice's boundary lies at ``apothem / cos(theta)``, and the radial
+    integral of max(d, d_min)**-rho * d out to it has a closed form, so one
+    fixed Gauss-Legendre rule in theta gives the area integral.  Where the
+    boundary crosses d_min the integrand has a kink, and the rule is split at
+    that bearing so that each piece is smooth.
+    """
+    apothem = cfg.cell_radius * SQRT3 / 2.0
+    rho, d_min = cfg.rho, cfg.d_min
+    edges = [0.0, math.pi / 6.0]
+    if apothem < d_min < cfg.cell_radius:
+        edges.insert(1, math.acos(apothem / d_min))
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = (hi - lo) / 2.0
+    r = apothem / np.cos(lo + half * (_GL_NODES[:, None] + 1.0))  # (nodes, pieces)
+    near = d_min ** -rho * np.minimum(r, d_min) ** 2 / 2.0
+    far = np.maximum(r, d_min)
     if rho == 2.0:
-        far = math.log(r_max / d_min)
+        far = np.log(far / d_min)
     else:
-        far = (r_max ** (2.0 - rho) - d_min ** (2.0 - rho)) / (2.0 - rho)
-    return near + far
+        far = (far ** (2.0 - rho) - d_min ** (2.0 - rho)) / (2.0 - rho)
+    return float(_GL_WEIGHTS @ (near + far) @ half)
 
 
 def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
@@ -416,16 +427,10 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
 
-    # The boundary radius is even about 0 and pi/3-periodic, and every sector
-    # edge lies on the 30-degree grid, so each 30-degree slice of the cell
-    # holds the same gain integral: the cell is 12 slices, a sector 12 / count.
-    slice_integral, _ = integrate.quad(
-        lambda theta: _radial_gain_integral(
-            float(hexagon_boundary_radius(theta, cfg.cell_radius)), cfg.rho, cfg.d_min
-        ),
-        0.0, math.pi / 6.0, limit=200,
-    )
-    full = 12.0 * slice_integral
+    # The cell is symmetric under reflection about every multiple of 30
+    # degrees, and every sector edge lies on that grid, so each 30-degree
+    # slice holds the same gain integral: the cell is 12 slices, a sector 12 / count.
+    full = 12.0 * _slice_gain_integral(cfg)
     wedge = full / cfg.sector_count
     wedge_area = area / cfg.sector_count
     mean_desired = base * cfg.max_gain * wedge / wedge_area

@@ -8,8 +8,14 @@ scalar combiner below.  It shares no array code with the kernel, so the
 kernel's counts must equal it exactly.  ``matched_exponential_outage`` is the
 brute-force sampler the closed form is checked against.
 ``reference_mean_received_powers`` is the analytic curve's mean powers the
-slow way: one ``integrate.quad`` per 30-degree piece of each wedge, and a
-fresh 201 x 201 grid with arctangent bearings for every neighbor cell.
+slow way.  Its in-cell integrals use this module's own scalar boundary radius
+and radial integral, and one ``integrate.quad`` per smooth piece of each
+wedge: the wedge is split on the 30-degree grid, where the boundary radius
+has kinks, and at every bearing where the boundary crosses ``d_min``, where
+the radial integral has one.  Each piece runs at ``epsabs=0`` and
+``epsrel=1e-13``: the integrand is of order 1e-10, far below ``quad``'s
+default absolute tolerance, which would stop it after its first pass.  The
+neighbor cells get a fresh 201 x 201 grid with arctangent bearings each.
 ``reference_outage_used`` is the closed form for one threshold, summed in a
 Python loop.
 """
@@ -20,15 +26,8 @@ import numpy as np
 from scipy import integrate
 
 from cellsim.channel import LN10_OVER_10, path_gain_constant
-from cellsim.geometry import (
-    hexagon_area,
-    hexagon_boundary_radius,
-    hexagon_contains,
-    interferer_cell_centers,
-    wrap_angle,
-)
+from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers, wrap_angle
 from cellsim.outage import LINK_BUDGET
-from cellsim.scenario import _radial_gain_integral
 
 
 def mrc_weights(per_antenna) -> np.ndarray:
@@ -158,23 +157,48 @@ def matched_exponential_outage(mean_desired, mean_interferers, eta, pg, threshol
     return estimates, 1.96 * np.sqrt(estimates * (1.0 - estimates) / n)
 
 
+def _boundary_radius(radius: float, theta: float) -> float:
+    """Distance from the hexagon's center to its boundary along bearing theta.
+
+    The edge normals sit at multiples of 60 degrees, one apothem out.
+    """
+    local = math.remainder(theta, math.pi / 3.0)
+    return radius * math.sqrt(3.0) / 2.0 / math.cos(local)
+
+
+def _radial_gain_integral(r_max: float, rho: float, d_min: float) -> float:
+    """Integral of max(d, d_min)**-rho * d over d in [0, r_max]."""
+    if r_max <= d_min:
+        return d_min ** (-rho) * r_max * r_max / 2.0
+    near = d_min ** (2.0 - rho) / 2.0
+    if rho == 2.0:
+        far = math.log(r_max / d_min)
+    else:
+        far = (r_max ** (2.0 - rho) - d_min ** (2.0 - rho)) / (2.0 - rho)
+    return near + far
+
+
 def _wedge_gain_integral(cfg, lo: float, hi: float) -> float:
     """Area integral of max(d, d_min)**-rho over the hexagon slice [lo, hi]."""
 
     def integrand(theta):
-        return _radial_gain_integral(
-            float(hexagon_boundary_radius(theta, cfg.cell_radius)), cfg.rho, cfg.d_min
-        )
+        return _radial_gain_integral(_boundary_radius(cfg.cell_radius, theta), cfg.rho, cfg.d_min)
 
-    # Split at the 30-degree grid where the boundary radius has kinks.
+    # Split at the 30-degree grid, where the boundary radius has kinks, and
+    # where the boundary crosses d_min: +-acos(apothem / d_min) about each
+    # edge normal, when d_min lies between the apothem and the circumradius.
     grid = math.pi / 6.0
-    cuts = [lo] + [
-        k * grid for k in range(math.ceil(lo / grid), math.floor(hi / grid) + 1)
-    ] + [hi]
+    cuts = [k * grid for k in range(math.ceil(lo / grid), math.floor(hi / grid) + 1)]
+    apothem = cfg.cell_radius * math.sqrt(3.0) / 2.0
+    if apothem < cfg.d_min < cfg.cell_radius:
+        crossing = math.acos(apothem / cfg.d_min)
+        normals = range(math.floor(lo / (2 * grid)), math.ceil(hi / (2 * grid)) + 1)
+        cuts += [k * 2 * grid + sign * crossing for k in normals for sign in (-1, 1)]
+    cuts = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b > a + 1e-15:
-            part, _ = integrate.quad(integrand, a, b, limit=200)
+            part, _ = integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
             total += part
     return total
 

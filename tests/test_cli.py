@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import cellsim
 from cellsim import cli, scenario
 from cellsim.cli import main
-from cellsim.scenario import ScenarioConfig, parse_config
+from cellsim.scenario import ScenarioConfig, parse_config, render_csv, run_experiment
 
 
 def run_cli(args, capsys):
@@ -200,6 +207,61 @@ def test_bad_named_value_fails_cleanly(tmp_path, capsys, monkeypatch, flag, valu
     assert code == 1
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, where):
+    def no_run(cfg, workers):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "no" / "such" / "x.csv" if where == "missing_directory" else tmp_path
+    code, stdout, stderr = run_cli(["run", "--out", str(out), "--drops", "20000"], capsys)
+    assert code == 1 and stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write CSV to {out}: "), stderr
+
+
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports cellsim from this checkout."""
+    src = str(Path(cellsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=300, **kwargs)
+
+
+def test_closed_stdout_exits_1_silently_after_writing_the_csv(tmp_path):
+    out = tmp_path / "c.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python(
+            ["-m", "cellsim.cli", "run", "--drops", "5", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+    assert out.read_text() == render_csv(run_experiment(replace(ScenarioConfig(), n_drops=5)))
+
+
+def test_runtime_does_not_import_scipy():
+    code = "import sys, cellsim, cellsim.cli; print('scipy' in sys.modules)"
+    proc = run_python(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_run_needs_no_scipy(tmp_path):
+    # With scipy unimportable, a lazy import anywhere in the run would fail.
+    out = tmp_path / "c.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None; from cellsim import cli; "
+        f"sys.exit(cli.main(['run', '--drops', '20', '--out', {str(out)!r}]))"
+    )
+    proc = run_python(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 22  # header + the 21 default thresholds
 
 
 # The terminal report of `run --drops 40 --seed 3 --thresholds -10:10:5`,
