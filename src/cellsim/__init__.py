@@ -5,7 +5,6 @@ the microzone arrangement, where antennas on the cell edge receive the uplink
 jointly and their branch SIRs are diversity-combined.
 """
 
-from .geometry import Layout, build_layout
 from .outage import OutageCurve, analytic_outage_used, mc_outage
 from .scenario import (
     ConfigError,
@@ -23,12 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ExperimentResult",
-    "Layout",
     "OutageCurve",
     "ScenarioConfig",
     "analytic_outage_used",
     "analytic_used_curve",
-    "build_layout",
     "emit_csv",
     "mc_outage",
     "parse_config",

@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--paired", metavar=_names(("true", "false")), help="override drop pairing")
     run.add_argument("--combiner", metavar=_names(COMBINER_MODES), help="override combiner_mode")
     run.add_argument(
-        "--workers", default="1", metavar="N", help="parallel drop workers (default 1)"
+        "--workers", default="1", metavar="N",
+        help="parallel drop workers, capped at the CPU count (default 1)",
     )
     return parser
 

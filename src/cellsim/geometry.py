@@ -35,20 +35,13 @@ class Layout:
     """The antennas of one architecture, as the arrays the kernel reads.
 
     ``sites`` is (antennas, 2) in meters and ``boresights`` (antennas,) in
-    radians; every antenna has the same flat-top ``beamwidth`` (radians) and
-    linear ``max_gain`` / ``floor_gain``.
+    radians.  The beamwidth and the gains every antenna shares are the
+    config's.
     """
 
     architecture: str  # "used" or "microzone"
     sites: np.ndarray
     boresights: np.ndarray
-    beamwidth: float
-    max_gain: float
-    floor_gain: float
-
-    @property
-    def antenna_count(self) -> int:
-        return len(self.boresights)
 
 
 def wrap_angle(angle):
@@ -84,7 +77,7 @@ def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
         radius = cfg.cell_radius
         sites = np.array([[radius * math.cos(s), radius * math.sin(s)] for s in slots])
         boresights = wrap_angle(np.add(slots, math.pi))
-    return Layout(architecture, sites, boresights, beamwidth, cfg.max_gain, cfg.floor_gain)
+    return Layout(architecture, sites, boresights)
 
 
 def sample_hexagon_xy(

@@ -11,8 +11,9 @@ construction.
 Drops run in fixed-size blocks, one generator per block keyed by (seed,
 stream tag, block index) alone; the block size depends only on the scenario.
 Results are therefore independent of evaluation order and worker count.  The
-stream tag is the run's stream layout: a paired run evaluates every layout on
-tag 0, and an unpaired run evaluates layout k alone on tag 1 + k.
+stream tag is the run's stream layout: a paired run evaluates every
+architecture on tag 0, and an unpaired run evaluates the k-th of the config's
+``architectures`` alone on tag 1 + k.
 
 The kernel allocates no array per block.  Each job (one worker's range of
 blocks) keeps one workspace (``workspace.buffer``) of arrays sized to one
@@ -25,6 +26,7 @@ with fresh arrays, so the reuse changes no bit of any result.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -33,11 +35,12 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import LN10_OVER_10, path_gain_constant
-from .geometry import Layout, interferer_cell_centers, sample_hexagon_xy, serving_sector_indices
+from .geometry import build_layout, interferer_cell_centers, sample_hexagon_xy, serving_sector_indices
 from .sir import combine_columns, per_antenna_sir_matrix
 from .workspace import buffer
 
 if TYPE_CHECKING:
+    from .geometry import Layout
     from .scenario import ScenarioConfig
 
 Z_95 = 1.96  # two-sided 95% normal quantile
@@ -114,7 +117,7 @@ ANGLE_TOL = 1e-12
 
 
 def _path_gains(
-    layout: Layout, xy: np.ndarray, scenario: "ScenarioConfig", work: dict | None = None
+    layout: "Layout", xy: np.ndarray, scenario: "ScenarioConfig", work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern gain times distance loss, and the beam mask it was built from.
 
@@ -122,16 +125,18 @@ def _path_gains(
     A user is inside an antenna's beam (boundary inclusive) when the cosine
     of its bearing offset from boresight is at least cos(beamwidth / 2): the
     flat-top pattern without an arctangent.  The mask holds that test as 0/1
-    ``intp``; it is src's only beam test.  Distances are clamped below at
-    ``d_min``.  Antennas that share one site (the used layout's center) share
-    one distance computation.  With a ``workspace.buffer`` dict as ``work``
-    the results are overwritten by the next call.
+    ``intp``; it is src's only beam test.  The beamwidth (one sector's
+    share of the full circle), the gains and the ``d_min`` clamp on
+    distances are the scenario's.  Antennas that share one site (the used
+    layout's center) share one distance computation.  With a
+    ``workspace.buffer`` dict as ``work`` the results are overwritten by the
+    next call.
     """
     sites = layout.sites
     if np.all(sites == sites[0]):
         sites = sites[:1]
     per_site = (xy.shape[0], len(sites), xy.shape[1])
-    shape = (xy.shape[0], layout.antenna_count, xy.shape[1])
+    shape = (xy.shape[0], len(layout.boresights), xy.shape[1])
     dx = np.subtract(xy[:, None, :, 0], sites[:, 0, None], out=buffer(work, "dx", per_site))
     dy = np.subtract(xy[:, None, :, 1], sites[:, 1, None], out=buffer(work, "dy", per_site))
     boresights = layout.boresights[:, None]
@@ -141,11 +146,11 @@ def _path_gains(
     d_sq = np.multiply(dx, dx, out=dx)
     d_sq += np.multiply(dy, dy, out=dy)
     limit = np.sqrt(d_sq, out=dy)
-    limit *= math.cos(layout.beamwidth / 2.0 + ANGLE_TOL)
+    limit *= math.cos(math.pi / scenario.sector_count + ANGLE_TOL)
     # The beam test as 0/1 indices into (floor, max): an exact select, and
     # much faster than a masked copy.
     inside = np.greater_equal(along, limit, out=buffer(work, "inside", shape, np.intp))
-    gains = np.take([layout.floor_gain, layout.max_gain], inside, out=along, mode="clip")
+    gains = np.take([scenario.floor_gain, scenario.max_gain], inside, out=along, mode="clip")
     loss = np.maximum(d_sq, scenario.d_min**2, out=d_sq)
     # In-place `**=` takes the same scalar fast paths as `**` (a reciprocal
     # at rho = 2), so the losses are bit-identical to the plain power.
@@ -155,16 +160,21 @@ def _path_gains(
 
 
 def _count_blocks(args) -> np.ndarray:
-    """Outage counts per layout and threshold over a contiguous range of blocks.
+    """Outage counts per architecture and threshold over a contiguous range of blocks.
 
-    Each block draws, from its own generator (keyed by the scenario's seed,
-    ``stream_tag`` and the block index) and in this order, every
-    cell's user positions, standard-normal shadowing and unit exponential
-    fading, all for (drops, antennas, users of every cell).  Every layout
-    is evaluated on that one draw.  The blocks share one workspace: its
-    arrays are allocated by the first block, the largest, and reused.
+    ``args`` is (scenario, architectures, stream tag, first block, stop
+    block).  Each block draws, from its own generator (keyed by the
+    scenario's seed, the stream tag and the block index) and in this order,
+    every cell's user positions, standard-normal shadowing and unit
+    exponential fading, all for (drops, antennas, users of every cell).
+    Every architecture is evaluated on that one draw.  The blocks share one
+    workspace: its arrays are allocated by the first block, the largest, and
+    reused.
     """
-    layouts, scenario, centers, per_block, thr_linear, stream_tag, block_start, block_stop = args
+    scenario, archs, stream_tag, block_start, block_stop = args
+    layouts = [build_layout(scenario, arch) for arch in archs]
+    centers, per_block, _ = _blocks(scenario)
+    thr_linear = scenario.thresholds_linear
     n_users = scenario.n_users
     scale = path_gain_constant(scenario.wavelength)
     shadow_nepers = scenario.shadowing_sigma_db * LN10_OVER_10
@@ -209,41 +219,41 @@ def _blocks(scenario: "ScenarioConfig") -> tuple[np.ndarray, int, int]:
     return centers, per_block, -(-scenario.n_drops // per_block)
 
 
-def mc_outage(
-    layouts: Sequence[Layout], scenario: "ScenarioConfig", workers: int = 1
-) -> list[OutageCurve]:
-    """Monte Carlo outage curves of ``scenario``, one per layout, in layout order.
+def mc_outage(scenario: "ScenarioConfig", workers: int = 1) -> dict[str, OutageCurve]:
+    """Monte Carlo outage curves of ``scenario``, keyed by architecture.
 
-    The sweep, drop count, seed and pairing are the scenario's, and each
-    curve holds only its estimates and their half-widths.  Paired, every
-    layout is evaluated on one draw of positions, shadowing and fading per
-    drop (stream tag 0); unpaired, layout k draws its own streams (tag
-    1 + k).  Every threshold is evaluated against the same drops, so each
-    curve is exactly non-decreasing.  Each layout group's blocks are split
-    into ``workers`` ranges at most, one job each; the jobs run in this
+    Everything the run reads comes from the scenario: the architectures (in
+    the order of its ``architectures``), sweep, drop count, seed and
+    pairing.  Each curve holds only its estimates and their half-widths.
+    Paired, every architecture is evaluated on one draw of positions,
+    shadowing and fading per drop (stream tag 0); unpaired, the k-th draws
+    its own streams (tag 1 + k).  Every threshold is evaluated against the
+    same drops, so each curve is exactly non-decreasing.  ``workers`` is
+    capped at the CPUs this process may run on.  Each group's blocks are
+    split into that many ranges at most, one job each; the jobs run in this
     process when there is one worker or one job, and otherwise on one
     process pool of ``min(workers, jobs)`` (a larger pool would fork idle
     processes at its first job).  Counts are integers summed per group,
     which keeps the result identical for any ``workers``.
     """
-    if {lay.antenna_count for lay in layouts} != {scenario.sector_count}:
-        raise ValueError("layouts must have the scenario's antenna count")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    groups = [(layouts, 0)] if scenario.paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
-    centers, per_block, n_blocks = _blocks(scenario)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
+    archs = scenario.architectures
+    groups = [(archs, 0)] if scenario.paired else [((arch,), 1 + k) for k, arch in enumerate(archs)]
+    n_blocks = _blocks(scenario)[2]
     bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1, dtype=int).tolist()
-    thr_linear = scenario.thresholds_linear
     jobs = [
-        (group, scenario, centers, per_block, thr_linear, tag, a, b)
+        (scenario, group, tag, a, b)
         for a, b in zip(bounds[:-1], bounds[1:])
         for group, tag in groups
     ]
     processes = min(workers, len(jobs))
     with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
         results = list((pool.map if pool else map)(_count_blocks, jobs))
-    # Job j belongs to group j % len(groups); the groups hold the layouts in order.
+    # Job j belongs to group j % len(groups); the groups hold the architectures in order.
     counts = np.concatenate([sum(results[g::len(groups)]) for g in range(len(groups))])
     estimates = counts / (scenario.n_drops * scenario.n_users)
     half_widths = Z_95 * np.sqrt(estimates * (1.0 - estimates) / scenario.n_drops)
-    return [OutageCurve(e, h) for e, h in zip(estimates, half_widths)]
+    return {arch: OutageCurve(e, h) for arch, e, h in zip(archs, estimates, half_widths)}

@@ -63,7 +63,6 @@ class ScenarioConfig:
     shadowing_sigma_db: float = 5.0
     noise_power: Optional[float] = None  # watts; None = auto
     cell_radius: float = 1000.0  # m
-    cluster_size: int = 1
     beamwidth_deg: float = 120.0
     tx_power: float = 1.0  # watts, uniform across users
     d_min: float = 1.0  # m
@@ -118,8 +117,6 @@ class ScenarioConfig:
             raise ConfigError(f"noise_power must be >= 0 or auto, got {self.noise_power}")
         if self.cell_radius <= 0.0:
             raise ConfigError(f"cell_radius must be positive, got {self.cell_radius}")
-        if self.cluster_size != 1:
-            raise ConfigError("only cluster_size 1 (universal frequency reuse) is modeled")
         if self.beamwidth_deg not in (60.0, 120.0):
             raise ConfigError(f"beamwidth must be 60 or 120 degrees, got {self.beamwidth_deg}")
         if self.tx_power < 0.0:
@@ -147,15 +144,16 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name}_db = {getattr(self, name + '_db')} dB overflows as a linear gain"
                 )
-        try:
-            edge = self.edge_power
-        except OverflowError:
-            edge = math.inf
         # Below the smallest normal float, every drop's gains underflow.
-        if not sys.float_info.min <= edge < math.inf:
+        if not sys.float_info.min <= self.edge_power < math.inf:
             raise ConfigError(
-                f"cell-edge received power is {edge!r}, not a positive normal number: "
+                f"cell-edge received power is {self.edge_power!r}, not a positive normal number: "
                 "check tx_power, cell_radius, rho, max_gain_db and wavelength"
+            )
+        if self.full_gain_power(self.d_min) == math.inf:
+            raise ConfigError(
+                f"received power at d_min = {self.d_min} m overflows: "
+                "check d_min, rho, tx_power, max_gain_db and wavelength"
             )
 
     # Derived quantities ---------------------------------------------------
@@ -163,6 +161,11 @@ class ScenarioConfig:
     @property
     def sector_count(self) -> int:
         return int(round(360.0 / self.beamwidth_deg))
+
+    @property
+    def architectures(self) -> tuple[str, ...]:
+        """The architectures a run evaluates, in stream order."""
+        return ("used", "microzone") if self.architecture == "both" else (self.architecture,)
 
     def _threshold_count(self) -> float:
         """Points of the threshold sweep, stop included; inf if too many to count."""
@@ -194,15 +197,18 @@ class ScenarioConfig:
     def floor_gain(self) -> float:
         return 0.0 if math.isinf(self.floor_gain_db) else 10.0 ** (self.floor_gain_db / 10.0)
 
+    def full_gain_power(self, distance: float) -> float:
+        """Fading-averaged power of one user ``distance`` from a full-gain antenna; inf on overflow."""
+        try:
+            loss = distance ** (-self.rho)
+        except OverflowError:
+            return math.inf
+        return path_gain_constant(self.wavelength) * self.max_gain * loss * self.tx_power
+
     @property
     def edge_power(self) -> float:
         """Fading-averaged power of one cell-edge user at a full-gain antenna."""
-        return (
-            path_gain_constant(self.wavelength)
-            * self.max_gain
-            * self.cell_radius ** (-self.rho)
-            * self.tx_power
-        )
+        return self.full_gain_power(self.cell_radius)
 
     def resolved_noise_power(self) -> float:
         return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
@@ -468,21 +474,9 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> ExperimentResult:
     up to ``workers`` processes.
     """
     start = time.perf_counter()
-    if cfg.architecture == "both":
-        archs = ["used", "microzone"]
-    else:
-        archs = [cfg.architecture]
-    analytic = analytic_used_curve(cfg) if "used" in archs else None
-
-    layouts = [build_layout(cfg, arch) for arch in archs]
-    curves = mc_outage(layouts, cfg, workers)
-    elapsed = time.perf_counter() - start
-    return ExperimentResult(
-        config=cfg,
-        curves=dict(zip(archs, curves)),
-        analytic_used=analytic,
-        elapsed_seconds=elapsed,
-    )
+    analytic = analytic_used_curve(cfg) if "used" in cfg.architectures else None
+    curves = mc_outage(cfg, workers)
+    return ExperimentResult(cfg, curves, analytic, time.perf_counter() - start)
 
 
 # Result table -------------------------------------------------------------

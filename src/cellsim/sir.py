@@ -76,6 +76,5 @@ def combine_columns(gamma: np.ndarray, mode: str = "paper", work: dict | None = 
         numer = weighted.sum(axis=-2, out=buffer(work, "combined", shape))
         denom = root.sum(axis=-2, out=buffer(work, "root_sum", shape))
         combined = np.divide(numer, denom, out=numer)
-    has_inf = np.isinf(gamma).any(axis=-2)
-    combined = np.where(has_inf, np.inf, combined)
-    return np.where(denom > 0.0, combined, np.where(has_inf, np.inf, 0.0))
+    combined = np.where(np.isinf(gamma).any(axis=-2), np.inf, combined)
+    return np.where(denom > 0.0, combined, 0.0)

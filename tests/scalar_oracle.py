@@ -58,26 +58,27 @@ def diversity_combine(per_antenna, mode: str = "paper") -> float:
     return float(mrc_weights(gamma) @ gamma)
 
 
-def _in_beam(layout, k: int, x: float, y: float) -> bool:
+def _in_beam(layout, cfg, k: int, x: float, y: float) -> bool:
     """Whether (x, y) lies in antenna k's beam, boundary inclusive.
 
-    The antenna's own site, where the bearing is undefined, lies in its beam.
+    The beamwidth is the config's.  The antenna's own site, where the
+    bearing is undefined, lies in its beam.
     """
     sx, sy = layout.sites[k]
     if math.hypot(x - sx, y - sy) == 0.0:
         return True
     offset = math.remainder(math.atan2(y - sy, x - sx) - layout.boresights[k], 2.0 * math.pi)
-    return abs(offset) <= layout.beamwidth / 2.0 + 1e-12
+    return abs(offset) <= math.pi * cfg.beamwidth_deg / 360.0 + 1e-12
 
 
-def serving_antenna(layout, x: float, y: float) -> int:
+def serving_antenna(layout, cfg, x: float, y: float) -> int:
     """The used layout's serving antenna: the lowest id whose beam holds (x, y)."""
-    return next(k for k in range(layout.antenna_count) if _in_beam(layout, k, x, y))
+    return next(k for k in range(cfg.sector_count) if _in_beam(layout, cfg, k, x, y))
 
 
 def _path_gain(layout, k: int, x: float, y: float, cfg) -> float:
     sx, sy = layout.sites[k]
-    pattern = layout.max_gain if _in_beam(layout, k, x, y) else layout.floor_gain
+    pattern = cfg.max_gain if _in_beam(layout, cfg, k, x, y) else cfg.floor_gain
     return pattern * max(math.hypot(x - sx, y - sy), cfg.d_min) ** -cfg.rho
 
 
@@ -94,7 +95,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
     eta, pg, radius = cfg.resolved_noise_power(), cfg.processing_gain, cfg.cell_radius
     path_constant = (cfg.wavelength / (4.0 * math.pi)) ** 2
     cells = [(0.0, 0.0)] + [tuple(c) for c in interferer_cell_centers(radius, cfg.interferer_tiers)]
-    n_ant, n_links = layouts[0].antenna_count, len(cells) * cfg.n_users
+    n_ant, n_links = cfg.sector_count, len(cells) * cfg.n_users
     per_block = max(1, link_budget // (n_ant * n_links))
     vertices = [
         (radius * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
@@ -134,7 +135,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
                     if layout.architecture == "used":
                         # Used antennas sit at the center: the serving sector
                         # is the lowest id whose beam holds the user.
-                        combined = branches[serving_antenna(layout, *users[i])]
+                        combined = branches[serving_antenna(layout, cfg, *users[i])]
                     else:
                         combined = diversity_combine(branches, cfg.combiner_mode)
                     counts[n] += combined <= thresholds

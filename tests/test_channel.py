@@ -7,11 +7,15 @@ from scipy import stats
 
 from cellsim.channel import LN10_OVER_10, path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy
+from cellsim import outage
 from cellsim.outage import _count_blocks, _path_gains
 from cellsim.scenario import ConfigError, ScenarioConfig
 from test_geometry import kernel_gain, one_antenna
 
-OMNI = one_antenna(floor_gain=1.0)
+
+def omni_gain(point, **cfg):
+    """The kernel's path gain toward ``point`` from an omnidirectional antenna at the origin."""
+    return kernel_gain(one_antenna(), point, floor_gain_db=0.0, **cfg)
 
 
 def shadowing_db(sigma_db, seed, n):
@@ -74,10 +78,10 @@ class TestFadingPower:
 
 class TestLinkGain:
     def test_identity_case(self):
-        assert kernel_gain(OMNI, (1.0, 0.0), rho=4.0) == 1.0
+        assert omni_gain((1.0, 0.0), rho=4.0) == 1.0
 
     def test_path_loss_only(self):
-        assert kernel_gain(OMNI, (100.0, 0.0), rho=4.0) == pytest.approx(1e-8, rel=1e-12)
+        assert omni_gain((100.0, 0.0), rho=4.0) == pytest.approx(1e-8, rel=1e-12)
 
     def test_shadowing_factor(self):
         assert math.exp(10.0 * LN10_OVER_10) == pytest.approx(10.0, rel=1e-12)
@@ -87,10 +91,10 @@ class TestLinkGain:
         # and the kernel clamps every distance at d_min.
         with pytest.raises(ConfigError):
             ScenarioConfig(d_min=-1.0)
-        assert kernel_gain(OMNI, (0.0, 0.0), rho=4.0, d_min=2.0) == 2.0**-4.0
+        assert omni_gain((0.0, 0.0), rho=4.0, d_min=2.0) == 2.0**-4.0
 
     def test_strictly_decreasing_in_distance(self):
-        g = [kernel_gain(OMNI, (d, 0.0), rho=4.0) for d in np.linspace(2.0, 500.0, 50)]
+        g = [omni_gain((d, 0.0), rho=4.0) for d in np.linspace(2.0, 500.0, 50)]
         assert np.all(np.diff(g) < 0.0)
 
 
@@ -101,11 +105,14 @@ class TestDrawLinkMatrix:
         layout = build_layout(ScenarioConfig(), "used")
         assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig())[0].shape == (1, 3, 0)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
         # A block's draw is keyed by (seed, stream tag, block index) alone.
+        # The link budget gives blocks of 5 drops: 60 links over 3 antennas
+        # and 4 users.
+        monkeypatch.setattr(outage, "LINK_BUDGET", 60)
         cfg = ScenarioConfig(n_users=4, interferer_tiers=0, n_drops=10, master_seed=9)
-        thr = 10.0 ** (cfg.thresholds_db / 10.0)
-        job = [[build_layout(cfg, "microzone")], cfg, np.zeros((1, 2)), 5, thr, 0, 0, 1]
+        assert outage._blocks(cfg)[1:] == (5, 2)
+        job = [cfg, ("microzone",), 0, 0, 1]
         first = _count_blocks(tuple(job))
         assert np.array_equal(first, _count_blocks(tuple(job)))
         job[-2:] = [1, 2]

@@ -122,11 +122,13 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "architecture = microzone\nmax_gain_db = -4000 dB\n",
         "thresholds = 0:1e308:1e-300\n",
         "thresholds = -1e308:1e308:1e308\n",
+        "d_min = 1e-80 m\n",
     ],
     ids=[
         "max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius",
         "max_gain_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
         "microzone_max_gain_underflow", "sweep_step_count_overflow", "sweep_span_overflow",
+        "d_min_power_overflow",
     ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):

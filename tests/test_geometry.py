@@ -23,9 +23,13 @@ def make_cfg(**kw):
     return ScenarioConfig(**kw)
 
 
-def one_antenna(boresight=0.0, beamwidth=2.0 * math.pi / 3.0, floor_gain=0.0):
-    """A unit-gain antenna at the origin, as a layout the kernel can read."""
-    return Layout("used", np.zeros((1, 2)), np.array([boresight]), beamwidth, 1.0, floor_gain)
+def one_antenna(boresight=0.0):
+    """An antenna at the origin, as a layout the kernel can read.
+
+    Its beamwidth and gains are the config's: by default a 120 degree beam
+    of unit gain and zero floor gain.
+    """
+    return Layout("used", np.zeros((1, 2)), np.array([boresight]))
 
 
 def kernel_gain(layout, point, **cfg):
@@ -44,9 +48,8 @@ class TestBuildLayout:
     def test_used_three_sectors(self):
         layout = build_layout(make_cfg(), "used")
         assert layout.architecture == "used"
-        assert layout.antenna_count == 3
+        assert len(layout.boresights) == len(layout.sites) == 3
         assert np.all(layout.sites == 0.0)
-        assert layout.beamwidth == pytest.approx(2.0 * math.pi / 3.0)
         boresights = sorted(np.degrees(layout.boresights) % 360.0)
         assert boresights == pytest.approx([90.0, 210.0, 330.0])
 
@@ -64,7 +67,7 @@ class TestBuildLayout:
 
     def test_sixty_degree_variant(self):
         layout = build_layout(make_cfg(beamwidth_deg=60.0), "microzone")
-        assert layout.antenna_count == 6
+        assert len(layout.boresights) == len(layout.sites) == 6
 
     def test_rejects_bad_radius_and_count(self):
         # build_layout only ever sees a valid config: the config rejects both.
@@ -200,7 +203,7 @@ class TestPatternGain:
 
     def test_back_lobe_hits_floor(self):
         assert kernel_gain(one_antenna(), (-0.5, 0.0)) == 0.0
-        assert kernel_gain(one_antenna(floor_gain=0.01), (-0.5, 0.0)) == 0.01
+        assert kernel_gain(one_antenna(), (-0.5, 0.0), floor_gain_db=-20.0) == 0.01
 
     def test_boundary_is_inclusive(self):
         p = (0.5 * math.cos(math.pi / 3.0), 0.5 * math.sin(math.pi / 3.0))
@@ -224,7 +227,8 @@ class TestPropagationDistance:
     # omnidirectional antenna (floor gain = max gain) and rho = 2.
     @staticmethod
     def distance(point, d_min=1.0):
-        return kernel_gain(one_antenna(floor_gain=1.0), point, rho=2.0, d_min=d_min) ** -0.5
+        gain = kernel_gain(one_antenna(), point, rho=2.0, d_min=d_min, floor_gain_db=0.0)
+        return gain ** -0.5
 
     def test_pythagorean(self):
         assert self.distance((3.0, 4.0)) == pytest.approx(5.0, rel=1e-14)
@@ -268,7 +272,7 @@ class TestServingAntenna:
         serving = kernel_serving(layout, xy[None])[0]
         assert serving.min() >= 0 and serving.max() < 3
         bearings = np.arctan2(xy[:, 1], xy[:, 0])
-        half = layout.beamwidth / 2.0
+        half = math.pi / 3.0
         for i, s in enumerate(serving):
             offset = abs(float(wrap_angle(bearings[i] - layout.boresights[s])))
             assert offset <= half + 1e-9
@@ -297,7 +301,7 @@ class TestServingFromBeamMask:
             _, inside = _path_gains(layout, xy, cfg)
             assert inside[:, :, :20].any(axis=1).all()
         # Points exactly on the sector edges lie in both beams.
-        edges = layout.boresights + layout.beamwidth / 2.0
+        edges = layout.boresights + math.pi / cfg.sector_count
         radii = np.geomspace(1e-3, 1000.0, 40)
         xy = np.stack([np.outer(radii, np.cos(edges)), np.outer(radii, np.sin(edges))], -1)
         _, inside = _path_gains(layout, xy.reshape(1, -1, 2), cfg)
@@ -316,7 +320,7 @@ class TestServingFromBeamMask:
         cfg = make_cfg(beamwidth_deg=beamwidth_deg)
         layout = build_layout(cfg, "used")
         rng = np.random.default_rng(22)
-        edges = layout.boresights + layout.beamwidth / 2.0
+        edges = layout.boresights + math.pi / cfg.sector_count
         points = list(sample_hexagon_xy(cfg.cell_radius, ORIGIN, 2000, rng))
         # And the hardest points kept: 2e-9 rad to either side of every edge.
         for edge in edges:
@@ -328,23 +332,23 @@ class TestServingFromBeamMask:
             if min(abs(math.remainder(math.atan2(y, x) - e, 2.0 * math.pi)) for e in edges) >= 1e-9
         ]
         assert len(kept) >= 2000
-        serving = kernel_serving(layout, [kept])[0]
-        assert serving.tolist() == [serving_antenna(layout, x, y) for x, y in kept]
+        serving = kernel_serving(layout, [kept], cfg)[0]
+        assert serving.tolist() == [serving_antenna(layout, cfg, x, y) for x, y in kept]
 
     def test_user_at_the_site_is_served_by_antenna_0(self, beamwidth_deg):
         cfg = make_cfg(beamwidth_deg=beamwidth_deg)
         layout = build_layout(cfg, "used")
-        _, inside = _path_gains(layout, np.zeros((1, 1, 2)), make_cfg())
+        _, inside = _path_gains(layout, np.zeros((1, 1, 2)), cfg)
         assert inside.all()
         assert serving_sector_indices(inside).tolist() == [[0]]
-        assert serving_antenna(layout, 0.0, 0.0) == 0
+        assert serving_antenna(layout, cfg, 0.0, 0.0) == 0
         # A user at an antenna's site lies in that antenna's beam, in the
         # kernel (0 >= 0) and the oracle alike: the used center, and every
         # microzone edge-antenna site.
         for lay in (layout, build_layout(cfg, "microzone")):
             for x, y in lay.sites:
                 gains, _ = _path_gains(lay, np.array([[[x, y]]]), cfg)
-                oracle = [_path_gain(lay, k, x, y, cfg) for k in range(lay.antenna_count)]
+                oracle = [_path_gain(lay, k, x, y, cfg) for k in range(cfg.sector_count)]
                 np.testing.assert_allclose(gains[0, :, 0], oracle, rtol=1e-12)
 
 

@@ -162,31 +162,31 @@ class TestMcOutage:
     def test_interference_free_limit(self):
         cfg = self.small_cfg(n_users=1, noise_power=0.0, n_drops=1, master_seed=0)
         for arch in ("used", "microzone"):
-            (curve,) = mc_outage([build_layout(cfg, arch)], cfg)
+            curve = mc_outage(replace(cfg, architecture=arch))[arch]
             assert np.all(curve.estimates == 0.0)
 
     def test_monotone_estimates(self):
-        cfg = self.small_cfg(n_drops=50, master_seed=1)
-        (curve,) = mc_outage([build_layout(cfg, "used")], cfg)
-        assert np.all(np.diff(curve.estimates) >= 0.0)
+        cfg = self.small_cfg(n_drops=50, master_seed=1, architecture="used")
+        assert np.all(np.diff(mc_outage(cfg)["used"].estimates) >= 0.0)
 
     def test_deterministic_and_worker_invariant(self):
-        cfg = self.small_cfg(n_drops=40, master_seed=5)
-        layouts = [build_layout(cfg, "microzone")]
-        (a,) = mc_outage(layouts, cfg, workers=1)
-        (b,) = mc_outage(layouts, cfg, workers=2)
-        (c,) = mc_outage(layouts, cfg, workers=1)
+        cfg = self.small_cfg(n_drops=40, master_seed=5, architecture="microzone")
+        a = mc_outage(cfg, workers=1)["microzone"]
+        b = mc_outage(cfg, workers=2)["microzone"]
+        c = mc_outage(cfg, workers=1)["microzone"]
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.estimates, c.estimates)
         assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
     def test_rejects_bad_arguments(self):
-        cfg = self.small_cfg()
-        layouts = [build_layout(cfg, "used")]
         with pytest.raises(ValueError, match="workers"):
-            mc_outage(layouts, cfg, workers=0)
-        with pytest.raises(ValueError, match="antenna count"):
-            mc_outage([], cfg)
+            mc_outage(self.small_cfg(), workers=0)
+
+    @pytest.mark.parametrize("architecture", ["used", "microzone", "both"])
+    def test_curves_are_keyed_in_stream_order(self, architecture):
+        cfg = self.small_cfg(architecture=architecture, n_drops=3, master_seed=6)
+        assert list(mc_outage(cfg)) == list(cfg.architectures)
+        assert ScenarioConfig(architecture="both").architectures == ("used", "microzone")
 
     def test_ci_shrinks_like_root_n(self):
         # The matched-means sampler criterion 2 takes its intervals from.
@@ -197,11 +197,10 @@ class TestMcOutage:
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
     def test_geometric_ci_shrinks_like_root_n(self):
-        cfg = self.small_cfg()
-        layouts = [build_layout(cfg, "used")]
+        cfg = self.small_cfg(architecture="used")
         sweep = dict(thresholds=(0.0, 0.0, 1.0), master_seed=2)
-        (small,) = mc_outage(layouts, replace(cfg, n_drops=400, **sweep))
-        (large,) = mc_outage(layouts, replace(cfg, n_drops=1600, **sweep))
+        small = mc_outage(replace(cfg, n_drops=400, **sweep))["used"]
+        large = mc_outage(replace(cfg, n_drops=1600, **sweep))["used"]
         ratio = small.ci_half_widths[0] / large.ci_half_widths[0]
         assert 0.8 * 2.0 <= ratio <= 1.2 * 2.0
 
@@ -213,29 +212,19 @@ class TestMcOutage:
             interferer_tiers=1, thresholds=(-5.0, 5.0, 5.0), n_drops=45, master_seed=31
         )
         layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
-        curves = mc_outage(layouts, cfg)
+        curves = mc_outage(cfg)
         counts = oracle_counts(layouts, cfg, 45, seed=31, stream_tag=0)
-        for curve, expected in zip(curves, counts):
+        for curve, expected in zip(curves.values(), counts, strict=True):
             np.testing.assert_array_equal(curve.estimates, expected / (45 * cfg.n_users))
 
     def test_paired_run_shares_one_draw(self):
-        # A layout evaluated alongside another sees exactly the drops it
-        # sees alone on the same seed and tag.
+        # An architecture evaluated alongside another sees exactly the drops
+        # it sees alone on the same seed and tag.
         cfg = self.small_cfg(interferer_tiers=1, n_drops=30, master_seed=4)
-        used, micro = (build_layout(cfg, arch) for arch in ("used", "microzone"))
-        paired = mc_outage([used, micro], cfg)
-        alone = [mc_outage([lay], cfg)[0] for lay in (used, micro)]
-        for a, b in zip(paired, alone):
-            assert np.array_equal(a.estimates, b.estimates)
-
-    def test_rejects_mixed_antenna_counts(self):
-        used = build_layout(self.small_cfg(), "used")
-        wide = build_layout(self.small_cfg(beamwidth_deg=60.0), "microzone")
-        cfg = self.small_cfg(thresholds=(0.0, 0.0, 1.0), n_drops=5, master_seed=1)
-        with pytest.raises(ValueError, match="antenna count"):
-            mc_outage([used, wide], cfg)
-        with pytest.raises(ValueError, match="antenna count"):
-            mc_outage([wide], cfg)
+        paired = mc_outage(cfg)
+        for arch in ("used", "microzone"):
+            alone = mc_outage(replace(cfg, architecture=arch))[arch]
+            assert np.array_equal(paired[arch].estimates, alone.estimates)
 
 
 class TestKernelAgainstScalarOracle:
@@ -273,7 +262,9 @@ class TestKernelAgainstScalarOracle:
         groups = [(layouts, 0)] if paired else [([lay], 1 + k) for k, lay in enumerate(layouts)]
         # A small link budget gives many blocks, most of them partial tails.
         with mock.patch.object(outage, "LINK_BUDGET", link_budget):
-            single = mc_outage(layouts, cfg)
+            curves = mc_outage(cfg)
+            assert list(curves) == archs
+            single = list(curves.values())
             expected = [
                 counts
                 for group, tag in groups
@@ -282,8 +273,8 @@ class TestKernelAgainstScalarOracle:
             assert len(single) == len(expected) == len(layouts)
             for curve, counts in zip(single, expected):
                 np.testing.assert_array_equal(curve.estimates, counts / (n_drops * n_users))
-            dual = mc_outage(layouts, cfg, workers=2)
-            for a, b in zip(single, dual):
+            dual = mc_outage(cfg, workers=2).values()
+            for a, b in zip(single, dual, strict=True):
                 assert np.array_equal(a.estimates, b.estimates)
                 assert np.array_equal(a.ci_half_widths, b.ci_half_widths)
 
@@ -426,18 +417,16 @@ class TestPinnedCounts:
         # one call and one call each must give the same counts: nothing a
         # block leaves behind changes the next.
         cfg = ScenarioConfig(n_drops=100, master_seed=9, **overrides)
-        layouts = [build_layout(cfg, arch) for arch in ("used", "microzone")]
         centers = np.vstack(
             [np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)]
         )
-        per_block = outage.LINK_BUDGET // (layouts[0].antenna_count * len(centers) * cfg.n_users)
+        per_block = outage.LINK_BUDGET // (cfg.sector_count * len(centers) * cfg.n_users)
         n_blocks = -(-cfg.n_drops // per_block)
         assert n_blocks >= 3 and cfg.n_drops % per_block
-        thr_linear = 10.0 ** (cfg.thresholds_db / 10.0)
-        job = (layouts, cfg, centers, per_block, thr_linear, 0)
+        job = (cfg, ("used", "microzone"), 0)
         whole = outage._count_blocks(job + (0, n_blocks))
         parts = sum(outage._count_blocks(job + (b, b + 1)) for b in range(n_blocks))
         np.testing.assert_array_equal(whole, parts)
-        curves = mc_outage(layouts, cfg)
+        curves = mc_outage(cfg).values()
         n_samples = cfg.n_drops * cfg.n_users
         np.testing.assert_array_equal(whole, np.rint([c.estimates * n_samples for c in curves]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +46,9 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match=r"line 2.*unknown key.*'rh0'"):
             parse_config("rho = 4\nrh0 = 4")
+        # Universal frequency reuse is the only reuse modeled, and no key names it.
+        with pytest.raises(ConfigError, match=r"line 1.*unknown key.*'cluster_size'"):
+            parse_config("cluster_size = 1")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -82,8 +86,6 @@ class TestParseConfig:
             parse_config("rho = 9")
         with pytest.raises(ConfigError):
             parse_config("beamwidth = 90")
-        with pytest.raises(ConfigError):
-            parse_config("cluster_size = 3")
         with pytest.raises(ConfigError):
             parse_config("combiner_mode = selection")
         # The drop count and sweep a Monte Carlo run reads: at least one drop,
@@ -169,6 +171,16 @@ class TestParseConfig:
             return
         assert np.all(np.diff(cfg.thresholds_db) > 0.0)
 
+    def test_overflowing_power_at_d_min_rejected(self):
+        # The full-gain power at d_min, A_p * max_gain * d_min**-rho * tx_power,
+        # must be finite: at rho = 4, 1e-80 m overflows and 1e-77 m does not.
+        with pytest.raises(ConfigError, match="d_min"):
+            parse_config("d_min = 1e-80 m")
+        # 1e-61**-5 is finite, but not its product with an 80 dB gain.
+        with pytest.raises(ConfigError, match="d_min"):
+            parse_config("d_min = 1e-61 m\nrho = 5\nmax_gain_db = 80 dB")
+        assert parse_config("d_min = 1e-77 m").d_min == 1e-77
+
     def test_non_finite_values_rejected(self):
         for text in (
             "cell_radius = nan",
@@ -185,7 +197,7 @@ class TestParseConfig:
 # Every config key, once; two of them are not their field's name.
 GRAMMAR_KEYS = (
     "architecture", "n_users", "bit_rate", "chip_rate", "thresholds", "rho", "shadowing_sigma",
-    "noise_power", "cell_radius", "cluster_size", "beamwidth", "tx_power", "d_min", "n_drops",
+    "noise_power", "cell_radius", "beamwidth", "tx_power", "d_min", "n_drops",
     "master_seed", "combiner_mode", "interferer_tiers", "paired", "wavelength", "max_gain_db",
     "floor_gain_db",
 )
@@ -197,7 +209,10 @@ def config_keys(text: str) -> list:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that set all 21 fields; the ranges keep the cell-edge power normal."""
+    """Configs that set all 20 fields.
+
+    The ranges keep the cell-edge power normal and the power at d_min finite.
+    """
     bit_rate = draw(st.floats(1e-3, 1e12))
     start = draw(st.floats(-100.0, 100.0))
     max_gain_db = draw(st.floats(-30.0, 30.0))
@@ -211,10 +226,9 @@ def valid_configs(draw):
         shadowing_sigma_db=draw(st.floats(0.0, 12.0)),
         noise_power=draw(st.none() | st.floats(0.0, 1e300)),
         cell_radius=draw(st.floats(1.0, 1e4)),
-        cluster_size=1,
         beamwidth_deg=draw(st.sampled_from((60.0, 120.0))),
         tx_power=draw(st.floats(1e-3, 1e3)),
-        d_min=draw(st.floats(1e-300, 1e300)),
+        d_min=draw(st.floats(1e-60, 1e300)),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),
@@ -271,7 +285,6 @@ class TestScenarioDefaults:
         assert cfg.rho == 4.0
         assert cfg.shadowing_sigma_db == 5.0
         assert cfg.beamwidth_deg == 120.0
-        assert cfg.cluster_size == 1
         assert cfg.cell_radius == 1000.0
         assert cfg.tx_power == 1.0
 
@@ -399,6 +412,36 @@ class TestAnalyticWorkCounts:
         assert len(calls) == grids
 
 
+def pin_cpu_count(monkeypatch, count):
+    """Make ``mc_outage`` see ``count`` CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The sizes of the process pools ``mc_outage`` asks for.
+
+    The recording executor runs the jobs in this process and starts none.
+    """
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 class TestRunExperiment:
     def small_cfg(self, **kw):
         defaults = dict(n_users=6, n_drops=40, interferer_tiers=0, thresholds=(-10.0, 10.0, 5.0))
@@ -442,39 +485,40 @@ class TestRunExperiment:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(outage, "ProcessPoolExecutor", CountingPool)
+        pin_cpu_count(monkeypatch, 2)
         cfg = ScenarioConfig(n_drops=100, paired=False, thresholds=(-10.0, 10.0, 5.0))
         parallel = render_csv(run_experiment(cfg, workers=2))
         assert pools == [2]
         assert parallel == render_csv(run_experiment(cfg, workers=1))
         assert pools == [2]
 
-    def test_pool_is_no_larger_than_the_job_count(self, monkeypatch):
+    def test_pool_is_no_larger_than_the_job_count(self, monkeypatch, recorded_pools):
         # A pool forks all of its processes at its first job, so it must not
-        # outnumber the jobs.  The recording executor runs the jobs in this
-        # process and starts none.
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
+        # outnumber the jobs.
+        pin_cpu_count(monkeypatch, 8)
         cfg = ScenarioConfig(n_drops=200)
         jobs = outage._blocks(cfg)[2]
         assert jobs == 6
         wide = render_csv(run_experiment(cfg, workers=64))
-        assert pools == [6]
+        assert recorded_pools == [6]
         assert wide == render_csv(run_experiment(cfg, workers=1))
-        assert pools == [6]
+        assert recorded_pools == [6]
+
+    def test_pool_is_no_larger_than_the_cpu_count(self, monkeypatch, recorded_pools):
+        # More workers than CPUs only add processes that wait for a CPU.
+        cfg = ScenarioConfig(n_drops=200)
+        single = render_csv(run_experiment(cfg, workers=1))
+        pin_cpu_count(monkeypatch, 3)
+        assert render_csv(run_experiment(cfg, workers=5000)) == single
+        assert recorded_pools == [3]
+        # Without sched_getaffinity the count is os.cpu_count(), and 1 when
+        # that is unknown: the jobs then run in this process.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert render_csv(run_experiment(cfg, workers=5000)) == single
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert render_csv(run_experiment(cfg, workers=5000)) == single
+        assert recorded_pools == [3, 4]
 
     def test_analytic_curve_matches_direct_evaluation(self):
         cfg = self.small_cfg()
