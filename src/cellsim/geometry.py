@@ -11,6 +11,10 @@ sit exactly on alternating vertices.  Two arrangements are modeled:
 
 Antenna patterns are ideal flat-tops: ``max_gain`` inside the beamwidth,
 ``floor_gain`` outside, boundary inclusive.
+
+Sampled user positions have the usual ``(..., 2)`` shape, but they are a
+view over two contiguous planes, all x coordinates then all y, because the
+kernel reads each coordinate of every point at once.
 """
 
 from __future__ import annotations
@@ -95,29 +99,34 @@ def sample_hexagon_xy(
     per point are fixed.  ``centers`` is one (x, y) center or an (m, 2)
     array of them; every cell gets ``n`` points.  The result has shape
     ``batch + (m * n, 2)``, points grouped by cell in ``centers`` order.
-    Draw order: all rhombus picks, then all uniform pairs.  With a
-    ``workspace.buffer`` dict as ``work`` the uniforms and the result live in
-    its arrays, and the result is overwritten by the next call.
+    Draw order: all rhombus picks, then all uniform pairs.  The result is a
+    view over two contiguous planes, all x coordinates then all y, so
+    ``xy[..., 0]`` and ``xy[..., 1]`` each read contiguous memory.  With a
+    ``workspace.buffer`` dict as ``work`` the uniforms and the planes live
+    in its arrays, and the result is overwritten by the next call.
     """
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
-    shape = tuple(batch) + (centers.shape[0], n, 2)
-    rhombus = rng.integers(0, 3, size=shape[:-1])
-    uv = rng.random(out=buffer(work, "uv", shape))
+    shape = tuple(batch) + (centers.shape[0], n)
+    rhombus = rng.integers(0, 3, size=shape)
+    uv = rng.random(out=buffer(work, "uv", shape + (2,)))
     # Rhombus k is spanned by the vertices V_2k and V_2k+2 (V_j at 30 + 60j
     # degrees); the spans are 120 degrees apart, so the three rhombi have
-    # equal area and tile the hexagon exactly.
+    # equal area and tile the hexagon exactly.  Rows are the x and y
+    # coordinates of the three spans.
     angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
-    edge_a = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    edge_b = np.roll(edge_a, -1, axis=0)
-    # u * a + v * b + center, in that order.  Every pick is 0, 1 or 2, so
-    # mode="clip" changes nothing but skips the copy that "raise" makes.
-    xy = np.take(edge_a, rhombus, axis=0, out=buffer(work, "xy", shape), mode="clip")
-    xy *= uv[..., :1]
-    xy_b = np.take(edge_b, rhombus, axis=0, out=buffer(work, "xy_b", shape), mode="clip")
-    xy_b *= uv[..., 1:]
-    xy += xy_b
-    xy += centers[:, None, :]
-    return xy.reshape(tuple(batch) + (-1, 2))
+    edge_a = radius * np.array([np.cos(angles), np.sin(angles)])
+    edge_b = np.roll(edge_a, -1, axis=1)
+    # u * a + v * b + center, in that order, one coordinate plane at a time.
+    # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
+    # copy that "raise" makes.
+    planes = buffer(work, "xy", (2,) + shape)
+    term = buffer(work, "xy_b", shape)
+    for plane, a, b, center in zip(planes, edge_a, edge_b, centers.T):
+        np.take(a, rhombus, out=plane, mode="clip")
+        plane *= uv[..., 0]
+        plane += np.multiply(np.take(b, rhombus, out=term, mode="clip"), uv[..., 1], out=term)
+        plane += center[:, None]
+    return np.moveaxis(planes.reshape((2,) + tuple(batch) + (-1,)), 0, -1)
 
 
 def serving_sector_indices(inside: np.ndarray) -> np.ndarray:

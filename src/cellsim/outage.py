@@ -13,7 +13,10 @@ stream tag, block index) alone; the block size depends only on the scenario.
 Results are therefore independent of evaluation order and worker count.  The
 stream tag is the run's stream layout: a paired run evaluates every
 architecture on tag 0, and an unpaired run evaluates the k-th of the config's
-``architectures`` alone on tag 1 + k.
+``architectures`` alone on tag 1 + k.  A run that needs more than one
+process runs its jobs on a process pool, and only that run imports
+``concurrent.futures``' pool and ``multiprocessing``; a one-worker run loads
+neither.
 
 The kernel allocates no array per block.  Each job (one worker's range of
 blocks) keeps one workspace (``workspace.buffer``) of arrays sized to one
@@ -27,8 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -250,8 +251,14 @@ def mc_outage(scenario: "ScenarioConfig", workers: int = 1) -> dict[str, OutageC
         for group, tag in groups
     ]
     processes = min(workers, len(jobs))
-    with ProcessPoolExecutor(processes) if processes > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_count_blocks, jobs))
+    if processes > 1:
+        # Imported here, so that a one-worker run never loads the pool and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(processes) as pool:
+            results = list(pool.map(_count_blocks, jobs))
+    else:
+        results = list(map(_count_blocks, jobs))
     # Job j belongs to group j % len(groups); the groups hold the architectures in order.
     counts = np.concatenate([sum(results[g::len(groups)]) for g in range(len(groups))])
     estimates = counts / (scenario.n_drops * scenario.n_users)

@@ -30,6 +30,20 @@ ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 # 0:1e7:1e-6 fails when the config is built rather than as an array of 10**13
 # points.  Far above any plotted curve.
 MAX_THRESHOLDS = 10**6
+# Largest d_min whose square is a finite float; the kernel squares it.
+MAX_D_MIN = math.sqrt(sys.float_info.max)
+
+
+def _received_power(gain: float, distance: float, rho: float, tx_power: float) -> float:
+    """Fading-averaged power ``gain * distance**-rho * tx_power`` of one user; inf on overflow.
+
+    ``gain`` is the path constant times the antenna gain.
+    """
+    try:
+        loss = distance ** (-rho)
+    except OverflowError:
+        return math.inf
+    return gain * loss * tx_power
 
 
 class ConfigError(ValueError):
@@ -79,29 +93,40 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        # Numbers must be finite, but floor_gain_db may be -inf and noise_power None.
-        for name in (*_UNITS, "thresholds"):
-            value = getattr(self, name)
-            if value is None or (name == "floor_gain_db" and value == -math.inf):
-                continue
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
-                raise ConfigError(f"{name} must be {allowed}, got {value}")
+        # Every construction runs this, dataclasses.replace included, so each
+        # field is read once.  Numbers must be finite, but noise_power may be
+        # None and floor_gain_db -inf.
+        bit_rate, chip_rate, rho, sigma = self.bit_rate, self.chip_rate, self.rho, self.shadowing_sigma_db
+        noise, radius, beamwidth, tx_power = self.noise_power, self.cell_radius, self.beamwidth_deg, self.tx_power
+        d_min, wavelength, max_db, floor_db = self.d_min, self.wavelength, self.max_gain_db, self.floor_gain_db
+        thresholds = self.thresholds
+        numbers = (
+            bit_rate, chip_rate, rho, sigma, 0.0 if noise is None else noise, radius, beamwidth,
+            tx_power, d_min, wavelength, max_db, 0.0 if floor_db == -math.inf else floor_db, *thresholds,
+        )
+        if not all(map(math.isfinite, numbers)):
+            for name in (*_UNITS, "thresholds"):
+                value = getattr(self, name)
+                if value is None or (name == "floor_gain_db" and value == -math.inf):
+                    continue
+                if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                    allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
+                    raise ConfigError(f"{name} must be {allowed}, got {value}")
         if self.architecture not in ARCHITECTURE_CHOICES:
             raise ConfigError(
                 f"architecture must be one of {ARCHITECTURE_CHOICES}, got {self.architecture!r}"
             )
         if self.n_users < 1:
             raise ConfigError(f"n_users must be >= 1, got {self.n_users}")
-        if self.bit_rate <= 0.0 or self.chip_rate < self.bit_rate:
+        if bit_rate <= 0.0 or chip_rate < bit_rate:
             raise ConfigError("need chip_rate >= bit_rate > 0")
-        start, stop, step = self.thresholds
+        start, stop, step = thresholds
         if step <= 0.0 or stop < start:
-            raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {self.thresholds}")
+            raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {thresholds}")
         count = self._threshold_count()
         if count > MAX_THRESHOLDS:
             raise ConfigError(
-                f"thresholds sweep {self.thresholds} has {count} points, "
+                f"thresholds sweep {thresholds} has {count} points, "
                 f"more than the {MAX_THRESHOLDS} allowed"
             )
         # Points a few float spacings of the sweep's magnitude apart round onto
@@ -109,20 +134,23 @@ class ScenarioConfig:
         magnitude = max(abs(start), abs(stop))
         if count > 1 and step < 4.0 * math.ulp(2.0 * magnitude):
             raise ConfigError(f"thresholds step {step} is too fine for distinct points near {magnitude}")
-        if not 2.0 <= self.rho <= 5.0:
-            raise ConfigError(f"rho must be in [2, 5], got {self.rho}")
-        if not 0.0 <= self.shadowing_sigma_db <= 12.0:
-            raise ConfigError(f"shadowing_sigma must be in [0, 12] dB, got {self.shadowing_sigma_db}")
-        if self.noise_power is not None and self.noise_power < 0.0:
-            raise ConfigError(f"noise_power must be >= 0 or auto, got {self.noise_power}")
-        if self.cell_radius <= 0.0:
-            raise ConfigError(f"cell_radius must be positive, got {self.cell_radius}")
-        if self.beamwidth_deg not in (60.0, 120.0):
-            raise ConfigError(f"beamwidth must be 60 or 120 degrees, got {self.beamwidth_deg}")
-        if self.tx_power < 0.0:
-            raise ConfigError(f"tx_power must be >= 0, got {self.tx_power}")
-        if self.d_min <= 0.0:
-            raise ConfigError(f"d_min must be positive, got {self.d_min}")
+        if not 2.0 <= rho <= 5.0:
+            raise ConfigError(f"rho must be in [2, 5], got {rho}")
+        if not 0.0 <= sigma <= 12.0:
+            raise ConfigError(f"shadowing_sigma must be in [0, 12] dB, got {sigma}")
+        if noise is not None and noise < 0.0:
+            raise ConfigError(f"noise_power must be >= 0 or auto, got {noise}")
+        if radius <= 0.0:
+            raise ConfigError(f"cell_radius must be positive, got {radius}")
+        if beamwidth not in (60.0, 120.0):
+            raise ConfigError(f"beamwidth must be 60 or 120 degrees, got {beamwidth}")
+        if tx_power < 0.0:
+            raise ConfigError(f"tx_power must be >= 0, got {tx_power}")
+        if d_min <= 0.0:
+            raise ConfigError(f"d_min must be positive, got {d_min}")
+        # The kernel clamps squared distances at d_min**2.
+        if d_min > MAX_D_MIN:
+            raise ConfigError(f"d_min = {d_min} m overflows when squared; it must be at most {MAX_D_MIN} m")
         if self.n_drops < 1:
             raise ConfigError(f"n_drops must be >= 1, got {self.n_drops}")
         if self.master_seed < 0:
@@ -131,28 +159,28 @@ class ScenarioConfig:
             raise ConfigError(f"combiner_mode must be one of {COMBINER_MODES}, got {self.combiner_mode!r}")
         if self.interferer_tiers not in (0, 1, 2):
             raise ConfigError(f"interferer_tiers must be 0, 1 or 2, got {self.interferer_tiers}")
-        if self.wavelength <= 0.0:
-            raise ConfigError(f"wavelength must be positive, got {self.wavelength}")
-        if self.floor_gain_db > self.max_gain_db:
+        if wavelength <= 0.0:
+            raise ConfigError(f"wavelength must be positive, got {wavelength}")
+        if floor_db > max_db:
             raise ConfigError("floor_gain_db must not exceed max_gain_db")
-        for name in ("max_gain", "floor_gain"):
-            try:
-                linear = getattr(self, name)
-            except OverflowError:
-                linear = math.inf
-            if not math.isfinite(linear):
-                raise ConfigError(
-                    f"{name}_db = {getattr(self, name + '_db')} dB overflows as a linear gain"
-                )
+        # The floor gain is at most the max gain, so only the max gain can overflow.
+        try:
+            max_gain = self.max_gain
+        except OverflowError:
+            max_gain = math.inf
+        if max_gain == math.inf:
+            raise ConfigError(f"max_gain_db = {max_db} dB overflows as a linear gain")
         # Below the smallest normal float, every drop's gains underflow.
-        if not sys.float_info.min <= self.edge_power < math.inf:
+        gain = path_gain_constant(wavelength) * max_gain
+        edge_power = _received_power(gain, radius, rho, tx_power)
+        if not sys.float_info.min <= edge_power < math.inf:
             raise ConfigError(
-                f"cell-edge received power is {self.edge_power!r}, not a positive normal number: "
+                f"cell-edge received power is {edge_power!r}, not a positive normal number: "
                 "check tx_power, cell_radius, rho, max_gain_db and wavelength"
             )
-        if self.full_gain_power(self.d_min) == math.inf:
+        if _received_power(gain, d_min, rho, tx_power) == math.inf:
             raise ConfigError(
-                f"received power at d_min = {self.d_min} m overflows: "
+                f"received power at d_min = {d_min} m overflows: "
                 "check d_min, rho, tx_power, max_gain_db and wavelength"
             )
 
@@ -197,18 +225,11 @@ class ScenarioConfig:
     def floor_gain(self) -> float:
         return 0.0 if math.isinf(self.floor_gain_db) else 10.0 ** (self.floor_gain_db / 10.0)
 
-    def full_gain_power(self, distance: float) -> float:
-        """Fading-averaged power of one user ``distance`` from a full-gain antenna; inf on overflow."""
-        try:
-            loss = distance ** (-self.rho)
-        except OverflowError:
-            return math.inf
-        return path_gain_constant(self.wavelength) * self.max_gain * loss * self.tx_power
-
     @property
     def edge_power(self) -> float:
         """Fading-averaged power of one cell-edge user at a full-gain antenna."""
-        return self.full_gain_power(self.cell_radius)
+        gain = path_gain_constant(self.wavelength) * self.max_gain
+        return _received_power(gain, self.cell_radius, self.rho, self.tx_power)
 
     def resolved_noise_power(self) -> float:
         return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
@@ -361,8 +382,21 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 # Analytic reference curve -------------------------------------------------
 
-# Gauss-Legendre nodes and weights on [-1, 1] for the in-cell slice integral.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre nodes and weights on [-1, 1] for the in-cell slice
+# integral: the exact floats of numpy.polynomial.legendre.leggauss(16), spelled
+# out so that the runtime never imports numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 
 
 def _slice_gain_integral(cfg: ScenarioConfig) -> float:

@@ -123,12 +123,13 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "thresholds = 0:1e308:1e-300\n",
         "thresholds = -1e308:1e308:1e308\n",
         "d_min = 1e-80 m\n",
+        "d_min = 1e300 m\n",
     ],
     ids=[
         "max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius",
         "max_gain_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
         "microzone_max_gain_underflow", "sweep_step_count_overflow", "sweep_span_overflow",
-        "d_min_power_overflow",
+        "d_min_power_overflow", "d_min_square_overflow",
     ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):
@@ -247,11 +248,21 @@ def test_closed_stdout_exits_1_silently_after_writing_the_csv(tmp_path):
     assert out.read_text() == render_csv(run_experiment(replace(ScenarioConfig(), n_drops=5)))
 
 
-def test_runtime_does_not_import_scipy():
-    code = "import sys, cellsim, cellsim.cli; print('scipy' in sys.modules)"
+def test_runtime_does_not_import_scipy(tmp_path):
+    # Nor, in a one-worker run, the process pool or numpy.polynomial.
+    out = tmp_path / "c.csv"
+    code = (
+        "import sys, cellsim, cellsim.cli; "
+        "unused = ('scipy', 'concurrent.futures.process', 'multiprocessing', 'numpy.polynomial'); "
+        "print([m for m in unused if m in sys.modules]); "
+        f"cellsim.cli.main(['run', '--drops', '50', '--workers', '1', '--out', {str(out)!r}]); "
+        "print([m for m in unused if m in sys.modules])"
+    )
     proc = run_python(["-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]", proc.stdout
+    assert out.exists()
 
 
 def test_run_needs_no_scipy(tmp_path):

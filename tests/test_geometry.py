@@ -185,6 +185,14 @@ class TestRhombusSampler:
                 xy = sample_hexagon_xy(1000.0, centers, 4, rng, batch=(drops,), work=scratch)
                 assert np.array_equal(xy, expected)
 
+    def test_x_and_y_are_contiguous_planes(self):
+        # The kernel reads all x, then all y, of a block's points.
+        centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 1)])
+        for work in ({}, None):
+            xy = sample_hexagon_xy(1000.0, centers, 4, np.random.default_rng(3), batch=(5,), work=work)
+            assert xy.shape == (5, 28, 2)
+            assert xy[..., 0].flags.c_contiguous and xy[..., 1].flags.c_contiguous
+
     def test_serving_indices_keep_the_batch_axis(self):
         layout = build_layout(make_cfg(), "used")
         xy = sample_hexagon_xy(1000.0, ORIGIN, 30, np.random.default_rng(10), batch=(3,))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -181,6 +182,18 @@ class TestParseConfig:
             parse_config("d_min = 1e-61 m\nrho = 5\nmax_gain_db = 80 dB")
         assert parse_config("d_min = 1e-77 m").d_min == 1e-77
 
+    def test_d_min_whose_square_overflows_rejected(self):
+        # The kernel clamps squared distances at d_min**2, which overflows
+        # above about 1.34e154 m; the power at such a d_min underflows to 0.
+        with pytest.raises(ConfigError, match="d_min"):
+            parse_config("d_min = 1e300 m")
+        above = math.nextafter(scenario.MAX_D_MIN, math.inf)
+        with pytest.raises(ConfigError, match="d_min"):
+            parse_config(f"d_min = {above!r} m")
+        cfg = parse_config(f"d_min = {scenario.MAX_D_MIN!r} m\nn_drops = 2\nn_users = 3")
+        for curve in outage.mc_outage(cfg).values():
+            assert np.all(curve.estimates == 1.0)  # every gain underflows to 0
+
     def test_non_finite_values_rejected(self):
         for text in (
             "cell_radius = nan",
@@ -192,6 +205,12 @@ class TestParseConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+    @pytest.mark.parametrize("name", [*scenario._UNITS, "thresholds"])
+    def test_every_numeric_field_must_be_finite(self, name):
+        value = (math.nan,) * 3 if name == "thresholds" else math.nan
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: value})
 
 
 # Every config key, once; two of them are not their field's name.
@@ -228,7 +247,7 @@ def valid_configs(draw):
         cell_radius=draw(st.floats(1.0, 1e4)),
         beamwidth_deg=draw(st.sampled_from((60.0, 120.0))),
         tx_power=draw(st.floats(1e-3, 1e3)),
-        d_min=draw(st.floats(1e-60, 1e300)),
+        d_min=draw(st.floats(1e-60, scenario.MAX_D_MIN)),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),
@@ -325,6 +344,12 @@ class TestMeanReceivedPowers:
         est = base * np.mean(d**-4.0)
         se = base * np.std(d**-4.0) / math.sqrt(wedge.shape[0])
         assert abs(mean_desired - est) < 4.0 * se
+
+    def test_quadrature_table_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for table, expected in ((scenario._GL_NODES, nodes), (scenario._GL_WEIGHTS, weights)):
+            assert table.dtype == expected.dtype and table.shape == expected.shape
+            assert table.tobytes() == expected.tobytes()
 
     def test_neighbor_means_much_weaker(self):
         cfg = ScenarioConfig()
@@ -438,7 +463,7 @@ def recorded_pools(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 
@@ -479,12 +504,12 @@ class TestRunExperiment:
         # the CSV bytes do not depend on it.
         pools = []
 
-        class CountingPool(outage.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 pools.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(outage, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         pin_cpu_count(monkeypatch, 2)
         cfg = ScenarioConfig(n_drops=100, paired=False, thresholds=(-10.0, 10.0, 5.0))
         parallel = render_csv(run_experiment(cfg, workers=2))
