@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +34,14 @@ if TYPE_CHECKING:
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
 
+# The spans of the three rhombi that tile a hexagon of unit circumradius,
+# (a or b, x or y, rhombus): rhombus k is spanned by the vertices V_2k and
+# V_2k+2 (V_j at 30 + 60j degrees).  The spans are 120 degrees apart, so the
+# three rhombi have equal area and tile the hexagon exactly.
+_SPAN_ANGLES = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
+_SPAN_A = np.array([np.cos(_SPAN_ANGLES), np.sin(_SPAN_ANGLES)])
+_UNIT_SPANS = np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
+
 
 @dataclass(frozen=True)
 class Layout:
@@ -40,12 +49,28 @@ class Layout:
 
     ``sites`` is (antennas, 2) in meters and ``boresights`` (antennas,) in
     radians.  The beamwidth and the gains every antenna shares are the
-    config's.
+    config's.  The two column pairs the kernel reads every block are derived
+    from these on first use and kept.
     """
 
     architecture: str  # "used" or "microzone"
     sites: np.ndarray
     boresights: np.ndarray
+
+    @cached_property
+    def site_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y columns, (sites, 1), of the distinct sites.
+
+        One row when every antenna shares a site, as the used layout's do.
+        """
+        sites = self.sites[:1] if (self.sites == self.sites[0]).all() else self.sites
+        return sites[:, 0, None], sites[:, 1, None]
+
+    @cached_property
+    def boresight_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine columns, (antennas, 1), of the boresights."""
+        column = self.boresights[:, None]
+        return np.cos(column), np.sin(column)
 
 
 def wrap_angle(angle):
@@ -109,24 +134,21 @@ def sample_hexagon_xy(
     shape = tuple(batch) + (centers.shape[0], n)
     rhombus = rng.integers(0, 3, size=shape)
     uv = rng.random(out=buffer(work, "uv", shape + (2,)))
-    # Rhombus k is spanned by the vertices V_2k and V_2k+2 (V_j at 30 + 60j
-    # degrees); the spans are 120 degrees apart, so the three rhombi have
-    # equal area and tile the hexagon exactly.  Rows are the x and y
-    # coordinates of the three spans.
-    angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
-    edge_a = radius * np.array([np.cos(angles), np.sin(angles)])
-    edge_b = np.roll(edge_a, -1, axis=1)
+    # Rows are the x and y coordinates of the three spans a and b.
+    edge_a, edge_b = radius * _UNIT_SPANS
     # u * a + v * b + center, in that order, one coordinate plane at a time.
     # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
     # copy that "raise" makes.
     planes = buffer(work, "xy", (2,) + shape)
     term = buffer(work, "xy_b", shape)
     for plane, a, b, center in zip(planes, edge_a, edge_b, centers.T):
-        np.take(a, rhombus, out=plane, mode="clip")
+        a.take(rhombus, out=plane, mode="clip")
         plane *= uv[..., 0]
-        plane += np.multiply(np.take(b, rhombus, out=term, mode="clip"), uv[..., 1], out=term)
+        plane += np.multiply(b.take(rhombus, out=term, mode="clip"), uv[..., 1], out=term)
         plane += center[:, None]
-    return np.moveaxis(planes.reshape((2,) + tuple(batch) + (-1,)), 0, -1)
+    # (2, ..., points) to (..., points, 2): the planes' axis moved last.
+    planes = planes.reshape((2,) + tuple(batch) + (-1,))
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
 
 
 def serving_sector_indices(inside: np.ndarray) -> np.ndarray:

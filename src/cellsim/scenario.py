@@ -178,10 +178,19 @@ class ScenarioConfig:
                 f"cell-edge received power is {edge_power!r}, not a positive normal number: "
                 "check tx_power, cell_radius, rho, max_gain_db and wavelength"
             )
-        if _received_power(gain, d_min, rho, tx_power) == math.inf:
+        d_min_power = _received_power(gain, d_min, rho, tx_power)
+        if d_min_power == math.inf:
             raise ConfigError(
                 f"received power at d_min = {d_min} m overflows: "
                 "check d_min, rho, tx_power, max_gain_db and wavelength"
+            )
+        # The weakest full-gain power of a user in the cell is the one at
+        # max(cell_radius, d_min): beyond the edge, d_min clamps every in-cell
+        # distance, and the analytic curve's desired mean is about that power.
+        if d_min_power < sys.float_info.min:
+            raise ConfigError(
+                f"received power at d_min = {d_min} m is {d_min_power!r}, not a positive normal "
+                "number: check d_min, rho, tx_power, max_gain_db and wavelength"
             )
 
     # Derived quantities ---------------------------------------------------

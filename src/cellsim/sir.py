@@ -4,13 +4,17 @@ Per-antenna SIR follows the CDMA uplink form
 
     gamma = P_G * g_desired * p / (sum_j g_j * p_j + eta)
 
-with processing gain P_G = chip_bandwidth / bit_rate.  Branch SIRs from
-multiple antennas are merged by a self-normalized square-root weighting
-(``paper`` mode), which is a convex combination of the branches, or by
-classical maximum ratio combining (``classical-mrc``), which sums them.
+with processing gain P_G = chip_bandwidth / bit_rate.  The kernel passes
+received powers g * p: it has folded the transmit power into the channel.
+Branch SIRs from multiple antennas are merged by a self-normalized
+square-root weighting (``paper`` mode), which is a convex combination of
+the branches, or by classical maximum ratio combining (``classical-mrc``),
+which sums them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,29 +24,43 @@ COMBINER_MODES = ("paper", "classical-mrc")
 
 
 def per_antenna_sir_matrix(
-    gains: np.ndarray,
-    tx_power: float,
+    power: np.ndarray,
     eta: float,
     pg: float,
     n_observed: int | None = None,
     work: dict | None = None,
+    serving: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Branch SIR for every (antenna, user) pair from gain matrices.
+    """Branch SIR for every (antenna, user) pair from received powers.
 
-    ``gains`` has shape (..., antennas, users): one drop, or a batch of
-    drops along the leading axes; every user transmits ``tx_power`` watts.
-    Interference at an antenna sums the received power of all users except
-    the one under test.  Only the first ``n_observed`` user columns are
-    returned (all users still interfere).
+    ``power`` is an array of shape (..., antennas, users): one drop, or a
+    batch of drops along the leading axes, each entry the power a user's
+    signal arrives with at an antenna.  Interference at an antenna sums the
+    received power of all users except the one under test.  Only the first
+    ``n_observed`` user columns are returned (all users still interfere).
+    With ``serving``, an (..., n_observed) array of antenna ids, each
+    observed user's power and its antenna's total are gathered first and
+    only that one SIR is computed: the result is (..., n_observed).
     Handles the eta = 0 corner: positive signal over empty interference is
     +inf, zero over zero is 0.  With a ``workspace.buffer`` dict as ``work``
     the temporaries and the result live in its arrays, and the result is
     overwritten by the next call.
     """
-    gains = np.asarray(gains, dtype=float)
-    power = np.multiply(gains, tx_power, out=buffer(work, "power", gains.shape))
-    totals = power.sum(axis=-1, keepdims=True, out=buffer(work, "totals", power.shape[:-1] + (1,)))
-    observed = power if n_observed is None else power[..., :n_observed]
+    totals = power.sum(axis=-1, out=buffer(work, "totals", power.shape[:-1]))
+    if serving is None:
+        observed = power if n_observed is None else power[..., :n_observed]
+        totals = totals[..., None]
+    else:
+        # Flat indices of each observed user's serving row, then of its entry.
+        # Every index is in range, so mode="clip" only skips a copy.
+        antennas, users = power.shape[-2:]
+        lead = serving.shape[:-1]
+        offsets = np.arange(0, math.prod(lead) * antennas, antennas).reshape(lead + (1,))
+        rows = np.add(serving, offsets, out=buffer(work, "rows", serving.shape, np.intp))
+        totals = totals.reshape(-1).take(rows, out=buffer(work, "served_totals", serving.shape), mode="clip")
+        rows *= users
+        rows += np.arange(serving.shape[-1])
+        observed = power.reshape(-1).take(rows, out=buffer(work, "served", serving.shape), mode="clip")
     # max() guards against cancellation when one user dominates the total.
     denom = np.subtract(totals, observed, out=buffer(work, "denom", observed.shape))
     np.maximum(denom, 0.0, out=denom)

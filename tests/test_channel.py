@@ -122,6 +122,24 @@ class TestDrawLinkMatrix:
         # opposite the boresight
         assert kernel_gain(one_antenna(), (-100.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("rho", [2.0, 3.0, 4.0, 4.5, 5.0])
+    def test_squared_reciprocal_is_the_power_within_an_ulp(self, rho):
+        # The kernel's (1 / d**2)**2 at rho = 4; every other rho, and the
+        # beam mask always, are the plain power's bit for bit.
+        cfg = ScenarioConfig(rho=rho, d_min=35.0, floor_gain_db=-20.0, interferer_tiers=2)
+        centers = np.vstack([np.zeros((1, 2)), outage.interferer_cell_centers(cfg.cell_radius, 2)])
+        xy = sample_hexagon_xy(cfg.cell_radius, centers, 30, np.random.default_rng(11), batch=(3,))
+        for arch in ("used", "microzone"):
+            layout = build_layout(cfg, arch)
+            plain, plain_inside = (a.copy() for a in _path_gains(layout, xy, cfg))
+            fast, inside = _path_gains(layout, xy, cfg, squared_reciprocal=True)
+            np.testing.assert_array_equal(inside, plain_inside)
+            if rho == 4.0:
+                np.testing.assert_allclose(fast, plain, rtol=4 * 2.0**-52, atol=0.0)
+                assert not np.array_equal(fast, plain)  # the route is taken
+            else:
+                np.testing.assert_array_equal(fast, plain)
+
     def test_entries_finite_nonnegative(self):
         cfg = ScenarioConfig(floor_gain_db=-10.0)
         layout = build_layout(cfg, "microzone")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ class TestBuildLayout:
             make_cfg(beamwidth_deg=90.0)
         with pytest.raises(ValueError):
             build_layout(make_cfg(), "both")
+
+    @pytest.mark.parametrize("arch, n_sites", [("used", 1), ("microzone", 3)])
+    def test_derived_columns_follow_sites_and_boresights(self, arch, n_sites):
+        # The kernel reads these columns every block.  The analytic curve
+        # copies sector 0 with dataclasses.replace, and the copy must derive
+        # its own from its own sites and boresights.
+        layout = build_layout(make_cfg(), arch)
+        site_x, site_y = layout.site_columns
+        cos, sin = layout.boresight_columns
+        assert site_x.shape == site_y.shape == (n_sites, 1)
+        np.testing.assert_array_equal(site_x[:, 0], layout.sites[:n_sites, 0])
+        np.testing.assert_array_equal(site_y[:, 0], layout.sites[:n_sites, 1])
+        np.testing.assert_array_equal(cos[:, 0], np.cos(layout.boresights))
+        np.testing.assert_array_equal(sin[:, 0], np.sin(layout.boresights))
+        copy = replace(layout, sites=layout.sites[1:2] + 5.0, boresights=layout.boresights[1:2])
+        assert copy.site_columns[0].tolist() == [[layout.sites[1, 0] + 5.0]]
+        assert copy.boresight_columns[1].tolist() == [[np.sin(layout.boresights[1])]]
 
     def test_microzone_positions_invariant_under_120_rotation(self):
         layout = build_layout(make_cfg(), "microzone")

@@ -237,8 +237,12 @@ class TestKernelAgainstScalarOracle:
         combiner=st.sampled_from(["paper", "classical-mrc"]),
         architecture=st.sampled_from(["both", "used", "microzone"]),
         paired=st.booleans(),
-        rho=st.floats(2.0, 5.0),
+        # The exact exponents too: floats alone never draws the integer rhos
+        # that the workloads use, nor rho = 4, the kernel's squared reciprocal.
+        rho=st.one_of(st.sampled_from([2.0, 3.0, 4.0, 5.0]), st.floats(2.0, 5.0)),
         sigma=st.floats(0.0, 12.0),
+        tx_power=st.sampled_from([0.3, 1.0, 7.0]),
+        d_min=st.sampled_from([1.0, 35.0, 500.0]),
         link_budget=st.sampled_from([2**7, 2**9, outage.LINK_BUDGET]),
         n_drops=st.integers(1, 12),
         seed=st.integers(0, 2**63),
@@ -246,12 +250,13 @@ class TestKernelAgainstScalarOracle:
     @settings(max_examples=25, deadline=None)
     def test_counts_match(
         self, beamwidth, tiers, n_users, noise_power, floor_gain_db, combiner,
-        architecture, paired, rho, sigma, link_budget, n_drops, seed,
+        architecture, paired, rho, sigma, tx_power, d_min, link_budget, n_drops, seed,
     ):
         cfg = ScenarioConfig(
             beamwidth_deg=beamwidth, interferer_tiers=tiers, n_users=n_users,
             noise_power=noise_power, floor_gain_db=floor_gain_db, combiner_mode=combiner,
             architecture=architecture, paired=paired, rho=rho, shadowing_sigma_db=sigma,
+            tx_power=tx_power, d_min=d_min,
             thresholds=(-10.0, 10.0, 2.5), n_drops=n_drops, master_seed=seed,
         )
         archs = ["used", "microzone"] if architecture == "both" else [architecture]

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,10 +190,39 @@ class TestParseConfig:
             parse_config("d_min = 1e300 m")
         above = math.nextafter(scenario.MAX_D_MIN, math.inf)
         with pytest.raises(ConfigError, match="d_min"):
-            parse_config(f"d_min = {above!r} m")
-        cfg = parse_config(f"d_min = {scenario.MAX_D_MIN!r} m\nn_drops = 2\nn_users = 3")
+            parse_config(f"d_min = {above!r} m\nrho = 2\nmax_gain_db = 60 dB")
+        # At rho = 2 a 60 dB gain keeps the power at MAX_D_MIN itself normal,
+        # about 8e-307 W: the kernel squares d_min and runs, and every user is
+        # in outage, drowned by the noise of a cell edge a kilometre away.
+        text = f"d_min = {scenario.MAX_D_MIN!r} m\nrho = 2\nmax_gain_db = 60 dB\nn_drops = 2\nn_users = 3"
+        cfg = parse_config(text)
         for curve in outage.mc_outage(cfg).values():
-            assert np.all(curve.estimates == 1.0)  # every gain underflows to 0
+            assert np.all(curve.estimates == 1.0)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"rho": 2.0, "max_gain_db": 60.0}, {"rho": 5.0, "tx_power": 1e3}]
+    )
+    def test_d_min_beyond_the_cell_is_rejected_or_gives_a_finite_curve(self, overrides):
+        # The weakest full-gain power of an in-cell user is the one at
+        # max(cell_radius, d_min).  Where it is not a positive normal number
+        # the config is rejected, naming d_min; otherwise the analytic curve's
+        # desired mean stays positive and the curve is an outage probability.
+        accepted = []
+        for d_min in [10.0**e for e in range(3, 155)] + [scenario.MAX_D_MIN]:
+            try:
+                cfg = ScenarioConfig(d_min=d_min, **overrides)
+            except ConfigError as exc:
+                assert "d_min" in str(exc)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                curve = analytic_used_curve(cfg)
+            assert np.all((curve >= 0.0) & (curve <= 1.0)), (d_min, curve)
+            accepted.append(d_min)
+        # The cell edge is accepted, and only the 60 dB gain at rho = 2 keeps
+        # every d_min up to MAX_D_MIN; the other two walks cross the bound.
+        assert accepted[0] == 1e3
+        assert (accepted[-1] == scenario.MAX_D_MIN) == (overrides.get("max_gain_db") == 60.0)
 
     def test_non_finite_values_rejected(self):
         for text in (
@@ -230,7 +260,9 @@ def config_keys(text: str) -> list:
 def valid_configs(draw):
     """Configs that set all 20 fields.
 
-    The ranges keep the cell-edge power normal and the power at d_min finite.
+    The ranges keep the cell-edge power normal and the power at d_min finite
+    and normal: at 1e58 m, rho = 5 and the weakest drawn gain, wavelength and
+    tx_power, it is about 6e-305 W.
     """
     bit_rate = draw(st.floats(1e-3, 1e12))
     start = draw(st.floats(-100.0, 100.0))
@@ -247,7 +279,7 @@ def valid_configs(draw):
         cell_radius=draw(st.floats(1.0, 1e4)),
         beamwidth_deg=draw(st.sampled_from((60.0, 120.0))),
         tx_power=draw(st.floats(1e-3, 1e3)),
-        d_min=draw(st.floats(1e-60, scenario.MAX_D_MIN)),
+        d_min=draw(st.floats(1e-60, 1e58)),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),

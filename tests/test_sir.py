@@ -18,8 +18,8 @@ positive_branches = st.lists(
 
 def uplink_sir(desired, interferers, eta, pg):
     """One user's SIR at one antenna, through the kernel's per_antenna_sir_matrix."""
-    gains = np.array([[desired, *interferers]], dtype=float)
-    return float(per_antenna_sir_matrix(gains, 1.0, eta, pg)[0, 0])
+    power = np.array([[desired, *interferers]], dtype=float)
+    return float(per_antenna_sir_matrix(power, eta, pg)[0, 0])
 
 
 def combine(branches, mode="paper"):
@@ -35,7 +35,7 @@ def drop_sirs(arch, seed, **cfg):
     xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
     gains, inside = _path_gains(layout, xy, cfg)
     gains = gains * rng.exponential(1.0, (1, 3, 12))
-    return inside, per_antenna_sir_matrix(gains, cfg.tx_power, 1e-18, cfg.processing_gain)
+    return inside, per_antenna_sir_matrix(gains * cfg.tx_power, 1e-18, cfg.processing_gain)
 
 
 class TestProcessingGain:
@@ -173,35 +173,55 @@ class TestDiversityCombine:
 class TestPerAntennaSirMatrix:
     def test_matches_scalar_formula(self):
         gains = np.array([[1.0, 2.0, 0.5], [0.2, 0.1, 0.3]])
-        gamma = per_antenna_sir_matrix(gains, 1.0, 0.5, 10.0)
+        gamma = per_antenna_sir_matrix(gains, 0.5, 10.0)
         for l in range(2):
             for i in range(3):
                 interference = sum(gains[l, j] for j in range(3) if j != i)
                 assert gamma[l, i] == pytest.approx(10.0 * gains[l, i] / (interference + 0.5), rel=1e-12)
 
     def test_lone_user_without_noise_is_infinite(self):
-        gamma = per_antenna_sir_matrix(np.array([[2.0]]), 1.0, 0.0, 4.0)
+        gamma = per_antenna_sir_matrix(np.array([[2.0]]), 0.0, 4.0)
         assert gamma[0, 0] == math.inf
 
     def test_observed_slice(self):
         gains = np.ones((2, 5))
-        gamma = per_antenna_sir_matrix(gains, 1.0, 0.0, 1.0, n_observed=2)
+        gamma = per_antenna_sir_matrix(gains, 0.0, 1.0, n_observed=2)
         assert gamma.shape == (2, 2)
         # four interferers of equal power
         np.testing.assert_allclose(gamma, 0.25)
+
+
+class TestServingColumn:
+    # The used architecture's SIR: only each observed user's serving antenna,
+    # gathered before the formula, must be bit for bit the full matrix's entry.
+    @pytest.mark.parametrize("eta", [0.2, 0.0])
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+    def test_equals_the_full_matrix_at_the_serving_antenna(self, eta, batch):
+        rng = np.random.default_rng(13)
+        power = rng.exponential(1.0, batch + (3, 9))
+        power[..., 1, :] = 0.0  # nothing at antenna 1: zero over zero at eta = 0
+        power[..., 2, 1:] = 0.0  # user 0 alone at antenna 2: +inf at eta = 0
+        serving = rng.integers(0, 3, batch + (5,))
+        serving[..., :2] = [2, 1]
+        full = per_antenna_sir_matrix(power, eta, 10.0, n_observed=5)
+        served = per_antenna_sir_matrix(power, eta, 10.0, n_observed=5, serving=serving)
+        expected = np.take_along_axis(full, serving[..., None, :], axis=-2)[..., 0, :]
+        assert served.shape == batch + (5,)
+        np.testing.assert_array_equal(served, expected)
+        assert np.all(np.isinf(served[..., 0]) == (eta == 0.0)) and np.all(served[..., 1] == 0.0)
 
 
 class TestBatchAxis:
     def test_batch_equals_per_drop(self):
         rng = np.random.default_rng(12)
         gains = rng.exponential(1.0, (4, 3, 9))
-        gamma = per_antenna_sir_matrix(gains, 1.0, 0.2, 10.0, n_observed=5)
+        gamma = per_antenna_sir_matrix(gains, 0.2, 10.0, n_observed=5)
         assert gamma.shape == (4, 3, 5)
         for mode in ("paper", "classical-mrc"):
             combined = combine_columns(gamma, mode)
             assert combined.shape == (4, 5)
             for d in range(4):
-                one = per_antenna_sir_matrix(gains[d], 1.0, 0.2, 10.0, n_observed=5)
+                one = per_antenna_sir_matrix(gains[d], 0.2, 10.0, n_observed=5)
                 np.testing.assert_array_equal(gamma[d], one)
                 np.testing.assert_array_equal(combined[d], combine_columns(one, mode))
 
