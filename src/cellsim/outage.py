@@ -1,4 +1,19 @@
-"""Outage probability: closed form and Monte Carlo estimation.
+"""Outage probability: the link law, the closed form and Monte Carlo estimation.
+
+The linear gain of a link factors into deterministic path loss, log-normal
+shadowing and Rayleigh fast fading:
+
+    g = (A_p * G * max(d, d_min)**-rho) * 10**(xi / 10) * A_f
+
+with A_p the wavelength constant (``path_gain_constant``), G the flat-top
+pattern gain (max inside the beam, floor outside), xi ~ N(0, sigma^2) in dB
+and A_f a unit-mean exponential (the squared Rayleigh envelope).
+``_path_gains`` is src's one implementation of the deterministic part: the
+kernel and the analytic curve's neighbour means both pass through it, and
+at rho = 4 both take the distance loss as (1 / d**2)**2, not a ``pow``.  The
+kernel draws the shadowing and fading of every link per block of drops,
+i.i.d. per snapshot (``standard_normal`` and ``standard_exponential``);
+time-correlated fading is out of scope.
 
 The closed form covers a single desired exponential power against a sum of
 independent exponential interferers plus a constant, which is exactly the
@@ -30,7 +45,7 @@ the factor every link shares, the path constant times the transmit power,
 which the shadowing and fading pass applies once for every architecture.
 The used architecture reads one SIR per user, its serving sector's, so the
 SIR formula runs on that one gathered column; microzone combines every
-branch.  At rho = 4 the distance loss is (1 / d**2)**2, not a ``pow``.
+branch.
 """
 
 from __future__ import annotations
@@ -42,7 +57,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import LN10_OVER_10, path_gain_constant
 from .geometry import build_layout, interferer_cell_centers, sample_hexagon_xy, serving_sector_indices
 from .sir import combine_columns, per_antenna_sir_matrix
 from .workspace import buffer
@@ -117,6 +131,28 @@ def analytic_outage_used(
     return -np.expm1(-np.where(threshold == np.inf, np.inf, log_factor))
 
 
+FOUR_PI_SQ = (4.0 * math.pi) ** 2
+# 10**(x / 10) == exp(LN10_OVER_10 * x): converts dB to a natural exponent.
+LN10_OVER_10 = math.log(10.0) / 10.0
+
+
+def path_gain_constant(wavelength: float) -> float:
+    """Free-space constant lambda^2 / (4 pi)^2 for unit-gain antennas."""
+    return wavelength * wavelength / FOUR_PI_SQ
+
+
+def _received_power(gain: float, distance: float, rho: float, tx_power: float) -> float:
+    """Fading-averaged power ``gain * distance**-rho * tx_power`` of one user; inf on overflow.
+
+    ``gain`` is the path constant times the antenna gain.
+    """
+    try:
+        loss = distance ** (-rho)
+    except OverflowError:
+        return math.inf
+    return gain * loss * tx_power
+
+
 # Slack on the half beamwidth of the inclusive beam test, radians.  It lowers
 # the cosine limit by about 1e-12 of the user's distance: orders of magnitude
 # above the rounding of the boresight projection, orders of magnitude below
@@ -129,7 +165,6 @@ def _path_gains(
     xy: np.ndarray,
     scenario: "ScenarioConfig",
     work: dict | None = None,
-    squared_reciprocal: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern gain times distance loss, and the beam mask it was built from.
 
@@ -140,13 +175,11 @@ def _path_gains(
     ``intp``; it is src's only beam test.  The beamwidth (one sector's
     share of the full circle), the gains and the ``d_min`` clamp on
     distances are the scenario's.  Antennas that share one site (the used
-    layout's center) share one distance computation.  With
-    ``squared_reciprocal`` rho = 4 takes d**-4 as (1 / d**2)**2, a
-    reciprocal and a square: about 3x faster than ``pow`` and within an ulp
-    of it (at rho = 2 the power already is a reciprocal).  The kernel asks
-    for that; the analytic curve keeps the plain power, so its bits stay
-    put.  With a ``workspace.buffer`` dict as ``work`` the results are
-    overwritten by the next call.
+    layout's center) share one distance computation.  At rho = 4, d**-4 is
+    taken as (1 / d**2)**2, a reciprocal and a square: about 3x faster than
+    ``pow`` and within a few ulp of it (at rho = 2 the power already is a
+    reciprocal).  With a ``workspace.buffer`` dict as ``work`` the results
+    are overwritten by the next call.
     """
     site_x, site_y = layout.site_columns
     cos, sin = layout.boresight_columns
@@ -167,7 +200,7 @@ def _path_gains(
     levels = np.array((scenario.floor_gain, scenario.max_gain))
     gains = levels.take(inside, out=along, mode="clip")
     loss = np.maximum(d_sq, scenario.d_min**2, out=d_sq)
-    if squared_reciprocal and scenario.rho == 4.0:
+    if scenario.rho == 4.0:
         np.square(np.reciprocal(loss, out=loss), out=loss)
     else:
         # In-place `**=` takes the same scalar fast paths as `**` (a
@@ -219,7 +252,7 @@ def _count_blocks(args) -> np.ndarray:
         channel *= rng.standard_exponential(out=buffer(work, "term", size))
         channel *= link_scale
         for k, layout in enumerate(layouts):
-            power, inside = _path_gains(layout, xy, scenario, work, squared_reciprocal=True)
+            power, inside = _path_gains(layout, xy, scenario, work)
             power *= channel
             # The used layout reads one SIR per user, its serving antenna's;
             # microzone combines every branch.

@@ -20,9 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LN10_OVER_10, path_gain_constant
 from .geometry import SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
-from .outage import OutageCurve, _path_gains, analytic_outage_used, mc_outage
+from .outage import (
+    LN10_OVER_10, OutageCurve, _path_gains, _received_power, analytic_outage_used, mc_outage,
+    path_gain_constant,
+)
 from .sir import COMBINER_MODES
 
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
@@ -32,18 +34,6 @@ ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 MAX_THRESHOLDS = 10**6
 # Largest d_min whose square is a finite float; the kernel squares it.
 MAX_D_MIN = math.sqrt(sys.float_info.max)
-
-
-def _received_power(gain: float, distance: float, rho: float, tx_power: float) -> float:
-    """Fading-averaged power ``gain * distance**-rho * tx_power`` of one user; inf on overflow.
-
-    ``gain`` is the path constant times the antenna gain.
-    """
-    try:
-        loss = distance ** (-rho)
-    except OverflowError:
-        return math.inf
-    return gain * loss * tx_power
 
 
 class ConfigError(ValueError):
@@ -165,33 +155,21 @@ class ScenarioConfig:
             raise ConfigError("floor_gain_db must not exceed max_gain_db")
         # The floor gain is at most the max gain, so only the max gain can overflow.
         try:
-            max_gain = self.max_gain
+            gain = path_gain_constant(wavelength) * self.max_gain
         except OverflowError:
-            max_gain = math.inf
-        if max_gain == math.inf:
-            raise ConfigError(f"max_gain_db = {max_db} dB overflows as a linear gain")
-        # Below the smallest normal float, every drop's gains underflow.
-        gain = path_gain_constant(wavelength) * max_gain
-        edge_power = _received_power(gain, radius, rho, tx_power)
-        if not sys.float_info.min <= edge_power < math.inf:
-            raise ConfigError(
-                f"cell-edge received power is {edge_power!r}, not a positive normal number: "
-                "check tx_power, cell_radius, rho, max_gain_db and wavelength"
-            )
-        d_min_power = _received_power(gain, d_min, rho, tx_power)
-        if d_min_power == math.inf:
-            raise ConfigError(
-                f"received power at d_min = {d_min} m overflows: "
-                "check d_min, rho, tx_power, max_gain_db and wavelength"
-            )
-        # The weakest full-gain power of a user in the cell is the one at
-        # max(cell_radius, d_min): beyond the edge, d_min clamps every in-cell
-        # distance, and the analytic curve's desired mean is about that power.
-        if d_min_power < sys.float_info.min:
-            raise ConfigError(
-                f"received power at d_min = {d_min} m is {d_min_power!r}, not a positive normal "
-                "number: check d_min, rho, tx_power, max_gain_db and wavelength"
-            )
+            raise ConfigError(f"max_gain_db = {max_db} dB overflows as a linear gain") from None
+        # Power falls with distance, so the full-gain powers at the two ends of
+        # the in-cell distance range bound all others.  Each must be a normal
+        # float: below it every drop's gains underflow, and beyond the cell
+        # edge d_min clamps every in-cell distance, so the analytic curve's
+        # desired mean is about the power at d_min.
+        for name, distance in (("cell_radius", radius), ("d_min", d_min)):
+            power = _received_power(gain, distance, rho, tx_power)
+            if not sys.float_info.min <= power < math.inf:
+                raise ConfigError(
+                    f"received power at {name} = {distance} m is {power!r}, not a positive normal "
+                    f"number: check tx_power, {name}, rho, max_gain_db and wavelength"
+                )
 
     # Derived quantities ---------------------------------------------------
 

@@ -27,7 +27,7 @@ def per_antenna_sir_matrix(
     power: np.ndarray,
     eta: float,
     pg: float,
-    n_observed: int | None = None,
+    n_observed: int,
     work: dict | None = None,
     serving: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -48,7 +48,7 @@ def per_antenna_sir_matrix(
     """
     totals = power.sum(axis=-1, out=buffer(work, "totals", power.shape[:-1]))
     if serving is None:
-        observed = power if n_observed is None else power[..., :n_observed]
+        observed = power[..., :n_observed]
         totals = totals[..., None]
     else:
         # Flat indices of each observed user's serving row, then of its entry.
@@ -74,7 +74,7 @@ def per_antenna_sir_matrix(
     return sir
 
 
-def combine_columns(gamma: np.ndarray, mode: str = "paper", work: dict | None = None) -> np.ndarray:
+def combine_columns(gamma: np.ndarray, mode: str, work: dict | None = None) -> np.ndarray:
     """Diversity combining over the antenna axis of (..., antennas, users) SIRs.
 
     Returns shape (..., users); a 2-D input combines column by column.  An

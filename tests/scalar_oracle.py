@@ -25,9 +25,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cellsim.channel import LN10_OVER_10, path_gain_constant
 from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers, wrap_angle
-from cellsim.outage import LINK_BUDGET
+from cellsim.outage import LINK_BUDGET, LN10_OVER_10, path_gain_constant
 
 
 def mrc_weights(per_antenna) -> np.ndarray:

@@ -174,25 +174,25 @@ def test_criterion_6_combiner_properties():
         w = mrc_weights(gamma)
         worst_sum = max(worst_sum, abs(w.sum() - 1.0))
         combined = diversity_combine(gamma)
-        column = float(combine_columns(gamma[:, None])[0])
+        column = float(combine_columns(gamma[:, None], "paper")[0])
         worst_agree = max(worst_agree, abs(column - combined) / combined)
         lo, hi = gamma.min(), gamma.max()
         for value in (combined, column):
             bounds_ok &= lo * (1.0 - 1e-12) <= value <= hi * (1.0 + 1e-12)
         c = 10.0 ** rng.uniform(-3.0, 3.0)
         scaled = diversity_combine(c * gamma)
-        scaled_column = float(combine_columns((c * gamma)[:, None])[0])
+        scaled_column = float(combine_columns((c * gamma)[:, None], "paper")[0])
         worst_scale = max(
             worst_scale,
             abs(scaled - c * combined) / (c * combined),
             abs(scaled_column - c * column) / (c * column),
         )
-    identity_ok = diversity_combine([7.25]) == 7.25 and combine_columns([[7.25]])[0] == 7.25
+    identity_ok = diversity_combine([7.25]) == 7.25 and combine_columns([[7.25]], "paper")[0] == 7.25
     # One branch over 1e4 values: the oracle returns it exactly; the kernel's
     # (sqrt(g) * g) / sqrt(g) rounds twice, so it may sit one ulp away.
     single = 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
     oracle_exact = all(diversity_combine([g]) == g for g in single)
-    kernel_off = np.abs(combine_columns(single[None, :]) - single)
+    kernel_off = np.abs(combine_columns(single[None, :], "paper") - single)
     kernel_ulp_ok = bool(np.all(kernel_off <= np.spacing(single)))
     off_by_one_ulp = int(np.count_nonzero(kernel_off))
     ok = (

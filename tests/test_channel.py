@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cellsim.channel import LN10_OVER_10, path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy
 from cellsim import outage
-from cellsim.outage import _count_blocks, _path_gains
+from cellsim.outage import LN10_OVER_10, _count_blocks, _path_gains, path_gain_constant
 from cellsim.scenario import ConfigError, ScenarioConfig
 from test_geometry import kernel_gain, one_antenna
 
@@ -37,7 +36,7 @@ class TestPathGainConstant:
             ScenarioConfig(wavelength=0.0)
 
 
-class TestShadowing:
+class TestLogNormalShadowing:
     def test_degenerate_sigma_zero(self):
         assert np.all(shadowing_db(0.0, 0, 1000) == 0.0)
 
@@ -57,7 +56,7 @@ class TestShadowing:
             ScenarioConfig(shadowing_sigma_db=-1.0)
 
 
-class TestFadingPower:
+class TestExponentialFading:
     # The kernel draws fading powers with Generator.standard_exponential.
     def test_unit_mean(self):
         samples = np.random.default_rng(3).standard_exponential(1_000_000)
@@ -76,7 +75,7 @@ class TestFadingPower:
         assert np.all(samples >= 0.0)
 
 
-class TestLinkGain:
+class TestDistanceLoss:
     def test_identity_case(self):
         assert omni_gain((1.0, 0.0), rho=4.0) == 1.0
 
@@ -98,7 +97,7 @@ class TestLinkGain:
         assert np.all(np.diff(g) < 0.0)
 
 
-class TestDrawLinkMatrix:
+class TestPathGains:
     # The kernel's deterministic link gains: pattern times distance loss for
     # every (drop, antenna, user).
     def test_zero_users(self):
@@ -123,22 +122,29 @@ class TestDrawLinkMatrix:
         assert kernel_gain(one_antenna(), (-100.0, 0.0)) == 0.0
 
     @pytest.mark.parametrize("rho", [2.0, 3.0, 4.0, 4.5, 5.0])
-    def test_squared_reciprocal_is_the_power_within_an_ulp(self, rho):
-        # The kernel's (1 / d**2)**2 at rho = 4; every other rho, and the
-        # beam mask always, are the plain power's bit for bit.
+    def test_gains_are_the_plain_power_law(self, rho):
+        # Against the pattern gain times the plain power of the clamped
+        # squared distance, max(d**2, d_min**2)**(-rho / 2), with the beam
+        # test done by bearings: the kernel's (1 / d**2)**2 at rho = 4 is
+        # within 4 ulp of it, every other rho and the beam mask bit for bit.
         cfg = ScenarioConfig(rho=rho, d_min=35.0, floor_gain_db=-20.0, interferer_tiers=2)
         centers = np.vstack([np.zeros((1, 2)), outage.interferer_cell_centers(cfg.cell_radius, 2)])
         xy = sample_hexagon_xy(cfg.cell_radius, centers, 30, np.random.default_rng(11), batch=(3,))
         for arch in ("used", "microzone"):
             layout = build_layout(cfg, arch)
-            plain, plain_inside = (a.copy() for a in _path_gains(layout, xy, cfg))
-            fast, inside = _path_gains(layout, xy, cfg, squared_reciprocal=True)
-            np.testing.assert_array_equal(inside, plain_inside)
+            gains, inside = _path_gains(layout, xy, cfg)
+            dx = xy[:, None, :, 0] - layout.sites[:, 0, None]
+            dy = xy[:, None, :, 1] - layout.sites[:, 1, None]
+            offset = np.angle(np.exp(1j * (np.arctan2(dy, dx) - layout.boresights[:, None])))
+            in_beam = np.abs(offset) <= math.pi / cfg.sector_count
+            np.testing.assert_array_equal(inside, in_beam)
+            loss = np.maximum(dx * dx + dy * dy, cfg.d_min**2) ** (-rho / 2.0)
+            plain = np.where(in_beam, cfg.max_gain, cfg.floor_gain) * loss
             if rho == 4.0:
-                np.testing.assert_allclose(fast, plain, rtol=4 * 2.0**-52, atol=0.0)
-                assert not np.array_equal(fast, plain)  # the route is taken
+                np.testing.assert_allclose(gains, plain, rtol=4 * 2.0**-52, atol=0.0)
+                assert not np.array_equal(gains, plain)  # the squared reciprocal is taken
             else:
-                np.testing.assert_array_equal(fast, plain)
+                np.testing.assert_array_equal(gains, plain)
 
     def test_entries_finite_nonnegative(self):
         cfg = ScenarioConfig(floor_gain_db=-10.0)
@@ -149,7 +155,7 @@ class TestDrawLinkMatrix:
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 
-class TestChannelParams:
+class TestPropagationFields:
     # The propagation parameters are ScenarioConfig fields, checked when a
     # config is built, dataclasses.replace included.
     def test_rejects_out_of_range_rho(self):

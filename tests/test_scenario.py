@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage, scenario
-from cellsim.channel import path_gain_constant
 from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-from cellsim.outage import OutageCurve, _path_gains, analytic_outage_used
+from cellsim.outage import OutageCurve, _path_gains, analytic_outage_used, path_gain_constant
 from cellsim.sir import COMBINER_MODES
 from cellsim.scenario import (
     ARCHITECTURE_CHOICES,
@@ -224,6 +223,22 @@ class TestParseConfig:
         assert accepted[0] == 1e3
         assert (accepted[-1] == scenario.MAX_D_MIN) == (overrides.get("max_gain_db") == 60.0)
 
+    @pytest.mark.parametrize("field", ["cell_radius", "d_min"])
+    @pytest.mark.parametrize(
+        "distance", [pytest.param(1e-80, id="overflow"), pytest.param(1e100, id="underflow")]
+    )
+    def test_each_end_of_the_distance_range_is_checked(self, field, distance):
+        # At rho = 4 and the default gains the full-gain received power at
+        # 1e-80 m is beyond float range, and at 1e100 m below the smallest
+        # normal float.  Either end of the in-cell distance range is rejected
+        # with an error that names its own field.
+        with pytest.raises(ConfigError, match=rf"received power at {field} = .*check tx_power, {field}, rho"):
+            ScenarioConfig(**{field: distance})
+
+    def test_max_gain_overflow_named(self):
+        with pytest.raises(ConfigError, match=r"max_gain_db = 4000\.0 dB overflows as a linear gain"):
+            ScenarioConfig(max_gain_db=4000.0)
+
     def test_non_finite_values_rejected(self):
         for text in (
             "cell_radius = nan",
@@ -390,12 +405,29 @@ class TestMeanReceivedPowers:
         assert all(0.0 <= n < mean_in_cell for n in neighbors)
 
 
+# analytic_used_curve(ScenarioConfig()), element by element: any change to
+# its bits is a declared change of the default CSV's used_analytic column.
+DEFAULT_ANALYTIC_CURVE = [
+    0.015273860522970107, 0.019189513233450934, 0.0240963314271649, 0.030237870472758954,
+    0.03791328567335411, 0.04748754828332564, 0.05940204022357882, 0.07418446970474406,
+    0.09245625760409237, 0.11493438408388429, 0.142423082837357, 0.17578873141303622,
+    0.21590901648406302, 0.26358557305786784, 0.3194091557076542, 0.3835704276454536,
+    0.4556212863480803, 0.5342153885483608, 0.616894047576155, 0.700028674569638,
+    0.7790605948613946,
+]
+
+
+def test_default_analytic_curve_is_pinned_bit_for_bit():
+    curve = analytic_used_curve(ScenarioConfig())
+    assert curve.tobytes() == np.array(DEFAULT_ANALYTIC_CURVE).tobytes()
+
+
 # rho, beamwidth, tiers, floor gain, d_min: d_min = 870 m, 900 m and 1500 m
 # lie past the 866 m apothem.  The first two put a kink in the radial
 # integral where the boundary crosses d_min (at 5.5 and 15.8 degrees from an
 # edge normal); at 1500 m the whole cell is clamped.
 EDGE_CONFIGS = list(
-    itertools.product((2.0, 3.3, 5.0), (60.0, 120.0), (0, 1, 2), (float("-inf"), -20.0),
+    itertools.product((2.0, 3.3, 4.0, 5.0), (60.0, 120.0), (0, 1, 2), (float("-inf"), -20.0),
                       (1.0, 870.0, 900.0, 1500.0))
 )
 

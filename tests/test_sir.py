@@ -19,7 +19,7 @@ positive_branches = st.lists(
 def uplink_sir(desired, interferers, eta, pg):
     """One user's SIR at one antenna, through the kernel's per_antenna_sir_matrix."""
     power = np.array([[desired, *interferers]], dtype=float)
-    return float(per_antenna_sir_matrix(power, eta, pg)[0, 0])
+    return float(per_antenna_sir_matrix(power, eta, pg, power.shape[-1])[0, 0])
 
 
 def combine(branches, mode="paper"):
@@ -35,7 +35,7 @@ def drop_sirs(arch, seed, **cfg):
     xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
     gains, inside = _path_gains(layout, xy, cfg)
     gains = gains * rng.exponential(1.0, (1, 3, 12))
-    return inside, per_antenna_sir_matrix(gains * cfg.tx_power, 1e-18, cfg.processing_gain)
+    return inside, per_antenna_sir_matrix(gains * cfg.tx_power, 1e-18, cfg.processing_gain, 12)
 
 
 class TestProcessingGain:
@@ -173,14 +173,14 @@ class TestDiversityCombine:
 class TestPerAntennaSirMatrix:
     def test_matches_scalar_formula(self):
         gains = np.array([[1.0, 2.0, 0.5], [0.2, 0.1, 0.3]])
-        gamma = per_antenna_sir_matrix(gains, 0.5, 10.0)
+        gamma = per_antenna_sir_matrix(gains, 0.5, 10.0, 3)
         for l in range(2):
             for i in range(3):
                 interference = sum(gains[l, j] for j in range(3) if j != i)
                 assert gamma[l, i] == pytest.approx(10.0 * gains[l, i] / (interference + 0.5), rel=1e-12)
 
     def test_lone_user_without_noise_is_infinite(self):
-        gamma = per_antenna_sir_matrix(np.array([[2.0]]), 0.0, 4.0)
+        gamma = per_antenna_sir_matrix(np.array([[2.0]]), 0.0, 4.0, 1)
         assert gamma[0, 0] == math.inf
 
     def test_observed_slice(self):
