@@ -48,9 +48,11 @@ class Layout:
     """The antennas of one architecture, as the arrays the kernel reads.
 
     ``sites`` is (antennas, 2) in meters and ``boresights`` (antennas,) in
-    radians.  The beamwidth and the gains every antenna shares are the
-    config's.  The two column pairs the kernel reads every block are derived
-    from these on first use and kept.
+    radians, the slot angles as built and not wrapped: the kernel reads only
+    their cosines and sines, and sector 0's boresight is exactly pi / 2.
+    The beamwidth and the gains every antenna shares are the config's.  The
+    two column pairs the kernel reads every block are derived from these on
+    first use and kept.
     """
 
     architecture: str  # "used" or "microzone"
@@ -71,11 +73,6 @@ class Layout:
         """Cosine and sine columns, (antennas, 1), of the boresights."""
         column = self.boresights[:, None]
         return np.cos(column), np.sin(column)
-
-
-def wrap_angle(angle):
-    """Wrap angle(s) to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(angle), TWO_PI)
 
 
 def hexagon_area(radius: float) -> float:
@@ -101,11 +98,11 @@ def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
     slots = [math.pi / 2.0 + k * beamwidth for k in range(count)]
     if architecture == "used":
         sites = np.zeros((count, 2))
-        boresights = wrap_angle(slots)
+        boresights = np.array(slots)
     else:
         radius = cfg.cell_radius
         sites = np.array([[radius * math.cos(s), radius * math.sin(s)] for s in slots])
-        boresights = wrap_angle(np.add(slots, math.pi))
+        boresights = np.add(slots, math.pi)
     return Layout(architecture, sites, boresights)
 
 

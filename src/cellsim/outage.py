@@ -23,8 +23,12 @@ kernel, ``_count_blocks``; all thresholds are evaluated on the same drops
 (common random numbers), so every outage curve is non-decreasing by
 construction.
 
-Drops run in fixed-size blocks, one generator per block keyed by (seed,
-stream tag, block index) alone; the block size depends only on the scenario.
+Drops run in blocks of ``LINK_BUDGET // (antennas x users of every cell)``
+drops (``LINK_BUDGET = 2**16``: 78 default drops), so the block size depends
+only on the scenario.  Each block has its own generator,
+``Generator(SFC64(SeedSequence(seed, spawn_key=(stream tag, block index))))``,
+and draws in this order: every cell's rhombus picks, then their uniform
+pairs, then the standard-normal shadowing, then the unit exponential fading.
 Results are therefore independent of evaluation order and worker count.  The
 stream tag is the run's stream layout: a paired run evaluates every
 architecture on tag 0, and an unpaired run evaluates the k-th of the config's
@@ -70,7 +74,11 @@ Z_95 = 1.96  # two-sided 95% normal quantile
 # Links (antennas x users of every cell) drawn per block of drops.  Large
 # enough to spread the per-block generator set-up over many drops, small
 # enough that a block's arrays stay a few MiB.
-LINK_BUDGET = 2**15
+LINK_BUDGET = 2**16
+# The numpy.random bit generator of every block's stream, seeded by the
+# block's SeedSequence.  Named, not referenced, so that importing cellsim does
+# not import numpy.random.
+BIT_GENERATOR = "SFC64"
 
 
 @dataclass(frozen=True)
@@ -215,9 +223,9 @@ def _count_blocks(args) -> np.ndarray:
     """Outage counts per architecture and threshold over a contiguous range of blocks.
 
     ``args`` is (scenario, architectures, stream tag, first block, stop
-    block).  Each block draws, from its own generator (keyed by the
-    scenario's seed, the stream tag and the block index) and in this order,
-    every cell's user positions, standard-normal shadowing and unit
+    block).  Each block draws, from its own ``BIT_GENERATOR`` stream (keyed
+    by the scenario's seed, the stream tag and the block index) and in this
+    order, every cell's user positions, standard-normal shadowing and unit
     exponential fading, all for (drops, antennas, users of every cell).
     Every architecture is evaluated on that one draw.  What does not change
     from block to block (the layouts, the cell centers, the channel's
@@ -236,11 +244,12 @@ def _count_blocks(args) -> np.ndarray:
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
     counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)
+    bit_generator = getattr(np.random, BIT_GENERATOR)
     work: dict = {}
     for block in range(block_start, block_stop):
         drops = min(per_block, scenario.n_drops - block * per_block)
         key = np.random.SeedSequence(scenario.master_seed, spawn_key=(stream_tag, block))
-        rng = np.random.default_rng(key)
+        rng = np.random.Generator(bit_generator(key))
         xy = sample_hexagon_xy(
             scenario.cell_radius, centers, n_users, rng, batch=(drops,), work=work
         )

@@ -25,8 +25,13 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers, wrap_angle
-from cellsim.outage import LINK_BUDGET, LN10_OVER_10, path_gain_constant
+from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers
+from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, path_gain_constant
+
+
+def wrap_angle(angle):
+    """Wrap angle(s) to (-pi, pi]."""
+    return np.pi - np.mod(np.pi - np.asarray(angle), 2.0 * np.pi)
 
 
 def mrc_weights(per_antenna) -> np.ndarray:
@@ -104,7 +109,8 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
     counts = np.zeros((len(layouts), thresholds.size), dtype=np.int64)
     for block, first in enumerate(range(0, n_drops, per_block)):
         drops = min(per_block, n_drops - first)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, block)))
+        key = np.random.SeedSequence(seed, spawn_key=(stream_tag, block))
+        rng = np.random.Generator(getattr(np.random, BIT_GENERATOR)(key))
         rhombus = rng.integers(0, 3, size=(drops, len(cells), cfg.n_users))
         uv = rng.random((drops, len(cells), cfg.n_users, 2))
         z = rng.standard_normal((drops, n_ant, n_links))

@@ -249,6 +249,20 @@ def test_closed_stdout_exits_1_silently_after_writing_the_csv(tmp_path):
     assert out.read_text() == render_csv(run_experiment(replace(ScenarioConfig(), n_drops=5)))
 
 
+def test_start_up_does_not_import_numpy_random():
+    # The first block imports numpy.random; importing cellsim, parsing a
+    # config and building its layouts do not.
+    code = (
+        "import sys, cellsim.cli; from cellsim.geometry import build_layout; "
+        "from cellsim.scenario import parse_config; cfg = parse_config('n_drops = 5'); "
+        "[build_layout(cfg, arch) for arch in cfg.architectures]; "
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = run_python(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_runtime_does_not_import_scipy(tmp_path):
     # Nor, in a one-worker run, the process pool or numpy.polynomial.
     out = tmp_path / "c.csv"
@@ -283,25 +297,25 @@ def test_run_needs_no_scipy(tmp_path):
 PINNED_REPORTS = {
     "both": [
         " thr_dB       used    used_ci      micro   micro_ci  micro-used  flag",
-        "    -10       0.39      0.151    0.13625      0.106    -0.25375  ",
-        "     -5   0.549375      0.154   0.325625      0.145    -0.22375  ",
-        "      0   0.683125      0.144   0.536875      0.155    -0.14625  ",
-        "      5   0.795625      0.125    0.74875      0.134   -0.046875  ",
-        "     10   0.870625      0.104   0.860625      0.107       -0.01  ",
+        "    -10   0.300625      0.142   0.119375        0.1    -0.18125  ",
+        "     -5   0.446875      0.154   0.303125      0.142    -0.14375  ",
+        "      0   0.610625      0.151    0.54875      0.154   -0.061875  ",
+        "      5    0.75875      0.133   0.739375      0.136   -0.019375  ",
+        "     10      0.855      0.109     0.8475      0.111     -0.0075  ",
     ],
     "used": [
-        "used @ -10 dB: outage 0.39 +- 0.151",
-        "used @ -5 dB: outage 0.549375 +- 0.154",
-        "used @ 0 dB: outage 0.683125 +- 0.144",
-        "used @ 5 dB: outage 0.795625 +- 0.125",
-        "used @ 10 dB: outage 0.870625 +- 0.104",
+        "used @ -10 dB: outage 0.300625 +- 0.142",
+        "used @ -5 dB: outage 0.446875 +- 0.154",
+        "used @ 0 dB: outage 0.610625 +- 0.151",
+        "used @ 5 dB: outage 0.75875 +- 0.133",
+        "used @ 10 dB: outage 0.855 +- 0.109",
     ],
     "microzone": [
-        "microzone @ -10 dB: outage 0.13625 +- 0.106",
-        "microzone @ -5 dB: outage 0.325625 +- 0.145",
-        "microzone @ 0 dB: outage 0.536875 +- 0.155",
-        "microzone @ 5 dB: outage 0.74875 +- 0.134",
-        "microzone @ 10 dB: outage 0.860625 +- 0.107",
+        "microzone @ -10 dB: outage 0.119375 +- 0.1",
+        "microzone @ -5 dB: outage 0.303125 +- 0.142",
+        "microzone @ 0 dB: outage 0.54875 +- 0.154",
+        "microzone @ 5 dB: outage 0.739375 +- 0.136",
+        "microzone @ 10 dB: outage 0.8475 +- 0.111",
     ],
 }
 

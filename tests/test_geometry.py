@@ -11,11 +11,10 @@ from cellsim.geometry import (
     interferer_cell_centers,
     sample_hexagon_xy,
     serving_sector_indices,
-    wrap_angle,
 )
 from cellsim.outage import _path_gains
 from cellsim.scenario import ConfigError, ScenarioConfig
-from scalar_oracle import _path_gain, serving_antenna
+from scalar_oracle import _path_gain, serving_antenna, wrap_angle
 
 ORIGIN = (0.0, 0.0)
 
@@ -65,6 +64,24 @@ class TestBuildLayout:
             # boresight points back at the center
             inward = math.atan2(-y, -x)
             assert wrap_angle(boresight - inward) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sector_zero_boresight_is_exactly_north(self):
+        # The analytic curve integrates over sector 0's beam, so its bits
+        # rest on this boresight.
+        for beamwidth in (60.0, 120.0):
+            assert build_layout(make_cfg(beamwidth_deg=beamwidth), "used").boresights[0] == math.pi / 2
+
+    @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
+    @pytest.mark.parametrize("architecture", ["used", "microzone"])
+    def test_boresight_columns_are_those_of_the_wrapped_angles(self, beamwidth, architecture):
+        # The boresights are kept unwrapped; the kernel reads only their
+        # cosines and sines, which wrapping to (-pi, pi] would move by no
+        # more than one ulp of the unwrapped angle.
+        layout = build_layout(make_cfg(beamwidth_deg=beamwidth), architecture)
+        wrapped = wrap_angle(layout.boresights)
+        ulp = np.spacing(layout.boresights)
+        for column, exact in zip(layout.boresight_columns, (np.cos(wrapped), np.sin(wrapped))):
+            assert np.all(np.abs(column[:, 0] - exact) <= ulp)
 
     def test_sixty_degree_variant(self):
         layout = build_layout(make_cfg(beamwidth_deg=60.0), "microzone")

@@ -506,6 +506,12 @@ def pin_cpu_count(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def six_block_config() -> ScenarioConfig:
+    """The default config with six blocks of drops, the last one short, at any link budget."""
+    per_block = outage._blocks(ScenarioConfig())[1]
+    return ScenarioConfig(n_drops=5 * per_block + 1)
+
+
 @pytest.fixture
 def recorded_pools(monkeypatch):
     """The sizes of the process pools ``mc_outage`` asks for.
@@ -585,7 +591,7 @@ class TestRunExperiment:
         # A pool forks all of its processes at its first job, so it must not
         # outnumber the jobs.
         pin_cpu_count(monkeypatch, 8)
-        cfg = ScenarioConfig(n_drops=200)
+        cfg = six_block_config()
         jobs = outage._blocks(cfg)[2]
         assert jobs == 6
         wide = render_csv(run_experiment(cfg, workers=64))
@@ -595,7 +601,7 @@ class TestRunExperiment:
 
     def test_pool_is_no_larger_than_the_cpu_count(self, monkeypatch, recorded_pools):
         # More workers than CPUs only add processes that wait for a CPU.
-        cfg = ScenarioConfig(n_drops=200)
+        cfg = six_block_config()
         single = render_csv(run_experiment(cfg, workers=1))
         pin_cpu_count(monkeypatch, 3)
         assert render_csv(run_experiment(cfg, workers=5000)) == single
