@@ -91,8 +91,6 @@ def hexagon_contains(radius: float, center, points_xy) -> np.ndarray:
 
 def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
     """The antenna layout of ``architecture`` ("used" or "microzone") for ``cfg``."""
-    if architecture not in ("used", "microzone"):
-        raise ValueError(f"architecture must be used or microzone, got {architecture!r}")
     count = cfg.sector_count
     beamwidth = TWO_PI / count
     slots = [math.pi / 2.0 + k * beamwidth for k in range(count)]
@@ -162,8 +160,6 @@ def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
 
 def interferer_cell_centers(cell_radius: float, tiers: int) -> np.ndarray:
     """(m, 2) centers of the co-channel neighbor cells for 0, 1 or 2 hexagonal rings."""
-    if tiers not in (0, 1, 2):
-        raise ValueError(f"interferer_tiers must be 0, 1 or 2, got {tiers}")
     ring1 = SQRT3 * cell_radius
     polar = [(ring1, k * math.pi / 3.0) for k in range(6)] if tiers else []
     if tiers == 2:

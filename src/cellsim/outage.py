@@ -240,7 +240,7 @@ def _count_blocks(args) -> np.ndarray:
     n_users = scenario.n_users
     # Path constant and transmit power: the one factor every link shares.
     link_scale = path_gain_constant(scenario.wavelength) * scenario.tx_power
-    shadow_nepers = scenario.shadowing_sigma_db * LN10_OVER_10
+    shadow_nepers = scenario.shadowing_sigma * LN10_OVER_10
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
     counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)

@@ -15,6 +15,8 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -53,9 +55,10 @@ class ScenarioConfig:
     neighbor cells interferes by default; set ``interferer_tiers`` to 0 for
     an isolated cell.
 
-    Every construction, ``dataclasses.replace`` included, runs
-    :meth:`validate`, so an invalid config cannot be built and the code
-    downstream does not check its inputs again.
+    Each field's name is its config key.  Every construction,
+    ``dataclasses.replace`` included, runs :meth:`validate`, which checks
+    each field's kind and range, so an invalid config cannot be built and
+    the code downstream does not check its inputs again.
     """
 
     architecture: str = "both"
@@ -64,10 +67,10 @@ class ScenarioConfig:
     chip_rate: float = 3.8e6  # chip/s
     thresholds: tuple[float, float, float] = (-10.0, 10.0, 1.0)
     rho: float = 4.0
-    shadowing_sigma_db: float = 5.0
+    shadowing_sigma: float = 5.0  # dB
     noise_power: Optional[float] = None  # watts; None = auto
     cell_radius: float = 1000.0  # m
-    beamwidth_deg: float = 120.0
+    beamwidth: float = 120.0  # degrees
     tx_power: float = 1.0  # watts, uniform across users
     d_min: float = 1.0  # m
     n_drops: int = 1000
@@ -84,30 +87,21 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         # Every construction runs this, dataclasses.replace included, so each
-        # field is read once.  Numbers must be finite, but noise_power may be
-        # None and floor_gain_db -inf.
-        bit_rate, chip_rate, rho, sigma = self.bit_rate, self.chip_rate, self.rho, self.shadowing_sigma_db
-        noise, radius, beamwidth, tx_power = self.noise_power, self.cell_radius, self.beamwidth_deg, self.tx_power
-        d_min, wavelength, max_db, floor_db = self.d_min, self.wavelength, self.max_gain_db, self.floor_gain_db
-        thresholds = self.thresholds
-        numbers = (
-            bit_rate, chip_rate, rho, sigma, 0.0 if noise is None else noise, radius, beamwidth,
-            tx_power, d_min, wavelength, max_db, 0.0 if floor_db == -math.inf else floor_db, *thresholds,
-        )
-        if not all(map(math.isfinite, numbers)):
-            for name in (*_UNITS, "thresholds"):
-                value = getattr(self, name)
-                if value is None or (name == "floor_gain_db" and value == -math.inf):
-                    continue
-                if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                    allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
-                    raise ConfigError(f"{name} must be {allowed}, got {value}")
-        if self.architecture not in ARCHITECTURE_CHOICES:
-            raise ConfigError(
-                f"architecture must be one of {ARCHITECTURE_CHOICES}, got {self.architecture!r}"
-            )
-        if self.n_users < 1:
-            raise ConfigError(f"n_users must be >= 1, got {self.n_users}")
+        # field is read once.  A config whose fields have the types in
+        # _PLAIN_TYPES, with finite numbers, skips _check_kinds.
+        values = _field_values(self)
+        (architecture, n_users, bit_rate, chip_rate, thresholds, rho, sigma, noise, radius, beamwidth,
+         tx_power, d_min, n_drops, seed, combiner_mode, tiers, _, wavelength, max_db, floor_db) = values
+        numbers = (bit_rate, chip_rate, rho, sigma, radius, beamwidth, tx_power, d_min, wavelength, max_db)
+        # noise_power may be None and floor_gain_db -inf.
+        if (tuple(map(type, values)) not in _PLAIN_TYPES or tuple(map(type, thresholds)) != (float,) * 3
+                or not all(map(math.isfinite, (*numbers, *thresholds))) or not floor_db < math.inf
+                or not (noise is None or math.isfinite(noise))):
+            _check_kinds(self)
+        if architecture not in ARCHITECTURE_CHOICES:
+            raise ConfigError(f"architecture must be one of {ARCHITECTURE_CHOICES}, got {architecture!r}")
+        if n_users < 1:
+            raise ConfigError(f"n_users must be >= 1, got {n_users}")
         if bit_rate <= 0.0 or chip_rate < bit_rate:
             raise ConfigError("need chip_rate >= bit_rate > 0")
         start, stop, step = thresholds
@@ -141,14 +135,14 @@ class ScenarioConfig:
         # The kernel clamps squared distances at d_min**2.
         if d_min > MAX_D_MIN:
             raise ConfigError(f"d_min = {d_min} m overflows when squared; it must be at most {MAX_D_MIN} m")
-        if self.n_drops < 1:
-            raise ConfigError(f"n_drops must be >= 1, got {self.n_drops}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.combiner_mode not in COMBINER_MODES:
-            raise ConfigError(f"combiner_mode must be one of {COMBINER_MODES}, got {self.combiner_mode!r}")
-        if self.interferer_tiers not in (0, 1, 2):
-            raise ConfigError(f"interferer_tiers must be 0, 1 or 2, got {self.interferer_tiers}")
+        if n_drops < 1:
+            raise ConfigError(f"n_drops must be >= 1, got {n_drops}")
+        if seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {seed}")
+        if combiner_mode not in COMBINER_MODES:
+            raise ConfigError(f"combiner_mode must be one of {COMBINER_MODES}, got {combiner_mode!r}")
+        if tiers not in (0, 1, 2):
+            raise ConfigError(f"interferer_tiers must be 0, 1 or 2, got {tiers}")
         if wavelength <= 0.0:
             raise ConfigError(f"wavelength must be positive, got {wavelength}")
         if floor_db > max_db:
@@ -175,7 +169,7 @@ class ScenarioConfig:
 
     @property
     def sector_count(self) -> int:
-        return int(round(360.0 / self.beamwidth_deg))
+        return int(round(360.0 / self.beamwidth))
 
     @property
     def architectures(self) -> tuple[str, ...]:
@@ -222,6 +216,37 @@ class ScenarioConfig:
         return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
 
 
+# Each field's name, which is its config key, and the type of its default.
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+# The field types that validate's fast path takes: the defaults', with
+# noise_power None or a float.
+_PLAIN_TYPES = {tuple(_FIELD_TYPES.values()), tuple({**_FIELD_TYPES, "noise_power": float}.values())}
+_field_values = attrgetter(*_FIELD_TYPES)
+
+
+def _check_kinds(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError for the first field that holds the wrong kind of value.
+
+    Each field holds the kind of its default: a bool; an integer, not a
+    bool; a 3-tuple of numbers; or a finite number, not a bool.  numpy
+    integers and numbers pass, and a name is left to its choices.
+    noise_power may also be None and floor_gain_db -inf.
+    """
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if kind in (bool, int) and not (isinstance(value, Integral) and isinstance(value, bool) == (kind is bool)):
+            raise ConfigError(f"{name} must be {'a bool' if kind is bool else 'an integer'}, got {value!r}")
+        if kind is tuple and not (isinstance(value, tuple) and len(value) == 3):
+            raise ConfigError(f"{name} must be a 3-tuple, got {value!r}")
+        if kind in (float, tuple) or name == "noise_power" and value is not None:
+            for item in value if kind is tuple else (value,):
+                if isinstance(item, bool) or not isinstance(item, Real):
+                    raise ConfigError(f"{name} must be {'3 numbers' if kind is tuple else 'a number'}, got {value!r}")
+                if not (math.isfinite(item) or name == "floor_gain_db" and item == -math.inf):
+                    allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
+                    raise ConfigError(f"{name} must be {allowed}, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """One run's results.
@@ -248,10 +273,10 @@ _UNITS = {
     "bit_rate": _RATE_UNITS,
     "chip_rate": _RATE_UNITS,
     "rho": (),
-    "shadowing_sigma_db": ("dB",),
+    "shadowing_sigma": ("dB",),
     "noise_power": ("W",),
     "cell_radius": ("m",),
-    "beamwidth_deg": ("deg",),
+    "beamwidth": ("deg",),
     "tx_power": ("W",),
     "d_min": ("m",),
     "wavelength": ("m",),
@@ -259,10 +284,6 @@ _UNITS = {
     "floor_gain_db": ("dB",),
 }
 _PREFIX_SCALES = {"k": 1e3, "M": 1e6}
-
-# The only config keys whose names differ from their fields; every other key
-# is its field's name.
-_KEY_FIELDS = {"shadowing_sigma": "shadowing_sigma_db", "beamwidth": "beamwidth_deg"}
 
 # A number as Python's float() spells it, digit-separating underscores
 # included, then an optional unit, which starts with a letter (so "1__0" is a
@@ -318,7 +339,6 @@ def parse_value(name: str, text: str):
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse config text; omitted keys take the defaults, unknown keys fail."""
-    keys = ({f.name for f in fields(ScenarioConfig)} - set(_KEY_FIELDS.values())) | set(_KEY_FIELDS)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -328,13 +348,12 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in keys:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        name = _KEY_FIELDS.get(key, key)
-        if name in values:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[name] = parse_value(name, value)
+            values[key] = parse_value(key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return ScenarioConfig(**values)
@@ -353,7 +372,6 @@ def parse_config_file(path) -> ScenarioConfig:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical config text; parse_config(serialize_config(c)) == c."""
-    keys = {name: key for key, name in _KEY_FIELDS.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -363,7 +381,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
             text = ":".join(map(str, value))
         else:
             text = str(value).lower() if isinstance(value, bool) else str(value)
-        lines.append(f"{keys.get(f.name, f.name)} = {text}")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -450,7 +468,7 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     shadowing factor, the uniform user position, and the flat-top pattern;
     the desired user is conditioned on lying in the serving wedge.
     """
-    shadow_mean = math.exp((cfg.shadowing_sigma_db * LN10_OVER_10) ** 2 / 2.0)
+    shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
     base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
 

@@ -14,8 +14,6 @@ which sums them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .workspace import buffer
@@ -38,29 +36,23 @@ def per_antenna_sir_matrix(
     signal arrives with at an antenna.  Interference at an antenna sums the
     received power of all users except the one under test.  Only the first
     ``n_observed`` user columns are returned (all users still interfere).
-    With ``serving``, an (..., n_observed) array of antenna ids, each
-    observed user's power and its antenna's total are gathered first and
-    only that one SIR is computed: the result is (..., n_observed).
+    With ``serving``, an (..., n_observed) array of antenna ids, only each
+    observed user's SIR at its serving antenna is computed: two
+    ``np.take_along_axis`` gathers pick the user's power from the antenna
+    axis and the antenna's total from the totals, and the result is
+    (..., n_observed).
     Handles the eta = 0 corner: positive signal over empty interference is
     +inf, zero over zero is 0.  With a ``workspace.buffer`` dict as ``work``
-    the temporaries and the result live in its arrays, and the result is
-    overwritten by the next call.
+    the result and every temporary but the two gathers live in its arrays,
+    and the result is overwritten by the next call.
     """
     totals = power.sum(axis=-1, out=buffer(work, "totals", power.shape[:-1]))
     if serving is None:
         observed = power[..., :n_observed]
         totals = totals[..., None]
     else:
-        # Flat indices of each observed user's serving row, then of its entry.
-        # Every index is in range, so mode="clip" only skips a copy.
-        antennas, users = power.shape[-2:]
-        lead = serving.shape[:-1]
-        offsets = np.arange(0, math.prod(lead) * antennas, antennas).reshape(lead + (1,))
-        rows = np.add(serving, offsets, out=buffer(work, "rows", serving.shape, np.intp))
-        totals = totals.reshape(-1).take(rows, out=buffer(work, "served_totals", serving.shape), mode="clip")
-        rows *= users
-        rows += np.arange(serving.shape[-1])
-        observed = power.reshape(-1).take(rows, out=buffer(work, "served", serving.shape), mode="clip")
+        totals = np.take_along_axis(totals, serving, axis=-1)
+        observed = np.take_along_axis(power[..., :n_observed], serving[..., None, :], axis=-2)[..., 0, :]
     # max() guards against cancellation when one user dominates the total.
     denom = np.subtract(totals, observed, out=buffer(work, "denom", observed.shape))
     np.maximum(denom, 0.0, out=denom)
@@ -77,13 +69,12 @@ def per_antenna_sir_matrix(
 def combine_columns(gamma: np.ndarray, mode: str, work: dict | None = None) -> np.ndarray:
     """Diversity combining over the antenna axis of (..., antennas, users) SIRs.
 
+    ``mode`` is one of ``COMBINER_MODES``, as a validated config holds it.
     Returns shape (..., users); a 2-D input combines column by column.  An
     all-zero column combines to 0 and a column with an infinite branch to
     +inf.  With a ``workspace.buffer`` dict as ``work`` the temporaries and
     the result live in its arrays.
     """
-    if mode not in COMBINER_MODES:
-        raise ValueError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
     gamma = np.asarray(gamma, dtype=float)
     shape = gamma.shape[:-2] + gamma.shape[-1:]
     if mode == "classical-mrc":

@@ -72,7 +72,7 @@ def _in_beam(layout, cfg, k: int, x: float, y: float) -> bool:
     if math.hypot(x - sx, y - sy) == 0.0:
         return True
     offset = math.remainder(math.atan2(y - sy, x - sx) - layout.boresights[k], 2.0 * math.pi)
-    return abs(offset) <= math.pi * cfg.beamwidth_deg / 360.0 + 1e-12
+    return abs(offset) <= math.pi * cfg.beamwidth / 360.0 + 1e-12
 
 
 def serving_antenna(layout, cfg, x: float, y: float) -> int:
@@ -128,7 +128,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
                     [
                         path_constant
                         * _path_gain(layout, k, x, y, cfg)
-                        * 10.0 ** (cfg.shadowing_sigma_db * z[d, k, j] / 10.0)
+                        * 10.0 ** (cfg.shadowing_sigma * z[d, k, j] / 10.0)
                         * fading[d, k, j]
                         * cfg.tx_power
                         for j, (x, y) in enumerate(users)
@@ -228,17 +228,17 @@ def _neighbor_gain_mean(cfg, center: np.ndarray, boresight: float) -> float:
     d = np.maximum(np.hypot(pts[:, 0], pts[:, 1]), cfg.d_min)
     bearing = np.arctan2(pts[:, 1], pts[:, 0])
     offset = np.abs(wrap_angle(bearing - boresight))
-    half_beam = math.pi * cfg.beamwidth_deg / 360.0
+    half_beam = math.pi * cfg.beamwidth / 360.0
     patt = np.where(offset <= half_beam + 1e-12, cfg.max_gain, cfg.floor_gain)
     return float(np.mean(patt * d ** (-cfg.rho)))
 
 
 def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
     """(desired mean, same-cell interferer mean, per-neighbor-cell means)."""
-    shadow_mean = math.exp((cfg.shadowing_sigma_db * LN10_OVER_10) ** 2 / 2.0)
+    shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
     base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
-    half_beam = math.pi * cfg.beamwidth_deg / 360.0
+    half_beam = math.pi * cfg.beamwidth / 360.0
     boresight = math.pi / 2.0  # sector 0; all sectors are congruent
 
     wedge = _wedge_gain_integral(cfg, boresight - half_beam, boresight + half_beam)

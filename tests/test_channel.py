@@ -53,7 +53,7 @@ class TestLogNormalShadowing:
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig(shadowing_sigma_db=-1.0)
+            ScenarioConfig(shadowing_sigma=-1.0)
 
 
 class TestExponentialFading:
@@ -164,5 +164,5 @@ class TestPropagationFields:
 
     def test_rejects_out_of_range_sigma(self):
         with pytest.raises(ConfigError):
-            replace(ScenarioConfig(), shadowing_sigma_db=15.0)
+            replace(ScenarioConfig(), shadowing_sigma=15.0)
 

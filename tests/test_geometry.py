@@ -69,7 +69,7 @@ class TestBuildLayout:
         # The analytic curve integrates over sector 0's beam, so its bits
         # rest on this boresight.
         for beamwidth in (60.0, 120.0):
-            assert build_layout(make_cfg(beamwidth_deg=beamwidth), "used").boresights[0] == math.pi / 2
+            assert build_layout(make_cfg(beamwidth=beamwidth), "used").boresights[0] == math.pi / 2
 
     @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
     @pytest.mark.parametrize("architecture", ["used", "microzone"])
@@ -77,14 +77,14 @@ class TestBuildLayout:
         # The boresights are kept unwrapped; the kernel reads only their
         # cosines and sines, which wrapping to (-pi, pi] would move by no
         # more than one ulp of the unwrapped angle.
-        layout = build_layout(make_cfg(beamwidth_deg=beamwidth), architecture)
+        layout = build_layout(make_cfg(beamwidth=beamwidth), architecture)
         wrapped = wrap_angle(layout.boresights)
         ulp = np.spacing(layout.boresights)
         for column, exact in zip(layout.boresight_columns, (np.cos(wrapped), np.sin(wrapped))):
             assert np.all(np.abs(column[:, 0] - exact) <= ulp)
 
     def test_sixty_degree_variant(self):
-        layout = build_layout(make_cfg(beamwidth_deg=60.0), "microzone")
+        layout = build_layout(make_cfg(beamwidth=60.0), "microzone")
         assert len(layout.boresights) == len(layout.sites) == 6
 
     def test_rejects_bad_radius_and_count(self):
@@ -92,9 +92,7 @@ class TestBuildLayout:
         with pytest.raises(ConfigError):
             make_cfg(cell_radius=-5.0)
         with pytest.raises(ConfigError):
-            make_cfg(beamwidth_deg=90.0)
-        with pytest.raises(ValueError):
-            build_layout(make_cfg(), "both")
+            make_cfg(beamwidth=90.0)
 
     @pytest.mark.parametrize("arch, n_sites", [("used", 1), ("microzone", 3)])
     def test_derived_columns_follow_sites_and_boresights(self, arch, n_sites):
@@ -329,13 +327,13 @@ class TestServingAntenna:
                 assert s == strict[0]
 
 
-@pytest.mark.parametrize("beamwidth_deg", [60.0, 120.0])
+@pytest.mark.parametrize("beamwidth", [60.0, 120.0])
 class TestServingFromBeamMask:
     # The used architecture's serving antenna is the lowest id in the
     # kernel's beam mask.  argmax over an all-zero column would return 0
     # without complaint, so the beams must hold every home-cell user.
-    def test_every_home_cell_user_lies_in_a_beam(self, beamwidth_deg):
-        cfg = make_cfg(beamwidth_deg=beamwidth_deg, n_users=20)
+    def test_every_home_cell_user_lies_in_a_beam(self, beamwidth):
+        cfg = make_cfg(beamwidth=beamwidth, n_users=20)
         layout = build_layout(cfg, "used")
         centers = np.vstack([ORIGIN, interferer_cell_centers(cfg.cell_radius, 1)])
         for seed in range(10):
@@ -350,8 +348,8 @@ class TestServingFromBeamMask:
         _, inside = _path_gains(layout, xy.reshape(1, -1, 2), cfg)
         assert np.all(inside.sum(axis=1) == 2)
 
-    def test_serving_antenna_has_the_max_gain(self, beamwidth_deg):
-        cfg = make_cfg(beamwidth_deg=beamwidth_deg, max_gain_db=3.0, floor_gain_db=-20.0)
+    def test_serving_antenna_has_the_max_gain(self, beamwidth):
+        cfg = make_cfg(beamwidth=beamwidth, max_gain_db=3.0, floor_gain_db=-20.0)
         layout = build_layout(cfg, "used")
         xy = sample_hexagon_xy(cfg.cell_radius, ORIGIN, 400, np.random.default_rng(21), batch=(5,))
         gains, inside = _path_gains(layout, xy, cfg)
@@ -359,8 +357,8 @@ class TestServingFromBeamMask:
         loss = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), cfg.d_min) ** -cfg.rho
         np.testing.assert_allclose(served[:, 0] / loss, cfg.max_gain, rtol=1e-12)
 
-    def test_matches_the_oracle_away_from_edges(self, beamwidth_deg):
-        cfg = make_cfg(beamwidth_deg=beamwidth_deg)
+    def test_matches_the_oracle_away_from_edges(self, beamwidth):
+        cfg = make_cfg(beamwidth=beamwidth)
         layout = build_layout(cfg, "used")
         rng = np.random.default_rng(22)
         edges = layout.boresights + math.pi / cfg.sector_count
@@ -378,8 +376,8 @@ class TestServingFromBeamMask:
         serving = kernel_serving(layout, [kept], cfg)[0]
         assert serving.tolist() == [serving_antenna(layout, cfg, x, y) for x, y in kept]
 
-    def test_user_at_the_site_is_served_by_antenna_0(self, beamwidth_deg):
-        cfg = make_cfg(beamwidth_deg=beamwidth_deg)
+    def test_user_at_the_site_is_served_by_antenna_0(self, beamwidth):
+        cfg = make_cfg(beamwidth=beamwidth)
         layout = build_layout(cfg, "used")
         _, inside = _path_gains(layout, np.zeros((1, 1, 2)), cfg)
         assert inside.all()
@@ -404,7 +402,3 @@ class TestInterfererCells:
     def test_first_ring_distance(self):
         for x, y in interferer_cell_centers(1000.0, 1):
             assert math.hypot(x, y) == pytest.approx(1000.0 * math.sqrt(3.0))
-
-    def test_rejects_bad_tiers(self):
-        with pytest.raises(ValueError):
-            interferer_cell_centers(1000.0, 3)

@@ -253,9 +253,9 @@ class TestKernelAgainstScalarOracle:
         architecture, paired, rho, sigma, tx_power, d_min, link_budget, n_drops, seed,
     ):
         cfg = ScenarioConfig(
-            beamwidth_deg=beamwidth, interferer_tiers=tiers, n_users=n_users,
+            beamwidth=beamwidth, interferer_tiers=tiers, n_users=n_users,
             noise_power=noise_power, floor_gain_db=floor_gain_db, combiner_mode=combiner,
-            architecture=architecture, paired=paired, rho=rho, shadowing_sigma_db=sigma,
+            architecture=architecture, paired=paired, rho=rho, shadowing_sigma=sigma,
             tx_power=tx_power, d_min=d_min,
             thresholds=(-10.0, 10.0, 2.5), n_drops=n_drops, master_seed=seed,
         )
@@ -362,7 +362,7 @@ PINNED = {
         "2adc2981c81d67c0957238b0acd33dd8c99e79d4d42f2152f0f4a347605bf83a",
     ),
     "beam60": (
-        dict(beamwidth_deg=60.0),
+        dict(beamwidth=60.0),
         {"used": [1990, 3127, 4599, 6211, 7596], "microzone": [1891, 2834, 3896, 5367, 7207]},
         "470c50b374c00f1e18767e68b9c335b17bdd22a72ebfd852e9da7a61e5d72f02",
     ),
@@ -387,12 +387,12 @@ PINNED = {
         "c02a2e15f753780fc473d8df7b3627536e55b95a0d22eafd61b25b0754c0cf65",
     ),
     "used_no_shadowing": (
-        dict(architecture="used", shadowing_sigma_db=0.0),
+        dict(architecture="used", shadowing_sigma=0.0),
         {"used": [2971, 4470, 6255, 7817, 8829]},
         "002f371dbec40e31973c13027d651aa0eebc2318c177dc23665db220d1478fb5",
     ),
     "dense_paper": (
-        dict(n_users=120, interferer_tiers=2, beamwidth_deg=60.0, combiner_mode="paper", n_drops=23),
+        dict(n_users=120, interferer_tiers=2, beamwidth=60.0, combiner_mode="paper", n_drops=23),
         {"used": [1288, 1700, 2042, 2326, 2506], "microzone": [1220, 1658, 2057, 2319, 2502]},
         "c25437c2276d1ea9364948ccf50cf8e5bfeab7f88ed46562339f6eaeec520651",
     ),
@@ -415,7 +415,7 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, dict(n_users=10, interferer_tiers=2, beamwidth_deg=60.0, combiner_mode="paper")],
+        [{}, dict(n_users=10, interferer_tiers=2, beamwidth=60.0, combiner_mode="paper")],
     )
     def test_block_range_is_the_sum_of_single_blocks(self, overrides):
         # Blocks of different sizes (full ones, then a short last one) run in

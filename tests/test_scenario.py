@@ -4,7 +4,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +69,9 @@ class TestParseConfig:
         )
         assert cfg.chip_rate == 3.8e6
         assert cfg.bit_rate == 45e3
-        assert cfg.shadowing_sigma_db == 5.0
+        assert cfg.shadowing_sigma == 5.0
         assert cfg.cell_radius == 1000.0
-        assert cfg.beamwidth_deg == 120.0
+        assert cfg.beamwidth == 120.0
 
     def test_threshold_sweep(self):
         cfg = parse_config("thresholds = -5:5:2.5")
@@ -87,8 +87,12 @@ class TestParseConfig:
             parse_config("rho = 9")
         with pytest.raises(ConfigError):
             parse_config("beamwidth = 90")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="combiner_mode"):
             parse_config("combiner_mode = selection")
+        with pytest.raises(ConfigError, match="interferer_tiers"):
+            parse_config("interferer_tiers = 3")
+        with pytest.raises(ConfigError, match="architecture"):
+            parse_config("architecture = sectored")
         # The drop count and sweep a Monte Carlo run reads: at least one drop,
         # and an ascending sweep.
         with pytest.raises(ConfigError, match="n_drops"):
@@ -257,8 +261,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("text, message", [
+        ("shadowing_sigma = nan dB", "shadowing_sigma must be finite"),
+        ("beamwidth = inf deg", "beamwidth must be finite"),
+    ])
+    def test_non_finite_error_names_the_config_key(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(text)
 
-# Every config key, once; two of them are not their field's name.
+    # Values of the wrong kind: each would run, or serialize, as a different
+    # config than the one built, or fail inside the kernel.
+    @pytest.mark.parametrize("name, value, message", [
+        ("paired", "false", "a bool"),
+        ("paired", np.bool_(False), "a bool"),
+        ("thresholds", [-10.0, 10.0, 5.0], "a 3-tuple"),
+        ("thresholds", (-10.0, 10.0), "a 3-tuple"),
+        ("thresholds", (-10.0, "10", 5.0), "3 numbers"),
+        ("thresholds", (-10.0, 10.0, True), "3 numbers"),
+        ("interferer_tiers", True, "an integer"),
+        ("n_users", 2.0, "an integer"),
+        ("n_drops", 10.5, "an integer"),
+        ("master_seed", "1", "an integer"),
+        ("rho", "4", "a number"),
+        ("rho", True, "a number"),
+        ("noise_power", "auto", "a number"),
+        ("floor_gain_db", None, "a number"),
+    ])
+    def test_field_of_the_wrong_kind_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"^{name} must be {message}, got "):
+            ScenarioConfig(**{name: value})
+
+
+# Every config key, once; each is the name of its ScenarioConfig field.
 GRAMMAR_KEYS = (
     "architecture", "n_users", "bit_rate", "chip_rate", "thresholds", "rho", "shadowing_sigma",
     "noise_power", "cell_radius", "beamwidth", "tx_power", "d_min", "n_drops",
@@ -289,10 +323,10 @@ def valid_configs(draw):
         chip_rate=draw(st.floats(bit_rate, 1e15)),
         thresholds=(start, draw(st.floats(start, start + 100.0)), draw(st.floats(1e-3, 100.0))),
         rho=draw(st.floats(2.0, 5.0)),
-        shadowing_sigma_db=draw(st.floats(0.0, 12.0)),
+        shadowing_sigma=draw(st.floats(0.0, 12.0)),
         noise_power=draw(st.none() | st.floats(0.0, 1e300)),
         cell_radius=draw(st.floats(1.0, 1e4)),
-        beamwidth_deg=draw(st.sampled_from((60.0, 120.0))),
+        beamwidth=draw(st.sampled_from((60.0, 120.0))),
         tx_power=draw(st.floats(1e-3, 1e3)),
         d_min=draw(st.floats(1e-60, 1e58)),
         n_drops=draw(st.integers(1, 2**64)),
@@ -317,6 +351,7 @@ class TestRoundTrip:
     def test_default_config(self):
         cfg = ScenarioConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+        assert config_keys(serialize_config(cfg)) == [f.name for f in fields(ScenarioConfig)]
 
     def test_modified_configs(self):
         cases = [
@@ -324,8 +359,9 @@ class TestRoundTrip:
             replace(ScenarioConfig(), thresholds=(-4.0, 6.0, 0.5), paired=False),
             replace(ScenarioConfig(), combiner_mode="paper", interferer_tiers=2),
             replace(ScenarioConfig(), tx_power=0.1 + 0.2, master_seed=2**63),
-            replace(ScenarioConfig(), architecture="microzone", beamwidth_deg=60.0),
+            replace(ScenarioConfig(), architecture="microzone", beamwidth=60.0),
             replace(ScenarioConfig(), rho=np.float64(3.3), n_users=np.int64(7)),
+            replace(ScenarioConfig(), rho=np.float32(3.0), n_drops=np.int32(5), noise_power=np.float64(0.0)),
         ]
         for cfg in cases:
             assert parse_config(serialize_config(cfg)) == cfg
@@ -340,7 +376,7 @@ class TestReadmeConfigTable:
         assert len(rows) == len(units)
         assert sorted(units) == sorted(config_keys(serialize_config(ScenarioConfig())))
         for key, listed in units.items():
-            assert listed == list(scenario._UNITS.get(scenario._KEY_FIELDS.get(key, key), ())), key
+            assert listed == list(scenario._UNITS.get(key, ())), key
 
 
 class TestScenarioDefaults:
@@ -349,8 +385,8 @@ class TestScenarioDefaults:
         assert abs(10.0 * math.log10(cfg.processing_gain) - 19.3) < 0.05
         assert cfg.n_users == 40
         assert cfg.rho == 4.0
-        assert cfg.shadowing_sigma_db == 5.0
-        assert cfg.beamwidth_deg == 120.0
+        assert cfg.shadowing_sigma == 5.0
+        assert cfg.beamwidth == 120.0
         assert cfg.cell_radius == 1000.0
         assert cfg.tx_power == 1.0
 
@@ -378,7 +414,7 @@ class TestMeanReceivedPowers:
         # Oracle: sample uniform in-wedge users and average the gain factors.
         # A large d_min keeps the d**-4 moment tame enough for the MC oracle.
         cfg = replace(
-            ScenarioConfig(), interferer_tiers=0, shadowing_sigma_db=0.0, d_min=100.0
+            ScenarioConfig(), interferer_tiers=0, shadowing_sigma=0.0, d_min=100.0
         )
         mean_desired, _, _ = mean_received_powers(cfg)
         rng = np.random.default_rng(17)
@@ -446,8 +482,8 @@ class TestAnalyticAgainstOracle:
         # are swept inside one case.
         for sigma in (0.0, 8.0):
             cfg = ScenarioConfig(
-                rho=rho, beamwidth_deg=beamwidth, interferer_tiers=tiers,
-                floor_gain_db=floor_db, d_min=d_min, shadowing_sigma_db=sigma,
+                rho=rho, beamwidth=beamwidth, interferer_tiers=tiers,
+                floor_gain_db=floor_db, d_min=d_min, shadowing_sigma=sigma,
             )
             ref_desired, ref_in_cell, ref_neighbors = reference_mean_received_powers(cfg)
             desired, in_cell, neighbors = mean_received_powers(cfg)
