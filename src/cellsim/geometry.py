@@ -61,17 +61,18 @@ class Layout:
 
     @cached_property
     def site_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y columns, (sites, 1), of the distinct sites.
+        """x and y columns, (sites, 1, 1), of the distinct sites.
 
         One row when every antenna shares a site, as the used layout's do.
+        The trailing axes broadcast over the kernel's (drops, users) planes.
         """
         sites = self.sites[:1] if (self.sites == self.sites[0]).all() else self.sites
-        return sites[:, 0, None], sites[:, 1, None]
+        return sites[:, 0, None, None], sites[:, 1, None, None]
 
     @cached_property
     def boresight_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cosine and sine columns, (antennas, 1), of the boresights."""
-        column = self.boresights[:, None]
+        """Cosine and sine columns, (antennas, 1, 1), of the boresights."""
+        column = self.boresights[:, None, None]
         return np.cos(column), np.sin(column)
 
 
@@ -149,13 +150,20 @@ def sample_hexagon_xy(
 def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
     """Serving antenna id per user, from the kernel's beam mask.
 
-    ``inside`` is the (..., antennas, users) 0/1 mask of ``outage._path_gains``
-    for the used layout, whose antennas share the cell center; the result has
-    shape (..., users).  The beams cover every bearing, so each user lies in
-    at least one, and a user in two (on a sector edge, or at the center
-    itself) goes to the lower antenna id.
+    ``inside`` is the antenna-major (antennas, ..., users) 0/1 mask of
+    ``outage._path_gains`` for the used layout, whose antennas share the cell
+    center; the result has shape (..., users).  The beams cover every
+    bearing, so each user lies in at least one, and a user in two (on a
+    sector edge, or at the center itself) goes to the lower antenna id: the
+    antennas write their ids from the last down to the first.  That is
+    ``np.argmax`` over the antenna axis, without its per-user loop over 3 or
+    6 entries.  ``np.putmask`` takes the 0/1 mask as it is, and it measured
+    about twice as fast as ``np.copyto`` with ``where=inside[k] != 0``.
     """
-    return np.argmax(inside, axis=-2)
+    serving = np.zeros(inside.shape[1:], dtype=np.intp)
+    for k in range(len(inside) - 1, -1, -1):
+        np.putmask(serving, inside[k], k)
+    return serving
 
 
 def interferer_cell_centers(cell_radius: float, tiers: int) -> np.ndarray:

@@ -99,10 +99,10 @@ class TestDistanceLoss:
 
 class TestPathGains:
     # The kernel's deterministic link gains: pattern times distance loss for
-    # every (drop, antenna, user).
+    # every (antenna, drop, user), antenna-major.
     def test_zero_users(self):
         layout = build_layout(ScenarioConfig(), "used")
-        assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig())[0].shape == (1, 3, 0)
+        assert _path_gains(layout, np.zeros((1, 0, 2)), ScenarioConfig())[0].shape == (3, 1, 0)
 
     def test_deterministic_given_seed(self, monkeypatch):
         # A block's draw is keyed by (seed, stream tag, block index) alone.
@@ -133,9 +133,9 @@ class TestPathGains:
         for arch in ("used", "microzone"):
             layout = build_layout(cfg, arch)
             gains, inside = _path_gains(layout, xy, cfg)
-            dx = xy[:, None, :, 0] - layout.sites[:, 0, None]
-            dy = xy[:, None, :, 1] - layout.sites[:, 1, None]
-            offset = np.angle(np.exp(1j * (np.arctan2(dy, dx) - layout.boresights[:, None])))
+            dx = xy[..., 0] - layout.sites[:, 0, None, None]
+            dy = xy[..., 1] - layout.sites[:, 1, None, None]
+            offset = np.angle(np.exp(1j * (np.arctan2(dy, dx) - layout.boresights[:, None, None])))
             in_beam = np.abs(offset) <= math.pi / cfg.sector_count
             np.testing.assert_array_equal(inside, in_beam)
             loss = np.maximum(dx * dx + dy * dy, cfg.d_min**2) ** (-rho / 2.0)
@@ -151,7 +151,7 @@ class TestPathGains:
         layout = build_layout(cfg, "microzone")
         xy = sample_hexagon_xy(800.0, (0.0, 0.0), 30, np.random.default_rng(10), batch=(2,))
         gains, _ = _path_gains(layout, xy, cfg)
-        assert gains.shape == (2, 3, 30)
+        assert gains.shape == (3, 2, 30)
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 

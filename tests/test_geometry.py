@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cellsim.geometry import (
     Layout,
@@ -81,7 +84,7 @@ class TestBuildLayout:
         wrapped = wrap_angle(layout.boresights)
         ulp = np.spacing(layout.boresights)
         for column, exact in zip(layout.boresight_columns, (np.cos(wrapped), np.sin(wrapped))):
-            assert np.all(np.abs(column[:, 0] - exact) <= ulp)
+            assert np.all(np.abs(column[:, 0, 0] - exact) <= ulp)
 
     def test_sixty_degree_variant(self):
         layout = build_layout(make_cfg(beamwidth=60.0), "microzone")
@@ -102,14 +105,15 @@ class TestBuildLayout:
         layout = build_layout(make_cfg(), arch)
         site_x, site_y = layout.site_columns
         cos, sin = layout.boresight_columns
-        assert site_x.shape == site_y.shape == (n_sites, 1)
-        np.testing.assert_array_equal(site_x[:, 0], layout.sites[:n_sites, 0])
-        np.testing.assert_array_equal(site_y[:, 0], layout.sites[:n_sites, 1])
-        np.testing.assert_array_equal(cos[:, 0], np.cos(layout.boresights))
-        np.testing.assert_array_equal(sin[:, 0], np.sin(layout.boresights))
+        assert site_x.shape == site_y.shape == (n_sites, 1, 1)
+        assert cos.shape == sin.shape == (3, 1, 1)
+        np.testing.assert_array_equal(site_x[:, 0, 0], layout.sites[:n_sites, 0])
+        np.testing.assert_array_equal(site_y[:, 0, 0], layout.sites[:n_sites, 1])
+        np.testing.assert_array_equal(cos[:, 0, 0], np.cos(layout.boresights))
+        np.testing.assert_array_equal(sin[:, 0, 0], np.sin(layout.boresights))
         copy = replace(layout, sites=layout.sites[1:2] + 5.0, boresights=layout.boresights[1:2])
-        assert copy.site_columns[0].tolist() == [[layout.sites[1, 0] + 5.0]]
-        assert copy.boresight_columns[1].tolist() == [[np.sin(layout.boresights[1])]]
+        assert copy.site_columns[0].tolist() == [[[layout.sites[1, 0] + 5.0]]]
+        assert copy.boresight_columns[1].tolist() == [[[np.sin(layout.boresights[1])]]]
 
     def test_microzone_positions_invariant_under_120_rotation(self):
         layout = build_layout(make_cfg(), "microzone")
@@ -327,6 +331,24 @@ class TestServingAntenna:
                 assert s == strict[0]
 
 
+@st.composite
+def beam_masks(draw):
+    """Antenna-major 0/1 beam masks, 3 or 6 antennas, every user in at least one beam."""
+    antennas = draw(st.sampled_from([3, 6]))
+    shape = (antennas,) + draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=8))
+    mask = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, 1)))
+    lit = draw(hnp.arrays(np.intp, shape[1:], elements=st.integers(0, antennas - 1)))
+    np.put_along_axis(mask, lit[None], 1, axis=0)
+    return mask
+
+
+@given(beam_masks())
+@settings(max_examples=300, deadline=None)
+def test_serving_sector_is_the_argmax_over_antennas(mask):
+    # The lowest id among the beams that hold the user, as np.argmax gives it.
+    np.testing.assert_array_equal(serving_sector_indices(mask), np.argmax(mask, axis=0))
+
+
 @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
 class TestServingFromBeamMask:
     # The used architecture's serving antenna is the lowest id in the
@@ -340,22 +362,22 @@ class TestServingFromBeamMask:
             rng = np.random.default_rng(seed)
             xy = sample_hexagon_xy(cfg.cell_radius, centers, 20, rng, batch=(39,))
             _, inside = _path_gains(layout, xy, cfg)
-            assert inside[:, :, :20].any(axis=1).all()
+            assert inside[..., :20].any(axis=0).all()
         # Points exactly on the sector edges lie in both beams.
         edges = layout.boresights + math.pi / cfg.sector_count
         radii = np.geomspace(1e-3, 1000.0, 40)
         xy = np.stack([np.outer(radii, np.cos(edges)), np.outer(radii, np.sin(edges))], -1)
         _, inside = _path_gains(layout, xy.reshape(1, -1, 2), cfg)
-        assert np.all(inside.sum(axis=1) == 2)
+        assert np.all(inside.sum(axis=0) == 2)
 
     def test_serving_antenna_has_the_max_gain(self, beamwidth):
         cfg = make_cfg(beamwidth=beamwidth, max_gain_db=3.0, floor_gain_db=-20.0)
         layout = build_layout(cfg, "used")
         xy = sample_hexagon_xy(cfg.cell_radius, ORIGIN, 400, np.random.default_rng(21), batch=(5,))
         gains, inside = _path_gains(layout, xy, cfg)
-        served = np.take_along_axis(gains, serving_sector_indices(inside)[:, None, :], axis=1)
+        served = np.take_along_axis(gains, serving_sector_indices(inside)[None], axis=0)
         loss = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), cfg.d_min) ** -cfg.rho
-        np.testing.assert_allclose(served[:, 0] / loss, cfg.max_gain, rtol=1e-12)
+        np.testing.assert_allclose(served[0] / loss, cfg.max_gain, rtol=1e-12)
 
     def test_matches_the_oracle_away_from_edges(self, beamwidth):
         cfg = make_cfg(beamwidth=beamwidth)
@@ -390,7 +412,7 @@ class TestServingFromBeamMask:
             for x, y in lay.sites:
                 gains, _ = _path_gains(lay, np.array([[[x, y]]]), cfg)
                 oracle = [_path_gain(lay, k, x, y, cfg) for k in range(cfg.sector_count)]
-                np.testing.assert_allclose(gains[0, :, 0], oracle, rtol=1e-12)
+                np.testing.assert_allclose(gains[:, 0, 0], oracle, rtol=1e-12)
 
 
 class TestInterfererCells:

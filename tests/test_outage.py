@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage
-from cellsim.geometry import build_layout, interferer_cell_centers
+from cellsim.geometry import build_layout, interferer_cell_centers, sample_hexagon_xy
 from cellsim.outage import OutageCurve, analytic_outage_used, mc_outage
 from cellsim.scenario import ConfigError, ScenarioConfig, render_csv, run_experiment
+from cellsim.sir import combine_columns
 from scalar_oracle import matched_exponential_outage, oracle_counts, reference_outage_used
 
 rates = st.floats(min_value=0.1, max_value=10.0)
@@ -437,3 +438,62 @@ class TestPinnedCounts:
         curves = mc_outage(cfg).values()
         n_samples = cfg.n_drops * cfg.n_users
         np.testing.assert_array_equal(whole, np.rint([c.estimates * n_samples for c in curves]))
+
+
+class TestAntennaMajor:
+    # The kernel's link arrays are (antennas, drops, users), and its draws
+    # keep their (drops, antennas, users) order.  The pinned counts hold only
+    # if every element gets the operations of a one-antenna, one-drop call on
+    # the same operands, and the sums over antennas run in antenna order.
+    @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
+    @pytest.mark.parametrize("rho", [3.0, 4.0])
+    def test_path_gains_are_those_of_one_antenna_and_one_drop(self, beamwidth, rho):
+        cfg = ScenarioConfig(beamwidth=beamwidth, rho=rho, floor_gain_db=-20.0)
+        centers = np.vstack([np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, 1)])
+        xy = sample_hexagon_xy(cfg.cell_radius, centers, 7, np.random.default_rng(31), batch=(4,))
+        for arch in ("used", "microzone"):
+            layout = build_layout(cfg, arch)
+            gains, inside = outage._path_gains(layout, xy, cfg)
+            assert gains.shape == inside.shape == (cfg.sector_count, 4, 49)
+            for k in range(cfg.sector_count):
+                alone = replace(layout, sites=layout.sites[k : k + 1], boresights=layout.boresights[k : k + 1])
+                for d in range(4):
+                    one_gains, one_inside = outage._path_gains(alone, xy[d : d + 1], cfg)
+                    np.testing.assert_array_equal(gains[k, d], one_gains[0, 0])
+                    np.testing.assert_array_equal(inside[k, d], one_inside[0, 0])
+
+    @pytest.mark.parametrize("antennas", [3, 6])
+    def test_mrc_sums_the_antennas_in_order(self, antennas):
+        # Branches over many decades, so that another order rounds differently.
+        gamma = np.exp(np.random.default_rng(antennas).normal(0.0, 6.0, (antennas, 5, 40)))
+        in_order = gamma[0] + gamma[1]
+        for branch in gamma[2:]:
+            in_order = in_order + branch
+        np.testing.assert_array_equal(combine_columns(gamma, "classical-mrc"), in_order)
+        np.testing.assert_array_equal(combine_columns(gamma, "classical-mrc", work={}), in_order)
+        reversed_order = gamma[-1] + gamma[-2]
+        for branch in gamma[-3::-1]:
+            reversed_order = reversed_order + branch
+        assert not np.array_equal(reversed_order, in_order)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(n_users=10, interferer_tiers=2, beamwidth=60.0, combiner_mode="paper")],
+    )
+    def test_counts_do_not_depend_on_what_the_workspace_held(self, overrides):
+        # One job evaluates both architectures, in either order, in one
+        # workspace over a full block and a short one.  Each architecture
+        # alone, one block per job, starts from a fresh workspace every time.
+        cfg = ScenarioConfig(master_seed=4, **overrides)
+        per_block = outage._blocks(cfg)[1]
+        cfg = replace(cfg, n_drops=per_block + per_block // 3 + 1)
+        n_blocks = outage._blocks(cfg)[2]
+        assert n_blocks == 2
+        both = outage._count_blocks((cfg, ("used", "microzone"), 0, 0, n_blocks))
+        swapped = outage._count_blocks((cfg, ("microzone", "used"), 0, 0, n_blocks))
+        fresh = [
+            sum(outage._count_blocks((cfg, (arch,), 0, b, b + 1)) for b in range(n_blocks))
+            for arch in ("used", "microzone")
+        ]
+        np.testing.assert_array_equal(both, np.vstack(fresh))
+        np.testing.assert_array_equal(swapped, both[::-1])

@@ -28,13 +28,13 @@ def combine(branches, mode="paper"):
 
 
 def drop_sirs(arch, seed, **cfg):
-    """Beam mask and branch SIRs (1, antennas, users) of one home-cell drop, from kernel stages."""
+    """Beam mask and branch SIRs (antennas, 1, users) of one home-cell drop, from kernel stages."""
     cfg = ScenarioConfig(interferer_tiers=0, **cfg)
     layout = build_layout(cfg, arch)
     rng = np.random.default_rng(seed)
     xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
     gains, inside = _path_gains(layout, xy, cfg)
-    gains = gains * rng.exponential(1.0, (1, 3, 12))
+    gains = gains * rng.exponential(1.0, (1, 3, 12)).transpose(1, 0, 2)
     return inside, per_antenna_sir_matrix(gains * cfg.tx_power, 1e-18, cfg.processing_gain, 12)
 
 
@@ -192,10 +192,11 @@ class TestServingColumn:
     # gathered before the formula, must be bit for bit the full matrix's entry.
     @staticmethod
     def powers(batch, antennas, seed=13):
+        # Antenna-major, (antennas,) + batch + (users,), from the same draws.
         rng = np.random.default_rng(seed)
-        power = rng.exponential(1.0, batch + (antennas, 9))
-        power[..., 1, :] = 0.0  # nothing at antenna 1: zero over zero at eta = 0
-        power[..., 2, 1:] = 0.0  # user 0 alone at antenna 2: +inf at eta = 0
+        power = np.moveaxis(rng.exponential(1.0, batch + (antennas, 9)), -2, 0)
+        power[1] = 0.0  # nothing at antenna 1: zero over zero at eta = 0
+        power[2, ..., 1:] = 0.0  # user 0 alone at antenna 2: +inf at eta = 0
         serving = rng.integers(0, antennas, batch + (5,))
         serving[..., :2] = [2, 1]
         return power, serving
@@ -203,7 +204,7 @@ class TestServingColumn:
     @staticmethod
     def expected(power, serving, eta):
         full = per_antenna_sir_matrix(power, eta, 10.0, n_observed=5)
-        return np.take_along_axis(full, serving[..., None, :], axis=-2)[..., 0, :]
+        return np.take_along_axis(full, serving[None], axis=0)[0]
 
     @pytest.mark.parametrize("eta", [0.2, 0.0])
     @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
@@ -228,15 +229,15 @@ class TestServingColumn:
 class TestBatchAxis:
     def test_batch_equals_per_drop(self):
         rng = np.random.default_rng(12)
-        gains = rng.exponential(1.0, (4, 3, 9))
+        gains = np.moveaxis(rng.exponential(1.0, (4, 3, 9)), 1, 0)
         gamma = per_antenna_sir_matrix(gains, 0.2, 10.0, n_observed=5)
-        assert gamma.shape == (4, 3, 5)
+        assert gamma.shape == (3, 4, 5)
         for mode in ("paper", "classical-mrc"):
             combined = combine_columns(gamma, mode)
             assert combined.shape == (4, 5)
             for d in range(4):
-                one = per_antenna_sir_matrix(gains[d], 0.2, 10.0, n_observed=5)
-                np.testing.assert_array_equal(gamma[d], one)
+                one = per_antenna_sir_matrix(gains[:, d], 0.2, 10.0, n_observed=5)
+                np.testing.assert_array_equal(gamma[:, d], one)
                 np.testing.assert_array_equal(combined[d], combine_columns(one, mode))
 
 
@@ -247,16 +248,16 @@ class TestDropSirSamples:
         # that antenna, the user's only nonzero branch.
         inside, gamma = drop_sirs("used", 4)
         serving = serving_sector_indices(inside)
-        combined = np.take_along_axis(gamma, serving[:, None, :], axis=1)[:, 0]
+        combined = np.take_along_axis(gamma, serving[None], axis=0)[0]
         assert np.all(combined > 0.0)
-        assert np.array_equal(combined, gamma.max(axis=1))
-        assert np.all(np.sort(gamma, axis=1)[:, :-1] == 0.0)
+        assert np.array_equal(combined, gamma.max(axis=0))
+        assert np.all(np.sort(gamma, axis=0)[:-1] == 0.0)
 
     def test_microzone_combined_between_branch_extremes(self):
         _, gamma = drop_sirs("microzone", 5, floor_gain_db=-20.0)
         combined = combine_columns(gamma, "paper")
-        assert np.all(gamma.min(axis=1) * (1.0 - 1e-9) <= combined)
-        assert np.all(combined <= gamma.max(axis=1) * (1.0 + 1e-9))
+        assert np.all(gamma.min(axis=0) * (1.0 - 1e-9) <= combined)
+        assert np.all(combined <= gamma.max(axis=0) * (1.0 + 1e-9))
 
 
 class TestRadioConfig:
