@@ -39,14 +39,16 @@ neither.
 
 The kernel allocates no block-sized array per block.  Each job (one
 worker's range of blocks) keeps one workspace (``workspace.buffer``) of
-arrays sized to one block: placement, draws, link gains, SIR and combining
-all write into it, and a short last block uses views over the first
-elements of the same arrays.  Every operation runs in the same order on the
-same operands as with fresh arrays, so the reuse changes no bit of any
-result.  What no block changes is set up once per job: the layouts, with
-their distinct sites and boresight cosines and sines, the cell centers, and
-the factor every link shares, the path constant times the transmit power,
-which the shadowing and fading pass applies once for every architecture.
+arrays sized to one block: placement, draws and link gains write into it,
+and a short last block uses views over the first elements of the same
+arrays.  The SIR and combining arrays hold only the observed users, a
+fraction of a block, and are allocated plainly.  Every operation runs in
+the same order on the same operands as with fresh arrays, so the reuse
+changes no bit of any result.  What no block changes is set up once per
+job: the layouts, with their distinct sites and boresight cosines and
+sines, the cell centers, and the factor every link shares, the path
+constant times the transmit power, which the shadowing and fading pass
+applies once for every architecture.
 The used architecture reads one SIR per user, its serving sector's, so the
 SIR formula runs on that one gathered column; microzone combines every
 branch.
@@ -287,12 +289,10 @@ def _count_blocks(args) -> np.ndarray:
             # microzone combines every branch.
             if layout.architecture == "used":
                 serving = serving_sector_indices(inside[..., :n_users])
-                sirs = per_antenna_sir_matrix(
-                    power, eta, pg, n_observed=n_users, work=work, serving=serving
-                )
+                sirs = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users, serving=serving)
             else:
-                gamma = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users, work=work)
-                sirs = combine_columns(gamma, scenario.combiner_mode, work=work)
+                gamma = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users)
+                sirs = combine_columns(gamma, scenario.combiner_mode)
             # The SIRs are spent: sort them in place (reshape is a view of a
             # contiguous result) and count each threshold's outages.
             sirs = sirs.reshape(-1)

@@ -438,8 +438,8 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     bounding box that lie in the hexagon, boundary included (30,201 of the
     40,401).  The grid is built once per config, and none for an isolated
     cell.  Gains come from the kernel's ``_path_gains`` on a one-antenna copy
-    of sector 0 of the used layout, one cell at a time; the cells share one
-    points array and one workspace.
+    of sector 0 of the used layout, one cell at a time, into fresh arrays;
+    the cells share one points array.
     """
     centers = interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
     if not len(centers):
@@ -452,11 +452,10 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     used = build_layout(cfg, "used")
     sector0 = replace(used, sites=used.sites[:1], boresights=used.boresights[:1])
     points = np.empty((1,) + offsets.shape)
-    work: dict = {}
     means = []
     for center in centers:
         np.add(offsets, center, out=points[0])
-        means.append(float(np.mean(_path_gains(sector0, points, cfg, work)[0])))
+        means.append(float(np.mean(_path_gains(sector0, points, cfg)[0])))
     return means
 
 

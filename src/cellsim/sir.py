@@ -23,18 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .workspace import buffer
-
 COMBINER_MODES = ("paper", "classical-mrc")
 
 
 def per_antenna_sir_matrix(
-    power: np.ndarray,
-    eta: float,
-    pg: float,
-    n_observed: int,
-    work: dict | None = None,
-    serving: np.ndarray | None = None,
+    power: np.ndarray, eta: float, pg: float, n_observed: int, serving: np.ndarray | None = None
 ) -> np.ndarray:
     """Branch SIR for every (antenna, user) pair from received powers.
 
@@ -49,11 +42,9 @@ def per_antenna_sir_matrix(
     power, at ((serving * drops + drop) * users + user), and one its
     antenna's total, and the result is (..., n_observed).
     Handles the eta = 0 corner: positive signal over empty interference is
-    +inf, zero over zero is 0.  With a ``workspace.buffer`` dict as ``work``
-    the result and every temporary live in its arrays, and the result is
-    overwritten by the next call.
+    +inf, zero over zero is 0.
     """
-    totals = power.sum(axis=-1, out=buffer(work, "totals", power.shape[:-1]))
+    totals = power.sum(axis=-1)
     if serving is None:
         observed = power[..., :n_observed]
         totals = totals[..., None]
@@ -61,44 +52,40 @@ def per_antenna_sir_matrix(
         # Flat indices of each observed user's serving row, then of its entry.
         # Every index is in range, so mode="clip" only skips a copy.
         drops = totals[0].size
-        rows = np.multiply(serving, drops, out=buffer(work, "rows", serving.shape, np.intp))
-        rows += np.arange(drops).reshape(serving.shape[:-1] + (1,))
-        totals = totals.take(rows, out=buffer(work, "served_totals", rows.shape), mode="clip")
+        rows = serving * drops + np.arange(drops).reshape(serving.shape[:-1] + (1,))
+        totals = totals.take(rows, mode="clip")
         rows *= power.shape[-1]
         rows += np.arange(n_observed)
-        observed = power.take(rows, out=buffer(work, "served", rows.shape), mode="clip")
+        observed = power.take(rows, mode="clip")
     # max() guards against cancellation when one user dominates the total.
-    denom = np.subtract(totals, observed, out=buffer(work, "denom", observed.shape))
-    np.maximum(denom, 0.0, out=denom)
+    denom = np.maximum(totals - observed, 0.0)
     denom += eta
-    numer = np.multiply(observed, pg, out=buffer(work, "numer", observed.shape))
+    numer = observed * pg
     with np.errstate(divide="ignore", invalid="ignore"):
-        sir = np.divide(numer, denom, out=buffer(work, "sir", observed.shape))
+        sir = numer / denom
     # With eta > 0 and every total finite, every denominator is positive.
     if not (eta > 0.0 and np.isfinite(totals).all()):
         np.copyto(sir, np.where(numer > 0.0, np.inf, 0.0), where=~(denom > 0.0))
     return sir
 
 
-def combine_columns(gamma: np.ndarray, mode: str, work: dict | None = None) -> np.ndarray:
+def combine_columns(gamma: np.ndarray, mode: str) -> np.ndarray:
     """Diversity combining over the leading antenna axis of (antennas, ..., users) SIRs.
 
     ``mode`` is one of ``COMBINER_MODES``, as a validated config holds it.
     Returns shape (..., users); a 2-D input combines column by column.  The
     sums over antennas run in antenna order, (g0 + g1) + g2, each over one
     whole (..., users) plane.  An all-zero column combines to 0 and a column
-    with an infinite branch to +inf.  With a ``workspace.buffer`` dict as
-    ``work`` the temporaries and the result live in its arrays.
+    with an infinite branch to +inf.
     """
     gamma = np.asarray(gamma, dtype=float)
-    shape = gamma.shape[1:]
     if mode == "classical-mrc":
-        return gamma.sum(axis=0, out=buffer(work, "combined", shape))
-    root = np.sqrt(gamma, out=buffer(work, "root", gamma.shape))
-    weighted = np.multiply(root, gamma, out=buffer(work, "weighted", gamma.shape))
+        return gamma.sum(axis=0)
+    root = np.sqrt(gamma)
+    weighted = root * gamma
     with np.errstate(invalid="ignore"):
-        numer = weighted.sum(axis=0, out=buffer(work, "combined", shape))
-        denom = root.sum(axis=0, out=buffer(work, "root_sum", shape))
+        numer = weighted.sum(axis=0)
+        denom = root.sum(axis=0)
         combined = np.divide(numer, denom, out=numer)
     combined = np.where(np.isinf(gamma).any(axis=0), np.inf, combined)
     return np.where(denom > 0.0, combined, 0.0)

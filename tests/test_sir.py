@@ -216,15 +216,6 @@ class TestServingColumn:
             np.testing.assert_array_equal(served, self.expected(power, serving, eta))
             assert np.all(np.isinf(served[..., 0]) == (eta == 0.0)) and np.all(served[..., 1] == 0.0)
 
-    def test_workspace_left_by_a_larger_batch(self):
-        # The kernel's last block is the smallest: its call gets views over
-        # the first elements of arrays a larger block allocated.
-        work: dict = {}
-        for batch, seed in (((6,), 1), ((2,), 2)):
-            power, serving = self.powers(batch, 6, seed)
-            served = per_antenna_sir_matrix(power, 0.2, 10.0, n_observed=5, work=work, serving=serving)
-            np.testing.assert_array_equal(served, self.expected(power, serving, 0.2))
-
 
 class TestBatchAxis:
     def test_batch_equals_per_drop(self):
