@@ -115,32 +115,41 @@ def sample_hexagon_xy(
 ) -> np.ndarray:
     """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
 
-    Each point picks one of the three equal rhombi of the hexagon, then two
+    Each point picks one of the three equal rhombi of the hexagon, and two
     uniforms place it inside that rhombus: no rejection loop, so the draws
     per point are fixed.  ``centers`` is one (x, y) center or an (m, 2)
     array of them; every cell gets ``n`` points.  The result has shape
     ``batch + (m * n, 2)``, points grouped by cell in ``centers`` order.
-    Draw order: all rhombus picks, then all uniform pairs.  The result is a
-    view over two contiguous planes, all x coordinates then all y, so
-    ``xy[..., 0]`` and ``xy[..., 1]`` each read contiguous memory.  With a
-    ``workspace.buffer`` dict as ``work`` the uniforms and the planes live
-    in its arrays, and the result is overwritten by the next call.
+    Draws: one ``random`` call of two contiguous planes, ``batch + (m, n)``
+    each, u then v.  The first plane also picks the rhombus: k = trunc(3u)
+    is 0, 1 or 2 for every u in [0, 1) (3u rounds to at most 3 - 2**-51),
+    and u' = 3u - k is exact (Sterbenz's lemma) and lies in [0, 1).  A
+    point is u' * a_k + v * b_k + center.  The result is a view over two
+    contiguous planes, all x coordinates then all y, so ``xy[..., 0]`` and
+    ``xy[..., 1]`` each read contiguous memory.  With a ``workspace.buffer``
+    dict as ``work`` the uniforms, the picks and the planes live in its
+    arrays, and the result is overwritten by the next call.
     """
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
     shape = tuple(batch) + (centers.shape[0], n)
-    rhombus = rng.integers(0, 3, size=shape)
-    uv = rng.random(out=buffer(work, "uv", shape + (2,)))
+    u, v = rng.random(out=buffer(work, "uv", (2,) + shape))
+    u *= 3.0
+    # Casting to intp truncates: k = trunc(3u), then u' = 3u - k in place.
+    rhombus = buffer(work, "pick", shape, np.intp)
+    np.copyto(rhombus, u, casting="unsafe")
+    u -= rhombus
     # Rows are the x and y coordinates of the three spans a and b.
     edge_a, edge_b = radius * _UNIT_SPANS
-    # u * a + v * b + center, in that order, one coordinate plane at a time.
+    # u' * a + v * b + center, in that order, in each coordinate plane.
     # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
     # copy that "raise" makes.
     planes = buffer(work, "xy", (2,) + shape)
-    term = buffer(work, "xy_b", shape)
-    for plane, a, b, center in zip(planes, edge_a, edge_b, centers.T):
+    for plane, a in zip(planes, edge_a):
         a.take(rhombus, out=plane, mode="clip")
-        plane *= uv[..., 0]
-        plane += np.multiply(b.take(rhombus, out=term, mode="clip"), uv[..., 1], out=term)
+        plane *= u
+    # u is spent: its plane holds each v * b term in turn.
+    for plane, b, center in zip(planes, edge_b, centers.T):
+        plane += np.multiply(b.take(rhombus, out=u, mode="clip"), v, out=u)
         plane += center[:, None]
     # (2, ..., points) to (..., points, 2): the planes' axis moved last.
     planes = planes.reshape((2,) + tuple(batch) + (-1,))

@@ -12,8 +12,9 @@ and A_f a unit-mean exponential (the squared Rayleigh envelope).
 kernel and the analytic curve's neighbour means both pass through it, and
 at rho = 4 both take the distance loss as (1 / d**2)**2, not a ``pow``.  The
 kernel draws the shadowing and fading of every link per block of drops,
-i.i.d. per snapshot (``standard_normal`` and ``standard_exponential``);
-time-correlated fading is out of scope.
+i.i.d. per snapshot: ``standard_normal`` shadowing, and fading by inversion,
+-log(1 - U) of one ``random`` uniform (``_fading``); time-correlated fading
+is out of scope.
 
 The closed form covers a single desired exponential power against a sum of
 independent exponential interferers plus a constant, which is exactly the
@@ -27,8 +28,9 @@ Drops run in blocks of ``LINK_BUDGET // (antennas x users of every cell)``
 drops (``LINK_BUDGET = 2**16``: 78 default drops), so the block size depends
 only on the scenario.  Each block has its own generator,
 ``Generator(SFC64(SeedSequence(seed, spawn_key=(stream tag, block index))))``,
-and draws in this order: every cell's rhombus picks, then their uniform
-pairs, then the standard-normal shadowing, then the unit exponential fading.
+and draws in this order: every cell's placement uniforms, as two planes (u,
+which also picks the rhombus, then v), then the standard-normal shadowing,
+then the fading uniforms, both in (antenna, drop, user) order.
 Results are therefore independent of evaluation order and worker count.  The
 stream tag is the run's stream layout: a paired run evaluates every
 architecture on tag 0, and an unpaired run evaluates the k-th of the config's
@@ -58,11 +60,11 @@ per-antenna constants, (antennas, 1, 1), and the (drops, users) position
 planes broadcast along the leading axis, so every operation runs over one
 flat plane per antenna.  The same broadcast over the middle axis of
 (drops, antennas, users) arrays measured three to five times the cost per
-operation (about 80 against 20 us on a default block).  The draws are
-unchanged: shadowing and fading are still drawn in (drop, antenna, user)
-order, and the kernel reads them through a transposed view.  Sums over
-users stay along the contiguous last axis and sums over antennas run in
-antenna order, so every result is the same bit for bit.
+operation (about 80 against 20 us on a default block).  The draws fill
+the same order, so the channel multiplies the link gains element for
+element; read through a transposed view of (drop, antenna, user) draws,
+that multiply measured 1.6 times as long.  Sums over users stay along the
+contiguous last axis and sums over antennas run in antenna order.
 """
 
 from __future__ import annotations
@@ -193,17 +195,17 @@ def _path_gains(
     drops, users): the layout's (antennas, 1, 1) columns broadcast over each
     (drops, users) coordinate plane, three to five times cheaper per
     operation than over the middle axis of (drops, antennas, users) arrays.
-    The kernel's draws keep their (drop, antenna, user) order and meet these
-    results through a transposed view.  A user is inside an antenna's beam
-    (boundary inclusive) when the cosine of its bearing offset from boresight
-    is at least cos(beamwidth / 2): the flat-top pattern without an
-    arctangent.  The mask holds that test as 0/1 ``intp``; it is src's only
-    beam test.  The beamwidth (one sector's share of the full circle), the
-    gains and the ``d_min`` clamp on distances are the scenario's.  Antennas
-    that share one site (the used layout's center) share one distance
-    computation.  At rho = 4, d**-4 is
-    taken as (1 / d**2)**2, a reciprocal and a square: about 3x faster than
-    ``pow`` and within a few ulp of it (at rho = 2 the power already is a
+    The kernel draws its shadowing and fading in the same order, so they
+    multiply these gains element for element.  A user is inside an
+    antenna's beam (boundary inclusive) when the cosine of its bearing
+    offset from boresight is at least cos(beamwidth / 2): the flat-top
+    pattern without an arctangent.  The mask holds that test as 0/1
+    ``intp``; it is src's only beam test.  The beamwidth (one sector's share
+    of the full circle), the gains and the ``d_min`` clamp on distances are
+    the scenario's.  Antennas that share one site (the used layout's center)
+    share one distance computation.  At rho = 4, d**-4 is taken as
+    (1 / d**2)**2, a reciprocal and a square: about 3x faster than ``pow``
+    and within a few ulp of it (at rho = 2 the power already is a
     reciprocal).  With a ``workspace.buffer`` dict as ``work`` the results
     are overwritten by the next call.
     """
@@ -237,6 +239,20 @@ def _path_gains(
     return gains, inside
 
 
+def _fading(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Unit-mean exponential fading by inversion, -log(1 - U), drawn into ``out``.
+
+    U is one ``rng.random`` draw per entry, a multiple of 2**-53 in [0, 1),
+    so 1 - U is exact and at least 2**-53: every fading value is finite and
+    lies in [0, 53 ln 2].  The sign goes last as 0 - log(1 - U), which is +0
+    at U = 0 where a negation would give -0.
+    """
+    u = rng.random(out=out)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    return np.subtract(0.0, u, out=u)
+
+
 def _count_blocks(args) -> np.ndarray:
     """Outage counts per architecture and threshold over a contiguous range of blocks.
 
@@ -244,8 +260,8 @@ def _count_blocks(args) -> np.ndarray:
     block).  Each block draws, from its own ``BIT_GENERATOR`` stream (keyed
     by the scenario's seed, the stream tag and the block index) and in this
     order, every cell's user positions, standard-normal shadowing and unit
-    exponential fading, all for (drops, antennas, users of every cell), and
-    reads the draws antenna-major through a transposed view.  Every
+    exponential fading (``_fading``), the last two for (antennas, drops,
+    users of every cell), the order of the link arrays.  Every
     architecture is evaluated on that one draw.  What does not change
     from block to block (the layouts, the cell centers, the channel's
     constant factor) is set up once per job.  The blocks share one
@@ -272,16 +288,13 @@ def _count_blocks(args) -> np.ndarray:
         xy = sample_hexagon_xy(
             scenario.cell_radius, centers, n_users, rng, batch=(drops,), work=work
         )
-        size = (drops, scenario.sector_count, xy.shape[1])
+        size = (scenario.sector_count, drops, xy.shape[1])
         channel = rng.standard_normal(out=buffer(work, "channel", size))
         channel *= shadow_nepers
         np.exp(channel, out=channel)
         # The fading lands in _path_gains's scratch array, free until then.
-        channel *= rng.standard_exponential(out=buffer(work, "term", size))
+        channel *= _fading(rng, buffer(work, "term", size))
         channel *= link_scale
-        # The draws keep their (drops, antennas, users) order; the link
-        # arrays read them antenna-major.
-        channel = channel.transpose(1, 0, 2)
         for k, layout in enumerate(layouts):
             power, inside = _path_gains(layout, xy, scenario, work)
             power *= channel

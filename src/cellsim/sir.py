@@ -14,9 +14,8 @@ which sums them.
 Batched arrays are antenna-major, (antennas, drops, users), as the kernel
 builds them: each antenna's links are one flat (drops, users) plane, where
 per-antenna operations on (drops, antennas, users) arrays measured three to
-five times slower.  The kernel's shadowing and fading draws keep their (drop,
-antenna, user) order and reach these functions through a transposed view,
-so the draws, and every SIR bit, are those of the earlier layout.
+five times slower.  The kernel draws its shadowing and fading in that same
+order, so the powers reach these functions as contiguous arrays.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ into the same memory, instead of paying for fresh temporaries, and their
 page faults, on every pass.
 
 Only block-sized arrays, one entry per link or per user position of a
-block, use a workspace: ``geometry.sample_hexagon_xy``'s ``uv``, ``xy`` and
-``xy_b``, the kernel's shadowing and fading draws (``channel``, ``term``),
+block, use a workspace: ``geometry.sample_hexagon_xy``'s ``uv``, ``pick``
+(the rhombus picks) and ``xy``, the kernel's shadowing draw
+(``channel``) and fading draw (``term``),
 and ``outage._path_gains``'s ``dx``, ``dy``, ``along``, ``term`` and
 ``inside``.  Each measured load-bearing against the same tree with that one
 group allocated plainly (2-vCPU x86 VM, Python 3.11, numpy 2.4):
@@ -34,8 +35,9 @@ points array for every cell, where one per cell cost 1,079.
 
 Names are shared by every function that takes the workspace, so each
 function uses names of its own, and two arrays that are alive at the same
-time never share a name; the fading draw borrows ``_path_gains``'s ``term``,
-which is free until the link gains are built.
+time never share a name; the fading draw (``outage._fading``'s uniforms,
+turned into fading in place) borrows ``_path_gains``'s ``term``, which is
+free until the link gains are built.
 """
 
 from __future__ import annotations

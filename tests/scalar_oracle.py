@@ -3,10 +3,12 @@
 ``oracle_counts`` replays the kernel's random stream block by block and
 recomputes every observed user's SIR with per-user Python loops: an
 arctangent beam test, ``hypot`` distances clamped at ``d_min``, shadowing as
-``10**(sigma * z / 10)``, a direct sum over the other users' powers and the
-scalar combiner below.  It shares no array code with the kernel, so the
-kernel's counts must equal it exactly.  ``matched_exponential_outage`` is the
-brute-force sampler the closed form is checked against.
+``10**(sigma * z / 10)``, fading as ``-math.log1p(-u)`` of each uniform, the
+rhombus pick as ``math.trunc(3 * u)``, a direct sum over the other users'
+powers and the scalar combiner below.  It shares no array code with the
+kernel, so the kernel's counts must equal it exactly.
+``matched_exponential_outage`` is the brute-force sampler the closed form is
+checked against.
 ``reference_mean_received_powers`` is the analytic curve's mean powers the
 slow way.  Its in-cell integrals use this module's own scalar boundary radius
 and radial integral, and one ``integrate.quad`` per smooth piece of each
@@ -111,25 +113,25 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
         drops = min(per_block, n_drops - first)
         key = np.random.SeedSequence(seed, spawn_key=(stream_tag, block))
         rng = np.random.Generator(getattr(np.random, BIT_GENERATOR)(key))
-        rhombus = rng.integers(0, 3, size=(drops, len(cells), cfg.n_users))
-        uv = rng.random((drops, len(cells), cfg.n_users, 2))
-        z = rng.standard_normal((drops, n_ant, n_links))
-        fading = rng.standard_exponential((drops, n_ant, n_links))
+        u_plane, v_plane = rng.random((2, drops, len(cells), cfg.n_users))
+        z = rng.standard_normal((n_ant, drops, n_links))
+        fading = rng.random((n_ant, drops, n_links))
         for d in range(drops):
             users = []
             for c, (cx, cy) in enumerate(cells):
                 for i in range(cfg.n_users):
-                    r = rhombus[d, c, i]
+                    scaled = 3.0 * float(u_plane[d, c, i])
+                    r = math.trunc(scaled)
                     (ax, ay), (bx, by) = vertices[2 * r], vertices[(2 * r + 2) % 6]
-                    u, v = uv[d, c, i]
+                    u, v = scaled - r, float(v_plane[d, c, i])
                     users.append((u * ax + v * bx + cx, u * ay + v * by + cy))
             for n, layout in enumerate(layouts):
                 powers = [
                     [
                         path_constant
                         * _path_gain(layout, k, x, y, cfg)
-                        * 10.0 ** (cfg.shadowing_sigma * z[d, k, j] / 10.0)
-                        * fading[d, k, j]
+                        * 10.0 ** (cfg.shadowing_sigma * z[k, d, j] / 10.0)
+                        * -math.log1p(-float(fading[k, d, j]))
                         * cfg.tx_power
                         for j, (x, y) in enumerate(users)
                     ]

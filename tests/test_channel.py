@@ -1,15 +1,19 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from cellsim.geometry import build_layout, sample_hexagon_xy
 from cellsim import outage
-from cellsim.outage import LN10_OVER_10, _count_blocks, _path_gains, path_gain_constant
+from cellsim.outage import LN10_OVER_10, _count_blocks, _fading, _path_gains, path_gain_constant
 from cellsim.scenario import ConfigError, ScenarioConfig
-from test_geometry import kernel_gain, one_antenna
+from test_geometry import ConstantUniforms, kernel_gain, one_antenna
 
 
 def omni_gain(point, **cfg):
@@ -57,22 +61,49 @@ class TestLogNormalShadowing:
 
 
 class TestExponentialFading:
-    # The kernel draws fading powers with Generator.standard_exponential.
+    # The kernel's own fading draw, outage._fading: -log(1 - U) by inversion.
+    N = 1_000_000
+
+    def test_kolmogorov_smirnov_against_unit_exponential(self):
+        samples = _fading(np.random.default_rng(2), np.empty(self.N))
+        assert stats.kstest(samples, "expon").pvalue > 1e-3
+
     def test_unit_mean(self):
-        samples = np.random.default_rng(3).standard_exponential(1_000_000)
-        assert abs(samples.mean() - 1.0) < 3.0 / math.sqrt(1_000_000)
+        # Exp(1) has unit standard deviation, so the SE of the mean is 1 / sqrt(n).
+        samples = _fading(np.random.default_rng(3), np.empty(self.N))
+        assert abs(samples.mean() - 1.0) < 3.0 / math.sqrt(self.N)
 
     def test_tail_matches_exponential_cdf(self):
         # Oracle: P(A_f > 1) = exp(-1) for a unit-mean exponential.
-        n = 1_000_000
-        samples = np.random.default_rng(4).standard_exponential(n)
+        samples = _fading(np.random.default_rng(4), np.empty(self.N))
         p = math.exp(-1.0)
-        se = math.sqrt(p * (1.0 - p) / n)
+        se = math.sqrt(p * (1.0 - p) / self.N)
         assert abs((samples > 1.0).mean() - p) < 3.0 * se
 
     def test_support_is_nonnegative(self):
-        samples = np.random.default_rng(5).standard_exponential(10_000)
-        assert np.all(samples >= 0.0)
+        # And finite, at most 53 ln 2: 1 - U is at least 2**-53.
+        samples = _fading(np.random.default_rng(5), np.empty(self.N))
+        assert np.isfinite(samples).all()
+        assert samples.min() >= 0.0 and samples.max() <= 53.0 * math.log(2.0)
+
+    def test_zero_uniform_is_zero_fading(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            fading = _fading(ConstantUniforms(0.0), np.full(64, np.nan))
+        assert np.array_equal(fading, np.zeros(64))
+        assert not np.signbit(fading).any()
+
+    def test_largest_uniform_is_53_ln2(self):
+        fading = _fading(ConstantUniforms(1.0 - 2.0**-53), np.empty(8))
+        assert np.all(fading == 53.0 * math.log(2.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 50), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    def test_every_uniform_gives_finite_nonnegative_fading(self, uniforms):
+        with np.errstate(all="raise"):
+            fading = _fading(ConstantUniforms(uniforms), np.empty(uniforms.shape))
+        assert np.isfinite(fading).all() and (fading >= 0.0).all()
+        assert not np.signbit(fading).any()
 
 
 class TestDistanceLoss:

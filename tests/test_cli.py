@@ -297,25 +297,25 @@ def test_run_needs_no_scipy(tmp_path):
 PINNED_REPORTS = {
     "both": [
         " thr_dB       used    used_ci      micro   micro_ci  micro-used  flag",
-        "    -10   0.300625      0.142   0.119375        0.1    -0.18125  ",
-        "     -5   0.446875      0.154   0.303125      0.142    -0.14375  ",
-        "      0   0.610625      0.151    0.54875      0.154   -0.061875  ",
-        "      5    0.75875      0.133   0.739375      0.136   -0.019375  ",
-        "     10      0.855      0.109     0.8475      0.111     -0.0075  ",
+        "    -10   0.366875      0.149     0.1225      0.102   -0.244375  ",
+        "     -5   0.526875      0.155      0.285       0.14   -0.241875  ",
+        "      0   0.666875      0.146    0.52125      0.155   -0.145625  ",
+        "      5    0.78125      0.128      0.725      0.138    -0.05625  ",
+        "     10   0.869375      0.104       0.84      0.114   -0.029375  ",
     ],
     "used": [
-        "used @ -10 dB: outage 0.300625 +- 0.142",
-        "used @ -5 dB: outage 0.446875 +- 0.154",
-        "used @ 0 dB: outage 0.610625 +- 0.151",
-        "used @ 5 dB: outage 0.75875 +- 0.133",
-        "used @ 10 dB: outage 0.855 +- 0.109",
+        "used @ -10 dB: outage 0.366875 +- 0.149",
+        "used @ -5 dB: outage 0.526875 +- 0.155",
+        "used @ 0 dB: outage 0.666875 +- 0.146",
+        "used @ 5 dB: outage 0.78125 +- 0.128",
+        "used @ 10 dB: outage 0.869375 +- 0.104",
     ],
     "microzone": [
-        "microzone @ -10 dB: outage 0.119375 +- 0.1",
-        "microzone @ -5 dB: outage 0.303125 +- 0.142",
-        "microzone @ 0 dB: outage 0.54875 +- 0.154",
-        "microzone @ 5 dB: outage 0.739375 +- 0.136",
-        "microzone @ 10 dB: outage 0.8475 +- 0.111",
+        "microzone @ -10 dB: outage 0.1225 +- 0.102",
+        "microzone @ -5 dB: outage 0.285 +- 0.14",
+        "microzone @ 0 dB: outage 0.52125 +- 0.155",
+        "microzone @ 5 dB: outage 0.725 +- 0.138",
+        "microzone @ 10 dB: outage 0.84 +- 0.114",
     ],
 }
 

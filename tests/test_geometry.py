@@ -41,6 +41,33 @@ def kernel_gain(layout, point, **cfg):
     return float(_path_gains(layout, xy, ScenarioConfig(**cfg))[0][0, 0, 0])
 
 
+class ConstantUniforms:
+    """A generator stand-in whose ``random`` fills its output with ``values``, broadcast."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[...] = self.values
+        return out
+
+
+def rhombus_spans(radius):
+    """(3, 2) spans a and b of the three rhombi: rhombus k spans vertices 2k and 2k + 2."""
+    angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
+    edge_a = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    return edge_a, np.roll(edge_a, -1, axis=0)
+
+
+def assert_points_of_rhombi(xy, picks, refined, v, center, radius=1000.0):
+    """Each point is u' * a_k + v * b_k + center, bit for bit, with u' in [0, 1), in the hexagon."""
+    assert all(0.0 <= u_k < 1.0 for u_k in refined)
+    edge_a, edge_b = rhombus_spans(radius)
+    for point, k, u_k, v_k in zip(xy, picks, refined, v):
+        assert point.tolist() == (edge_a[k] * u_k + edge_b[k] * v_k + center).tolist()
+    assert hexagon_contains(radius, center, xy).all()
+
+
 def kernel_serving(layout, xy, cfg=None):
     """The kernel's serving antenna per user of (drops, users, 2) points."""
     _, inside = _path_gains(layout, np.asarray(xy, dtype=float), cfg or ScenarioConfig())
@@ -199,28 +226,53 @@ class TestRhombusSampler:
         assert np.all(np.abs(shares - 1.0 / 6.0) < 4.0 * se)
 
     def test_points_are_u_a_plus_v_b_plus_center_bit_for_bit(self):
-        # Every point is u * a + v * b + center, evaluated in that order, from
-        # the documented draws, with or without a workspace, and a smaller
-        # batch in a workspace sized by a larger one reads no stale value.
+        # Every point is u' * a + v * b + center, evaluated in that order, from
+        # the documented draws (one (2, drops, cells, users) call, u then v;
+        # k = trunc(3u) and u' = 3u - k), with or without a workspace, and a
+        # smaller batch in a workspace sized by a larger one reads no stale
+        # value.
         centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 1)])
-        angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
-        edge_a = 1000.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-        edge_b = np.roll(edge_a, -1, axis=0)
+        edge_a, edge_b = rhombus_spans(1000.0)
         work = {}
         for drops, seed in ((5, 11), (2, 12)):
-            rng = np.random.default_rng(seed)
-            rhombus = rng.integers(0, 3, size=(drops, 7, 4))
-            uv = rng.random((drops, 7, 4, 2))
+            u_plane, v_plane = np.random.default_rng(seed).random((2, drops, 7, 4))
             expected = np.empty((drops, 7, 4, 2))
             for index in np.ndindex(drops, 7, 4):
-                (ax, ay), (bx, by) = edge_a[rhombus[index]], edge_b[rhombus[index]]
-                (u, v), (cx, cy) = uv[index], centers[index[1]]
+                scaled = 3.0 * float(u_plane[index])
+                k = math.trunc(scaled)
+                (ax, ay), (bx, by) = edge_a[k], edge_b[k]
+                u, v, (cx, cy) = scaled - k, float(v_plane[index]), centers[index[1]]
                 expected[index] = (u * ax + v * bx + cx, u * ay + v * by + cy)
             expected = expected.reshape(drops, 28, 2)
             for scratch in (work, None):
                 rng = np.random.default_rng(seed)
                 xy = sample_hexagon_xy(1000.0, centers, 4, rng, batch=(drops,), work=scratch)
                 assert np.array_equal(xy, expected)
+
+    def test_one_uniform_picks_the_rhombus_at_its_edges(self):
+        # u = 0, 1/3, 2/3 and the largest double below 1 pick rhombi 0, 1, 2
+        # and 2 (3u rounds to 1.0, 2.0 and 3 - 2**-51), and u' = 3u - k stays
+        # in [0, 1).
+        u = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 - 2.0**-53])
+        v = np.array([0.5, 0.0, 1.0 - 2.0**-53, 0.25])
+        center = (300.0, -200.0)
+        work = {}
+        stub = ConstantUniforms(np.stack([u, v])[:, None])
+        xy = sample_hexagon_xy(1000.0, center, 4, stub, work=work)
+        assert work["pick"][:4].tolist() == [0, 1, 2, 2]
+        refined = [0.0, 0.0, 0.0, 1.0 - 2.0**-51]
+        assert_points_of_rhombi(xy, [0, 1, 2, 2], refined, v, center)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 40), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    def test_every_uniform_picks_a_rhombus_and_a_fraction(self, u):
+        work = {}
+        v = u[::-1]
+        stub = ConstantUniforms(np.stack([u, v])[:, None])
+        xy = sample_hexagon_xy(1000.0, ORIGIN, u.size, stub, work=work)
+        picks = work["pick"][: u.size]
+        assert np.isin(picks, (0, 1, 2)).all()
+        assert_points_of_rhombi(xy, picks, 3.0 * u - picks, v, ORIGIN)
 
     def test_x_and_y_are_contiguous_planes(self):
         # The kernel reads all x, then all y, of a block's points.

@@ -324,63 +324,63 @@ PINNED_BASE = dict(n_drops=257, master_seed=20261018, thresholds=(-10.0, 10.0, 5
 PINNED = {
     "default": (
         {},
-        {"used": [3590, 5077, 6618, 8004, 8878], "microzone": [1550, 3378, 5615, 7584, 8827]},
-        "9be77d74f34a9814e9090fc0e28aa53d9a7205854689f9df56a3c4395ca99f7d",
+        {"used": [3592, 5027, 6593, 7940, 8901], "microzone": [1581, 3506, 5847, 7701, 8801]},
+        "7664f0a6a78970cee7b938eeae02a50ee986c51216cf3eec4188431a3eb51dc2",
     ),
     "rho2": (
         dict(rho=2.0),
-        {"used": [1615, 3267, 5515, 7655, 9180], "microzone": [89, 696, 2958, 6577, 9025]},
-        "f4d2fad58aba42d409f24c5cb29a60fd373d4d5a9db4c5efb385371abbf1f053",
+        {"used": [1553, 3177, 5442, 7670, 9155], "microzone": [99, 775, 3100, 6725, 9040]},
+        "01b8386572e52b258605b792abc5cfc7a179d7a767c2a1f0269f485728469a98",
     ),
     "rho3": (
         dict(rho=3.0),
-        {"used": [2442, 4035, 5931, 7674, 8907], "microzone": [454, 1692, 4134, 6973, 8793]},
-        "be2e45d9149295967a0af4c66b98799962031dc04f8f98ea4f98789021ae44bc",
+        {"used": [2374, 3950, 5869, 7653, 8889], "microzone": [465, 1739, 4373, 7136, 8762]},
+        "f3ed2c2d3d7f551dd5f037683630d44c12f8767442bc35213c9b3cfeee2d9419",
     ),
     "rho5": (
         dict(rho=5.0),
-        {"used": [4698, 6023, 7223, 8271, 8946], "microzone": [3108, 4889, 6741, 8025, 8904]},
-        "8e0068cfc4064bb24fa4ca1df5c6c8371c4a88988a4007b1bffdbd4b64c738bf",
+        {"used": [4703, 6012, 7206, 8247, 8956], "microzone": [3186, 5101, 6810, 8090, 8874]},
+        "a42a545d95e62dbb04bae913062a0f42c6819ed58afbd1c7fae13f079e513830",
     ),
     "eta0_sparse": (
         dict(noise_power=0.0, n_users=3, interferer_tiers=0),
-        {"used": [15, 31, 50, 82, 128], "microzone": [0, 0, 3, 5, 17]},
-        "a3b85a2598b3fb0a10e4f441422654f62211baffa4fb1eebf0458d5ac5494465",
+        {"used": [24, 31, 50, 75, 120], "microzone": [0, 0, 0, 3, 13]},
+        "bec7e3e2d770e265e6da1e4d91ad3e9f7d4a1d1666bc39c91369a268c9301660",
     ),
     "one_user": (
         dict(n_users=1),
-        {"used": [0, 0, 0, 1, 5], "microzone": [0, 0, 0, 0, 0]},
-        "c594c2b2b1ea1664de2c88f17ce5b7a72d35e855ddc04f16a8074cfc84d92775",
+        {"used": [0, 1, 1, 2, 10], "microzone": [0, 0, 0, 0, 0]},
+        "162d8753fbaa328333cf9503cc84f27bdf7f87f15c65ee838a95f4eb1a33a8a0",
     ),
     "tier0": (
         dict(interferer_tiers=0),
-        {"used": [3315, 4783, 6319, 7672, 8689], "microzone": [1651, 3409, 5692, 7567, 8751]},
-        "75f518620f400a4d5ca74ff1e0e91b7182929bb529f2a91cf9c515ea944905a1",
+        {"used": [3373, 4877, 6421, 7782, 8748], "microzone": [1531, 3369, 5706, 7626, 8787]},
+        "225066c0deafd747b34366b326d22445f635f83e46f07fcb66bd15ea25a2c1a7",
     ),
     "tier2": (
         dict(interferer_tiers=2),
-        {"used": [3528, 5004, 6551, 7928, 8860], "microzone": [1401, 3262, 5675, 7614, 8786]},
-        "2adc2981c81d67c0957238b0acd33dd8c99e79d4d42f2152f0f4a347605bf83a",
+        {"used": [3430, 4868, 6415, 7861, 8874], "microzone": [1651, 3535, 5820, 7700, 8817]},
+        "760ba09bab1c07b13894b78e26c2058ca84f1bd551d867a59e331711ef51c89f",
     ),
     "beam60": (
         dict(beamwidth=60.0),
-        {"used": [1990, 3127, 4599, 6211, 7596], "microzone": [1891, 2834, 3896, 5367, 7207]},
-        "470c50b374c00f1e18767e68b9c335b17bdd22a72ebfd852e9da7a61e5d72f02",
+        {"used": [2050, 3191, 4597, 6190, 7610], "microzone": [1865, 2852, 3881, 5365, 7161]},
+        "75381c59fe61dbb9a14f6ab32e63ce05a9491c330d7ab4dc6de910eea894f2b8",
     ),
     "floor_gain": (
         dict(floor_gain_db=-20.0),
-        {"used": [4032, 5592, 7080, 8305, 9079], "microzone": [2008, 4093, 6352, 8082, 9082]},
-        "a00b9d5864f2338e180e96aea3d1913b751f31e24e31a8a4a632db96b0909955",
+        {"used": [4080, 5563, 7099, 8327, 9147], "microzone": [2029, 4152, 6464, 8062, 9015]},
+        "1bfe16ea899d5e0fcd95ae13e0d71639ed9a8e5e6d6de470dd72dd769e83e0d8",
     ),
     "paper": (
         dict(combiner_mode="paper"),
-        {"used": [3590, 5077, 6618, 8004, 8878], "microzone": [2382, 4296, 6361, 7920, 8933]},
-        "112977803c948e959d15726d22fdaab4b3d2399c4a75274e110339677fbb1dac",
+        {"used": [3592, 5027, 6593, 7940, 8901], "microzone": [2429, 4488, 6493, 7949, 8894]},
+        "051177da4b03c834026a3b82e766a2bd8e988e88ef51a643bdce66073b0bfbd0",
     ),
     "unpaired": (
         dict(paired=False),
-        {"used": [3454, 4988, 6564, 7828, 8857], "microzone": [1860, 3853, 6130, 7825, 8864]},
-        "acd52e44e9148363f2f9b6879d6d3dadfe7ddc3f9bcc020c2b0029d41f83fe01",
+        {"used": [3496, 5042, 6576, 7891, 8844], "microzone": [1600, 3502, 5812, 7694, 8859]},
+        "8e03b11031e5a1e15630639a3b09e4189dbac2887ea2223e0fc11e6ad0e58a15",
     ),
     "isolated_lone_user": (
         dict(n_users=1, interferer_tiers=0, noise_power=0.0),
@@ -389,13 +389,13 @@ PINNED = {
     ),
     "used_no_shadowing": (
         dict(architecture="used", shadowing_sigma=0.0),
-        {"used": [2971, 4470, 6255, 7817, 8829]},
-        "002f371dbec40e31973c13027d651aa0eebc2318c177dc23665db220d1478fb5",
+        {"used": [3007, 4587, 6255, 7800, 8879]},
+        "917690e816f27abbbe4d8534a3dfb329f353fbadc1b1ef1573563fb8bc7e3afa",
     ),
     "dense_paper": (
         dict(n_users=120, interferer_tiers=2, beamwidth=60.0, combiner_mode="paper", n_drops=23),
-        {"used": [1288, 1700, 2042, 2326, 2506], "microzone": [1220, 1658, 2057, 2319, 2502]},
-        "c25437c2276d1ea9364948ccf50cf8e5bfeab7f88ed46562339f6eaeec520651",
+        {"used": [1166, 1607, 2003, 2295, 2499], "microzone": [1282, 1704, 2097, 2370, 2510]},
+        "5c2babde5ea9e09dee09b2b6d3c47e98027c3ae449e1eb833cfd314b3b8d63b7",
     ),
 }
 
@@ -441,10 +441,10 @@ class TestPinnedCounts:
 
 
 class TestAntennaMajor:
-    # The kernel's link arrays are (antennas, drops, users), and its draws
-    # keep their (drops, antennas, users) order.  The pinned counts hold only
-    # if every element gets the operations of a one-antenna, one-drop call on
-    # the same operands, and the sums over antennas run in antenna order.
+    # The kernel's link arrays and its draws are (antennas, drops, users).
+    # The pinned counts hold only if every element gets the operations of a
+    # one-antenna, one-drop call on the same operands, and the sums over
+    # antennas run in antenna order.
     @pytest.mark.parametrize("beamwidth", [60.0, 120.0])
     @pytest.mark.parametrize("rho", [3.0, 4.0])
     def test_path_gains_are_those_of_one_antenna_and_one_drop(self, beamwidth, rho):
