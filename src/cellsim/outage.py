@@ -39,18 +39,22 @@ process runs its jobs on a process pool, and only that run imports
 ``concurrent.futures``' pool and ``multiprocessing``; a one-worker run loads
 neither.
 
-The kernel allocates no block-sized array per block.  Each job (one
-worker's range of blocks) keeps one workspace (``workspace.buffer``) of
-arrays sized to one block: placement, draws and link gains write into it,
-and a short last block uses views over the first elements of the same
-arrays.  The SIR and combining arrays hold only the observed users, a
-fraction of a block, and are allocated plainly.  Every operation runs in
-the same order on the same operands as with fresh arrays, so the reuse
-changes no bit of any result.  What no block changes is set up once per
-job: the layouts, with their distinct sites and boresight cosines and
-sines, the cell centers, and the factor every link shares, the path
-constant times the transmit power, which the shadowing and fading pass
-applies once for every architecture.
+The kernel allocates no block-sized array per block, nor per run once an
+earlier run in the process has needed arrays as large.  Each job (one
+worker's range of blocks) takes the process's one spare workspace
+(``workspace.buffer``, ``_SPARE``), or an empty one while another thread's
+job holds it, and hands its own back at its end: placement, draws and link
+gains write into its arrays, and a short last block, or a smaller config,
+uses views over the first elements of the same arrays.  The spare keeps a
+block's arrays, 3.8 MiB for the default config, allocated between runs,
+which raised the benchmark's peak RSS by about 3 MiB.  The SIR and
+combining arrays hold only the observed users, a fraction of a block, and
+are allocated plainly.  Every operation runs in the same order on the same
+operands as with fresh arrays, so the reuse changes no bit of any result.
+What no block changes is set up once per job: the layouts, with their
+distinct sites and boresight cosines and sines, the cell centers, and the
+factor every link shares, the path constant times the transmit power,
+which the shadowing and fading pass applies once for every architecture.
 The used architecture reads one SIR per user, its serving sector's, so the
 SIR formula runs on that one gathered column; microzone combines every
 branch.
@@ -94,6 +98,12 @@ LINK_BUDGET = 2**16
 # block's SeedSequence.  Named, not referenced, so that importing cellsim does
 # not import numpy.random.
 BIT_GENERATOR = "SFC64"
+# The kernel's one spare workspace in this process, under the key "work": a
+# job takes it (or starts an empty one) and hands its own back at the end.
+# dict.pop and item assignment are each atomic, so two threads running jobs
+# at once never share a workspace, and at most one spare is kept.  A forked
+# pool worker starts with a copy of it.
+_SPARE: dict[str, dict] = {}
 
 
 @dataclass(frozen=True)
@@ -264,9 +274,11 @@ def _count_blocks(args) -> np.ndarray:
     users of every cell), the order of the link arrays.  Every
     architecture is evaluated on that one draw.  What does not change
     from block to block (the layouts, the cell centers, the channel's
-    constant factor) is set up once per job.  The blocks share one
-    workspace: its arrays are allocated by the first block, the largest, and
-    reused.
+    constant factor) is set up once per job.  The blocks share the
+    process's spare workspace, taken at the start and handed back at the
+    end: its arrays were allocated by the first job that needed them, and
+    every array is written before it is read, so what an earlier block or
+    job left in them changes no result.
     """
     scenario, archs, stream_tag, block_start, block_stop = args
     layouts = [build_layout(scenario, arch) for arch in archs]
@@ -280,7 +292,7 @@ def _count_blocks(args) -> np.ndarray:
     pg = scenario.processing_gain
     counts = np.zeros((len(layouts), thr_linear.size), dtype=np.int64)
     bit_generator = getattr(np.random, BIT_GENERATOR)
-    work: dict = {}
+    work = _SPARE.pop("work", {})
     for block in range(block_start, block_stop):
         drops = min(per_block, scenario.n_drops - block * per_block)
         key = np.random.SeedSequence(scenario.master_seed, spawn_key=(stream_tag, block))
@@ -311,6 +323,7 @@ def _count_blocks(args) -> np.ndarray:
             sirs = sirs.reshape(-1)
             sirs.sort()
             counts[k] += sirs.searchsorted(thr_linear, side="right")
+    _SPARE["work"] = work
     return counts
 
 

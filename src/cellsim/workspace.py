@@ -8,6 +8,20 @@ largest (the kernel's blocks) allocates every array once and then writes
 into the same memory, instead of paying for fresh temporaries, and their
 page faults, on every pass.
 
+A workspace outlives the job that filled it: each process keeps one spare
+(``outage._SPARE``).  A job takes it, or starts an empty one while another
+thread's job holds it, and hands its own back at its end, so a run after
+the first writes into arrays already paged in, and a smaller config or a
+short block gets views over the same memory.  A 500-drop default call
+after the first takes no page fault in the kernel, where a fresh
+workspace took about 990 (``getrusage``; the call's remaining 800 are the
+analytic curve's), and ``perfbench/run.py``'s ``paper_default`` ran 5.1%
+more drops/s.  The cost is that a block's arrays, 3.8 MiB for the default
+config and at most ``LINK_BUDGET`` entries each for any config with at
+least one drop per block, stay allocated between runs, beside the next
+run's analytic curve: the benchmark's ``peak_rss_mb`` rose by 2.7-3.1 MiB
+(6-7%) on every workload.
+
 Only block-sized arrays, one entry per link or per user position of a
 block, use a workspace: ``geometry.sample_hexagon_xy``'s ``uv``, ``pick``
 (the rhombus picks) and ``xy``, the kernel's shadowing draw

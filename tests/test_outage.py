@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -440,6 +442,20 @@ class TestPinnedCounts:
         np.testing.assert_array_equal(whole, np.rint([c.estimates * n_samples for c in curves]))
 
 
+def count_on_an_empty_spare(job) -> np.ndarray:
+    """``outage._count_blocks(job)`` in fresh arrays: the process's spare workspace is dropped first."""
+    outage._SPARE.clear()
+    return outage._count_blocks(job)
+
+
+def with_short_last_block(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` with drops for one full block and a short second one."""
+    per_block = outage._blocks(cfg)[1]
+    cfg = replace(cfg, n_drops=per_block + per_block // 3 + 1)
+    assert outage._blocks(cfg)[2] == 2
+    return cfg
+
+
 class TestAntennaMajor:
     # The kernel's link arrays and its draws are (antennas, drops, users).
     # The pinned counts hold only if every element gets the operations of a
@@ -501,16 +517,77 @@ class TestAntennaMajor:
         # One job evaluates both architectures, in either order, in one
         # workspace over a full block and a short one.  Each architecture
         # alone, one block per job, starts from a fresh workspace every time.
-        cfg = ScenarioConfig(master_seed=4, **overrides)
-        per_block = outage._blocks(cfg)[1]
-        cfg = replace(cfg, n_drops=per_block + per_block // 3 + 1)
+        cfg = with_short_last_block(ScenarioConfig(master_seed=4, **overrides))
         n_blocks = outage._blocks(cfg)[2]
-        assert n_blocks == 2
         both = outage._count_blocks((cfg, ("used", "microzone"), 0, 0, n_blocks))
         swapped = outage._count_blocks((cfg, ("microzone", "used"), 0, 0, n_blocks))
         fresh = [
-            sum(outage._count_blocks((cfg, (arch,), 0, b, b + 1)) for b in range(n_blocks))
+            sum(count_on_an_empty_spare((cfg, (arch,), 0, b, b + 1)) for b in range(n_blocks))
             for arch in ("used", "microzone")
         ]
         np.testing.assert_array_equal(both, np.vstack(fresh))
         np.testing.assert_array_equal(swapped, both[::-1])
+
+
+DENSE = dict(n_users=120, interferer_tiers=2, beamwidth=60.0, combiner_mode="paper")
+
+
+class TestSpareWorkspace:
+    # A job takes the process's spare workspace, which holds what the last
+    # job wrote, and hands its own back: every array must be written before
+    # it is read, in every block of every job.
+    def test_a_job_after_another_config_counts_as_in_fresh_arrays(self):
+        dense = ScenarioConfig(master_seed=5, n_drops=9, **DENSE)
+        default = with_short_last_block(ScenarioConfig(master_seed=6))
+        archs = ("used", "microzone")
+        # The first default job sizes the spare; the dense job needs no more
+        # of any array and writes its own values into them.
+        expected = count_on_an_empty_spare((default, archs, 0, 0, 2))
+        outage._count_blocks((dense, archs, 0, 0, outage._blocks(dense)[2]))
+        left = dict(outage._SPARE["work"])
+        counts = outage._count_blocks((default, archs, 0, 0, 2))
+        np.testing.assert_array_equal(counts, expected)
+        # The second default job ran in the arrays the dense job had written.
+        assert all(outage._SPARE["work"][name] is array for name, array in left.items())
+
+    def test_concurrent_runs_get_the_curves_of_sequential_ones(self):
+        # Four threads, two per config, start each round together and switch
+        # every few microseconds: two jobs that shared a workspace would
+        # overwrite each other's blocks.
+        configs = [
+            ScenarioConfig(master_seed=7, n_drops=400),
+            ScenarioConfig(master_seed=8, n_drops=24, **DENSE),
+        ]
+        sequential = [mc_outage(cfg) for cfg in configs]
+        n_threads, rounds = 4, 3
+        start = threading.Barrier(n_threads, timeout=60)
+        results = [[] for _ in range(n_threads)]
+
+        def run(k):
+            try:
+                for _ in range(rounds):
+                    start.wait()
+                    results[k].append(mc_outage(configs[k % len(configs)]))
+            except BaseException:
+                start.abort()  # the other threads stop waiting for this one
+                raise
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, runs in enumerate(results):
+            expected = sequential[k % len(configs)]
+            assert len(runs) == rounds
+            for curves in runs:
+                assert curves.keys() == expected.keys()
+                for arch, curve in curves.items():
+                    np.testing.assert_array_equal(curve.estimates, expected[arch].estimates)
+        assert len(outage._SPARE) <= 1
