@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from .scenario import (
     ARCHITECTURE_CHOICES,
+    COMBINER_MODES,
     ConfigError,
     ScenarioConfig,
     emit_csv,
@@ -24,7 +25,6 @@ from .scenario import (
     parse_value,
     run_experiment,
 )
-from .sir import COMBINER_MODES
 
 
 def _names(values) -> str:
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         # as Python does on EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,11 +10,9 @@ sit exactly on alternating vertices.  Two arrangements are modeled:
   center; the uplink is received jointly by all of them.
 
 Antenna patterns are ideal flat-tops: ``max_gain`` inside the beamwidth,
-``floor_gain`` outside, boundary inclusive.
-
-Sampled user positions have the usual ``(..., 2)`` shape, but they are a
-view over two contiguous planes, all x coordinates then all y, because the
-kernel reads each coordinate of every point at once.
+``floor_gain`` outside, boundary inclusive.  This module holds only what
+a run fixes: user placement and every random draw are the kernel's, in
+``outage``.
 """
 
 from __future__ import annotations
@@ -26,21 +24,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .workspace import buffer
-
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
-
-# The spans of the three rhombi that tile a hexagon of unit circumradius,
-# (a or b, x or y, rhombus): rhombus k is spanned by the vertices V_2k and
-# V_2k+2 (V_j at 30 + 60j degrees).  The spans are 120 degrees apart, so the
-# three rhombi have equal area and tile the hexagon exactly.
-_SPAN_ANGLES = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
-_SPAN_A = np.array([np.cos(_SPAN_ANGLES), np.sin(_SPAN_ANGLES)])
-_UNIT_SPANS = np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
 
 
 @dataclass(frozen=True)
@@ -103,76 +91,6 @@ def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
         sites = np.array([[radius * math.cos(s), radius * math.sin(s)] for s in slots])
         boresights = np.add(slots, math.pi)
     return Layout(architecture, sites, boresights)
-
-
-def sample_hexagon_xy(
-    radius: float,
-    centers,
-    n: int,
-    rng: np.random.Generator,
-    batch: tuple = (),
-    work: dict | None = None,
-) -> np.ndarray:
-    """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
-
-    Each point picks one of the three equal rhombi of the hexagon, and two
-    uniforms place it inside that rhombus: no rejection loop, so the draws
-    per point are fixed.  ``centers`` is one (x, y) center or an (m, 2)
-    array of them; every cell gets ``n`` points.  The result has shape
-    ``batch + (m * n, 2)``, points grouped by cell in ``centers`` order.
-    Draws: one ``random`` call of two contiguous planes, ``batch + (m, n)``
-    each, u then v.  The first plane also picks the rhombus: k = trunc(3u)
-    is 0, 1 or 2 for every u in [0, 1) (3u rounds to at most 3 - 2**-51),
-    and u' = 3u - k is exact (Sterbenz's lemma) and lies in [0, 1).  A
-    point is u' * a_k + v * b_k + center.  The result is a view over two
-    contiguous planes, all x coordinates then all y, so ``xy[..., 0]`` and
-    ``xy[..., 1]`` each read contiguous memory.  With a ``workspace.buffer``
-    dict as ``work`` the uniforms, the picks and the planes live in its
-    arrays, and the result is overwritten by the next call.
-    """
-    centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
-    shape = tuple(batch) + (centers.shape[0], n)
-    u, v = rng.random(out=buffer(work, "uv", (2,) + shape))
-    u *= 3.0
-    # Casting to intp truncates: k = trunc(3u), then u' = 3u - k in place.
-    rhombus = buffer(work, "pick", shape, np.intp)
-    np.copyto(rhombus, u, casting="unsafe")
-    u -= rhombus
-    # Rows are the x and y coordinates of the three spans a and b.
-    edge_a, edge_b = radius * _UNIT_SPANS
-    # u' * a + v * b + center, in that order, in each coordinate plane.
-    # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
-    # copy that "raise" makes.
-    planes = buffer(work, "xy", (2,) + shape)
-    for plane, a in zip(planes, edge_a):
-        a.take(rhombus, out=plane, mode="clip")
-        plane *= u
-    # u is spent: its plane holds each v * b term in turn.
-    for plane, b, center in zip(planes, edge_b, centers.T):
-        plane += np.multiply(b.take(rhombus, out=u, mode="clip"), v, out=u)
-        plane += center[:, None]
-    # (2, ..., points) to (..., points, 2): the planes' axis moved last.
-    planes = planes.reshape((2,) + tuple(batch) + (-1,))
-    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
-
-
-def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
-    """Serving antenna id per user, from the kernel's beam mask.
-
-    ``inside`` is the antenna-major (antennas, ..., users) 0/1 mask of
-    ``outage._path_gains`` for the used layout, whose antennas share the cell
-    center; the result has shape (..., users).  The beams cover every
-    bearing, so each user lies in at least one, and a user in two (on a
-    sector edge, or at the center itself) goes to the lower antenna id: the
-    antennas write their ids from the last down to the first.  That is
-    ``np.argmax`` over the antenna axis, without its per-user loop over 3 or
-    6 entries.  ``np.putmask`` takes the 0/1 mask as it is, and it measured
-    about twice as fast as ``np.copyto`` with ``where=inside[k] != 0``.
-    """
-    serving = np.zeros(inside.shape[1:], dtype=np.intp)
-    for k in range(len(inside) - 1, -1, -1):
-        np.putmask(serving, inside[k], k)
-    return serving
 
 
 def interferer_cell_centers(cell_radius: float, tiers: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Outage probability: the link law, the closed form and Monte Carlo estimation.
+"""Outage probability: the link law, the closed form and the Monte Carlo kernel.
 
 The linear gain of a link factors into deterministic path loss, log-normal
 shadowing and Rayleigh fast fading:
@@ -16,6 +16,16 @@ i.i.d. per snapshot: ``standard_normal`` shadowing, and fading by inversion,
 -log(1 - U) of one ``random`` uniform (``_fading``); time-correlated fading
 is out of scope.
 
+Per-antenna SIR (``per_antenna_sir_matrix``) follows the CDMA uplink form
+
+    gamma = P_G * g_desired * p / (sum_j g_j * p_j + eta)
+
+with processing gain P_G = chip_bandwidth / bit_rate, on received powers
+g * p: the kernel folds the transmit power into the channel.
+``combine_columns`` merges branch SIRs by a self-normalized square-root
+weighting (``paper`` mode), a convex combination of the branches, or by
+classical maximum ratio combining (``classical-mrc``), which sums them.
+
 The closed form covers a single desired exponential power against a sum of
 independent exponential interferers plus a constant, which is exactly the
 sectored-uplink outage once conditional mean powers are fixed.  Monte Carlo
@@ -28,9 +38,10 @@ Drops run in blocks of ``LINK_BUDGET // (antennas x users of every cell)``
 drops (``LINK_BUDGET = 2**16``: 78 default drops), so the block size depends
 only on the scenario.  Each block has its own generator,
 ``Generator(SFC64(SeedSequence(seed, spawn_key=(stream tag, block index))))``,
-and draws in this order: every cell's placement uniforms, as two planes (u,
-which also picks the rhombus, then v), then the standard-normal shadowing,
-then the fading uniforms, both in (antenna, drop, user) order.
+and draws in this order: every cell's placement uniforms
+(``sample_hexagon_xy``), as two planes (u, which also picks the rhombus,
+then v), then the standard-normal shadowing, then the fading uniforms, both
+in (antenna, drop, user) order.
 Results are therefore independent of evaluation order and worker count.  The
 stream tag is the run's stream layout: a paired run evaluates every
 architecture on tag 0, and an unpaired run evaluates the k-th of the config's
@@ -40,35 +51,71 @@ process runs its jobs on a process pool, and only that run imports
 neither.
 
 The kernel allocates no block-sized array per block, nor per run once an
-earlier run in the process has needed arrays as large.  Each job (one
-worker's range of blocks) takes the process's one spare workspace
-(``workspace.buffer``, ``_SPARE``), or an empty one while another thread's
-job holds it, and hands its own back at its end: placement, draws and link
-gains write into its arrays, and a short last block, or a smaller config,
-uses views over the first elements of the same arrays.  The spare keeps a
-block's arrays, 3.8 MiB for the default config, allocated between runs,
-which raised the benchmark's peak RSS by about 3 MiB.  The SIR and
-combining arrays hold only the observed users, a fraction of a block, and
-are allocated plainly.  Every operation runs in the same order on the same
-operands as with fresh arrays, so the reuse changes no bit of any result.
+earlier run in the process has needed arrays as large.  A workspace is a
+plain dict of flat arrays, one per name: ``buffer`` hands out a view of the
+requested shape over the first elements of the named array, and replaces
+that array only when a request needs more elements.  Each job (one worker's
+range of blocks) takes the process's one spare workspace (``_SPARE``), or an
+empty one while another thread's job holds it, and hands its own back at its
+end, so a short last block, a smaller config or a later run writes into
+arrays already paged in.  A 500-drop default call after the first takes no
+page fault in the kernel, where a fresh workspace took about 990
+(``getrusage``), and ``perfbench/run.py``'s ``paper_default`` ran 5.1% more
+drops/s.  The cost is that a block's arrays, 3.8 MiB for the default config
+and at most ``LINK_BUDGET`` entries each for any config with at least one
+drop per block, stay allocated between runs, beside the next run's analytic
+curve: the benchmark's ``peak_rss_mb`` rose by 2.7-3.1 MiB (6-7%) on every
+workload.  Every array is written before it is read, and every operation
+runs in the same order on the same operands as with fresh arrays, so the
+reuse changes no bit of any result.
+
+Only block-sized arrays, one entry per link or per user position of a
+block, use the workspace.  Each group measured load-bearing against the same
+tree with that one group allocated plainly (2-vCPU x86 VM, Python 3.11,
+numpy 2.4):
+
+- ``_path_gains``'s ``dx``, ``dy``, ``along``, ``term`` and ``inside``:
+  without them ``dense_tier2_60deg`` fell from 739-776 to 635-642 drops/s,
+  and a 100-drop dense call paid about 11,000 minor page faults instead of
+  1,150-1,400;
+- ``sample_hexagon_xy``'s ``uv``, ``pick`` (the rhombus picks) and ``xy``:
+  allocated plainly, the peak RSS of a process that runs ten 500-drop
+  default calls rose by 0.4 MiB;
+- the shadowing draw (``channel``) and the fading draw: plainly, by
+  0.35 MiB.
+
+Each function uses names of its own, and two arrays alive at the same time
+never share a name; the fading draw borrows ``_path_gains``'s ``term``,
+which is free until the link gains are built.  Everything else allocates
+plainly.  The SIR and combining arrays hold one entry per observed user, a
+seventh of a block or less with neighbour cells (73 KiB on a default block,
+below malloc's mmap threshold), so malloc already hands the same memory back
+block after block, and reusing them measured no gain.  The analytic curve's
+neighbour grid cost 1,020-1,139 minor page faults per curve with a
+workspace, and costs 744-803 without one.
+
 What no block changes is set up once per job: the layouts, with their
 distinct sites and boresight cosines and sines, the cell centers, and the
 factor every link shares, the path constant times the transmit power,
 which the shadowing and fading pass applies once for every architecture.
-The used architecture reads one SIR per user, its serving sector's, so the
-SIR formula runs on that one gathered column; microzone combines every
+The used architecture reads one SIR per user, its serving sector's
+(``serving_sector_indices``, from the beam mask ``_path_gains`` built), so
+the SIR formula runs on that one gathered column; microzone combines every
 branch.
 
 The link arrays are antenna-major, (antennas, drops, users): the
 per-antenna constants, (antennas, 1, 1), and the (drops, users) position
-planes broadcast along the leading axis, so every operation runs over one
-flat plane per antenna.  The same broadcast over the middle axis of
-(drops, antennas, users) arrays measured three to five times the cost per
-operation (about 80 against 20 us on a default block).  The draws fill
-the same order, so the channel multiplies the link gains element for
-element; read through a transposed view of (drop, antenna, user) draws,
-that multiply measured 1.6 times as long.  Sums over users stay along the
-contiguous last axis and sums over antennas run in antenna order.
+planes broadcast along the leading axis, so every operation, from the link
+gains through the SIRs and the combining, runs over one flat plane per
+antenna.  The same broadcast over the middle axis of (drops, antennas,
+users) arrays measured three to five times the cost per operation (about
+80 against 20 us on a default block).  The draws fill the same order, so
+the channel multiplies the link gains element for element; read through a
+transposed view of (drop, antenna, user) draws, that multiply measured 1.6
+times as long.  For the same reason the sampled user positions, though
+shaped (..., 2), are a view over two contiguous planes, all x coordinates
+then all y.  Sums over users stay along the contiguous last axis and sums
+over antennas run in antenna order.
 """
 
 from __future__ import annotations
@@ -80,9 +127,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import build_layout, interferer_cell_centers, sample_hexagon_xy, serving_sector_indices
-from .sir import combine_columns, per_antenna_sir_matrix
-from .workspace import buffer
+from .geometry import build_layout, interferer_cell_centers
 
 if TYPE_CHECKING:
     from .geometry import Layout
@@ -104,6 +149,21 @@ BIT_GENERATOR = "SFC64"
 # at once never share a workspace, and at most one spare is kept.  A forked
 # pool worker starts with a copy of it.
 _SPARE: dict[str, dict] = {}
+
+
+def buffer(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An array of ``shape`` to be overwritten: a view into ``work[name]``.
+
+    With ``work`` None the array is freshly allocated, so a function that
+    takes an optional workspace has one code path.
+    """
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = work.get(name)
+    if flat is None or flat.size < size or flat.dtype != dtype:
+        flat = work[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -186,6 +246,68 @@ def _received_power(gain: float, distance: float, rho: float, tx_power: float) -
     return gain * loss * tx_power
 
 
+# The spans of the three rhombi that tile a hexagon of unit circumradius,
+# (a or b, x or y, rhombus): rhombus k is spanned by the vertices V_2k and
+# V_2k+2 (V_j at 30 + 60j degrees).  The spans are 120 degrees apart, so the
+# three rhombi have equal area and tile the hexagon exactly.
+_SPAN_ANGLES = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
+_SPAN_A = np.array([np.cos(_SPAN_ANGLES), np.sin(_SPAN_ANGLES)])
+_UNIT_SPANS = np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
+
+
+
+
+def sample_hexagon_xy(
+    radius: float,
+    centers,
+    n: int,
+    rng: np.random.Generator,
+    batch: tuple = (),
+    work: dict | None = None,
+) -> np.ndarray:
+    """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
+
+    Each point picks one of the three equal rhombi of the hexagon, and two
+    uniforms place it inside that rhombus: no rejection loop, so the draws
+    per point are fixed.  ``centers`` is one (x, y) center or an (m, 2)
+    array of them; every cell gets ``n`` points.  The result has shape
+    ``batch + (m * n, 2)``, points grouped by cell in ``centers`` order.
+    Draws: one ``random`` call of two contiguous planes, ``batch + (m, n)``
+    each, u then v.  The first plane also picks the rhombus: k = trunc(3u)
+    is 0, 1 or 2 for every u in [0, 1) (3u rounds to at most 3 - 2**-51),
+    and u' = 3u - k is exact (Sterbenz's lemma) and lies in [0, 1).  A
+    point is u' * a_k + v * b_k + center.  The result is a view over two
+    contiguous planes, all x coordinates then all y, so ``xy[..., 0]`` and
+    ``xy[..., 1]`` each read contiguous memory.  With a workspace dict
+    (``buffer``) as ``work`` the uniforms, the picks and the planes live in its
+    arrays, and the result is overwritten by the next call.
+    """
+    centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
+    shape = tuple(batch) + (centers.shape[0], n)
+    u, v = rng.random(out=buffer(work, "uv", (2,) + shape))
+    u *= 3.0
+    # Casting to intp truncates: k = trunc(3u), then u' = 3u - k in place.
+    rhombus = buffer(work, "pick", shape, np.intp)
+    np.copyto(rhombus, u, casting="unsafe")
+    u -= rhombus
+    # Rows are the x and y coordinates of the three spans a and b.
+    edge_a, edge_b = radius * _UNIT_SPANS
+    # u' * a + v * b + center, in that order, in each coordinate plane.
+    # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
+    # copy that "raise" makes.
+    planes = buffer(work, "xy", (2,) + shape)
+    for plane, a in zip(planes, edge_a):
+        a.take(rhombus, out=plane, mode="clip")
+        plane *= u
+    # u is spent: its plane holds each v * b term in turn.
+    for plane, b, center in zip(planes, edge_b, centers.T):
+        plane += np.multiply(b.take(rhombus, out=u, mode="clip"), v, out=u)
+        plane += center[:, None]
+    # (2, ..., points) to (..., points, 2): the planes' axis moved last.
+    planes = planes.reshape((2,) + tuple(batch) + (-1,))
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
+
+
 # Slack on the half beamwidth of the inclusive beam test, radians.  It lowers
 # the cosine limit by about 1e-12 of the user's distance: orders of magnitude
 # above the rounding of the boresight projection, orders of magnitude below
@@ -216,7 +338,7 @@ def _path_gains(
     share one distance computation.  At rho = 4, d**-4 is taken as
     (1 / d**2)**2, a reciprocal and a square: about 3x faster than ``pow``
     and within a few ulp of it (at rho = 2 the power already is a
-    reciprocal).  With a ``workspace.buffer`` dict as ``work`` the results
+    reciprocal).  With a workspace dict (``buffer``) as ``work`` the results
     are overwritten by the next call.
     """
     site_x, site_y = layout.site_columns
@@ -261,6 +383,90 @@ def _fading(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     np.subtract(1.0, u, out=u)
     np.log(u, out=u)
     return np.subtract(0.0, u, out=u)
+
+
+def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
+    """Serving antenna id per user, from the kernel's beam mask.
+
+    ``inside`` is the antenna-major (antennas, ..., users) 0/1 mask of
+    ``_path_gains`` for the used layout, whose antennas share the cell
+    center; the result has shape (..., users).  The beams cover every
+    bearing, so each user lies in at least one, and a user in two (on a
+    sector edge, or at the center itself) goes to the lower antenna id: the
+    antennas write their ids from the last down to the first.  That is
+    ``np.argmax`` over the antenna axis, without its per-user loop over 3 or
+    6 entries.  ``np.putmask`` takes the 0/1 mask as it is, and it measured
+    about twice as fast as ``np.copyto`` with ``where=inside[k] != 0``.
+    """
+    serving = np.zeros(inside.shape[1:], dtype=np.intp)
+    for k in range(len(inside) - 1, -1, -1):
+        np.putmask(serving, inside[k], k)
+    return serving
+
+
+def per_antenna_sir_matrix(
+    power: np.ndarray, eta: float, pg: float, n_observed: int, serving: np.ndarray | None = None
+) -> np.ndarray:
+    """Branch SIR for every (antenna, user) pair from received powers.
+
+    ``power`` is an antenna-major array of shape (antennas, ..., users): one
+    drop, or a batch of drops along the middle axes, each entry the power a
+    user's signal arrives with at an antenna.  Interference at an antenna
+    sums the received power of all users except the one under test, along
+    the contiguous users axis.  Only the first ``n_observed`` user columns
+    are returned (all users still interfere).  With ``serving``, an (...,
+    n_observed) array of antenna ids, only each observed user's SIR at its
+    serving antenna is computed: one flat-index ``take`` picks the user's
+    power, at ((serving * drops + drop) * users + user), and one its
+    antenna's total, and the result is (..., n_observed).
+    Handles the eta = 0 corner: positive signal over empty interference is
+    +inf, zero over zero is 0.
+    """
+    totals = power.sum(axis=-1)
+    if serving is None:
+        observed = power[..., :n_observed]
+        totals = totals[..., None]
+    else:
+        # Flat indices of each observed user's serving row, then of its entry.
+        # Every index is in range, so mode="clip" only skips a copy.
+        drops = totals[0].size
+        rows = serving * drops + np.arange(drops).reshape(serving.shape[:-1] + (1,))
+        totals = totals.take(rows, mode="clip")
+        rows *= power.shape[-1]
+        rows += np.arange(n_observed)
+        observed = power.take(rows, mode="clip")
+    # max() guards against cancellation when one user dominates the total.
+    denom = np.maximum(totals - observed, 0.0)
+    denom += eta
+    numer = observed * pg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = numer / denom
+    # With eta > 0 and every total finite, every denominator is positive.
+    if not (eta > 0.0 and np.isfinite(totals).all()):
+        np.copyto(sir, np.where(numer > 0.0, np.inf, 0.0), where=~(denom > 0.0))
+    return sir
+
+
+def combine_columns(gamma: np.ndarray, mode: str) -> np.ndarray:
+    """Diversity combining over the leading antenna axis of (antennas, ..., users) SIRs.
+
+    ``mode`` is one of ``scenario.COMBINER_MODES``, as a validated config holds it.
+    Returns shape (..., users); a 2-D input combines column by column.  The
+    sums over antennas run in antenna order, (g0 + g1) + g2, each over one
+    whole (..., users) plane.  An all-zero column combines to 0 and a column
+    with an infinite branch to +inf.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if mode == "classical-mrc":
+        return gamma.sum(axis=0)
+    root = np.sqrt(gamma)
+    weighted = root * gamma
+    with np.errstate(invalid="ignore"):
+        numer = weighted.sum(axis=0)
+        denom = root.sum(axis=0)
+        combined = np.divide(numer, denom, out=numer)
+    combined = np.where(np.isinf(gamma).any(axis=0), np.inf, combined)
+    return np.where(denom > 0.0, combined, 0.0)
 
 
 def _count_blocks(args) -> np.ndarray:

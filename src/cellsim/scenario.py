@@ -27,9 +27,8 @@ from .outage import (
     LN10_OVER_10, OutageCurve, _path_gains, _received_power, analytic_outage_used, mc_outage,
     path_gain_constant,
 )
-from .sir import COMBINER_MODES
-
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
+COMBINER_MODES = ("paper", "classical-mrc")
 # Longest threshold sweep a config may ask for, so that a slip such as
 # 0:1e7:1e-6 fails when the config is built rather than as an array of 10**13
 # points.  Far above any plotted curve.

@@ -8,7 +8,7 @@ rhombus pick as ``math.trunc(3 * u)``, a direct sum over the other users'
 powers and the scalar combiner below.  It shares no array code with the
 kernel, so the kernel's counts must equal it exactly.
 ``matched_exponential_outage`` is the brute-force sampler the closed form is
-checked against.
+checked against, and ``below_sum`` the closed form in rate form.
 ``reference_mean_received_powers`` is the analytic curve's mean powers the
 slow way.  Its in-cell integrals use this module's own scalar boundary radius
 and radial integral, and one ``integrate.quad`` per smooth piece of each
@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 
 from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers
-from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, path_gain_constant
+from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, analytic_outage_used, path_gain_constant
 
 
 def wrap_angle(angle):
@@ -147,6 +147,11 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
                         combined = diversity_combine(branches, cfg.combiner_mode)
                     counts[n] += combined <= thresholds
     return counts
+
+
+def below_sum(rate, rates=(), offset=0.0):
+    """P(z <= sum(z_i) + offset) for exponentials of the given rates, by the closed form."""
+    return analytic_outage_used(1.0 / rate, [1.0 / r for r in rates], offset, 1.0, 1.0)
 
 
 def matched_exponential_outage(mean_desired, mean_interferers, eta, pg, thresholds_db, n, seed):

@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from cellsim.outage import _fading, analytic_outage_used
+from cellsim.outage import _fading, analytic_outage_used, combine_columns
 from cellsim.scenario import ScenarioConfig, render_csv, run_experiment
-from cellsim.sir import combine_columns
-from scalar_oracle import diversity_combine, matched_exponential_outage, mrc_weights
+from scalar_oracle import below_sum, diversity_combine, matched_exponential_outage, mrc_weights
 
 Z95 = 1.959963984540054
 
@@ -58,11 +57,6 @@ def default_sweep():
     started = time.perf_counter()
     result = run_experiment(cfg, workers=1)
     return cfg, result, time.perf_counter() - started
-
-
-def below_sum(rate, rates=(), offset=0.0):
-    """P(z <= sum(z_i) + offset) for exponentials of the given rates, by the closed form."""
-    return analytic_outage_used(1.0 / rate, [1.0 / r for r in rates], offset, 1.0, 1.0)
 
 
 def test_criterion_1_closed_form_vs_oracle():

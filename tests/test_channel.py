@@ -9,9 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from cellsim.geometry import build_layout, sample_hexagon_xy
+from cellsim.geometry import build_layout
 from cellsim import outage
-from cellsim.outage import LN10_OVER_10, _count_blocks, _fading, _path_gains, path_gain_constant
+from cellsim.outage import (
+    LN10_OVER_10,
+    _count_blocks,
+    _fading,
+    _path_gains,
+    path_gain_constant,
+    sample_hexagon_xy,
+)
 from cellsim.scenario import ConfigError, ScenarioConfig
 from test_geometry import ConstantUniforms, kernel_gain, one_antenna
 

@@ -226,6 +226,18 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, wher
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write CSV to {out}: "), stderr
 
 
+def test_run_too_large_to_allocate_fails_cleanly(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg, workers):
+        raise MemoryError("Unable to allocate 5.09 TiB for an array with shape (699050666666667,)")
+
+    monkeypatch.setattr(cli, "run_experiment", no_memory)
+    code, stdout, stderr = run_cli(["run", "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.splitlines() == [
+        "error: Unable to allocate 5.09 TiB for an array with shape (699050666666667,)"
+    ], stderr
+
+
 def run_python(args, **kwargs) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports cellsim from this checkout."""
     src = str(Path(cellsim.__file__).resolve().parents[1])

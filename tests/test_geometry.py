@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cellsim.geometry import (
-    Layout,
-    build_layout,
-    hexagon_contains,
-    interferer_cell_centers,
-    sample_hexagon_xy,
-    serving_sector_indices,
-)
-from cellsim.outage import _path_gains
+from cellsim.geometry import Layout, build_layout, hexagon_contains, interferer_cell_centers
+from cellsim.outage import _path_gains, sample_hexagon_xy, serving_sector_indices
 from cellsim.scenario import ConfigError, ScenarioConfig
 from scalar_oracle import _path_gain, serving_antenna, wrap_angle
 

@@ -11,18 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage
-from cellsim.geometry import build_layout, interferer_cell_centers, sample_hexagon_xy
-from cellsim.outage import OutageCurve, analytic_outage_used, mc_outage
+from cellsim.geometry import build_layout, interferer_cell_centers
+from cellsim.outage import OutageCurve, analytic_outage_used, combine_columns, mc_outage, sample_hexagon_xy
 from cellsim.scenario import ConfigError, ScenarioConfig, render_csv, run_experiment
-from cellsim.sir import combine_columns
-from scalar_oracle import matched_exponential_outage, oracle_counts, reference_outage_used
+from scalar_oracle import below_sum, matched_exponential_outage, oracle_counts, reference_outage_used
 
 rates = st.floats(min_value=0.1, max_value=10.0)
-
-
-def below_sum(rate, rates=(), offset=0.0):
-    """P(z <= sum(z_i) + offset), exponentials with the given rates, by the closed form."""
-    return analytic_outage_used(1.0 / rate, [1.0 / r for r in rates], offset, 1.0, 1.0)
 
 
 def mc_below_sum_oracle(rate, rates, offset, n: int, rng: np.random.Generator) -> float:

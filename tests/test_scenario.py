@@ -13,10 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage, scenario
-from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-from cellsim.outage import OutageCurve, _path_gains, analytic_outage_used, path_gain_constant
-from cellsim.sir import COMBINER_MODES
+from cellsim.geometry import build_layout
+from cellsim.outage import (
+    OutageCurve,
+    _path_gains,
+    analytic_outage_used,
+    path_gain_constant,
+    sample_hexagon_xy,
+    serving_sector_indices,
+)
 from cellsim.scenario import (
+    COMBINER_MODES,
     ARCHITECTURE_CHOICES,
     ConfigError,
     ExperimentResult,

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellsim.geometry import build_layout, sample_hexagon_xy, serving_sector_indices
-from cellsim.outage import _path_gains
+from cellsim.geometry import build_layout
+from cellsim.outage import (
+    _path_gains,
+    combine_columns,
+    per_antenna_sir_matrix,
+    sample_hexagon_xy,
+    serving_sector_indices,
+)
 from cellsim.scenario import ConfigError, ScenarioConfig
-from cellsim.sir import combine_columns, per_antenna_sir_matrix
 from scalar_oracle import diversity_combine, mrc_weights
 
 positive_branches = st.lists(
