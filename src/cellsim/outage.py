@@ -98,10 +98,10 @@ What no block changes is set up once per job: the layouts, with their
 distinct sites and boresight cosines and sines, the cell centers, and the
 factor every link shares, the path constant times the transmit power,
 which the shadowing and fading pass applies once for every architecture.
-The used architecture reads one SIR per user, its serving sector's
-(``serving_sector_indices``, from the beam mask ``_path_gains`` built), so
-the SIR formula runs on that one gathered column; microzone combines every
-branch.
+Both architectures take the SIR of every (antenna, user) pair from
+``per_antenna_sir_matrix``.  The used architecture then reads each user's
+SIR at its serving sector's antenna (``serving_sector_indices``, from the
+beam mask ``_path_gains`` built); microzone combines every branch.
 
 The link arrays are antenna-major, (antennas, drops, users): the
 per-antenna constants, (antennas, 1, 1), and the (drops, users) position
@@ -255,8 +255,6 @@ _SPAN_A = np.array([np.cos(_SPAN_ANGLES), np.sin(_SPAN_ANGLES)])
 _UNIT_SPANS = np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
 
 
-
-
 def sample_hexagon_xy(
     radius: float,
     centers,
@@ -404,9 +402,7 @@ def serving_sector_indices(inside: np.ndarray) -> np.ndarray:
     return serving
 
 
-def per_antenna_sir_matrix(
-    power: np.ndarray, eta: float, pg: float, n_observed: int, serving: np.ndarray | None = None
-) -> np.ndarray:
+def per_antenna_sir_matrix(power: np.ndarray, eta: float, pg: float, n_observed: int) -> np.ndarray:
     """Branch SIR for every (antenna, user) pair from received powers.
 
     ``power`` is an antenna-major array of shape (antennas, ..., users): one
@@ -414,27 +410,12 @@ def per_antenna_sir_matrix(
     user's signal arrives with at an antenna.  Interference at an antenna
     sums the received power of all users except the one under test, along
     the contiguous users axis.  Only the first ``n_observed`` user columns
-    are returned (all users still interfere).  With ``serving``, an (...,
-    n_observed) array of antenna ids, only each observed user's SIR at its
-    serving antenna is computed: one flat-index ``take`` picks the user's
-    power, at ((serving * drops + drop) * users + user), and one its
-    antenna's total, and the result is (..., n_observed).
-    Handles the eta = 0 corner: positive signal over empty interference is
-    +inf, zero over zero is 0.
+    are returned (all users still interfere), shape (antennas, ...,
+    n_observed).  Handles the eta = 0 corner: positive signal over empty
+    interference is +inf, zero over zero is 0.
     """
-    totals = power.sum(axis=-1)
-    if serving is None:
-        observed = power[..., :n_observed]
-        totals = totals[..., None]
-    else:
-        # Flat indices of each observed user's serving row, then of its entry.
-        # Every index is in range, so mode="clip" only skips a copy.
-        drops = totals[0].size
-        rows = serving * drops + np.arange(drops).reshape(serving.shape[:-1] + (1,))
-        totals = totals.take(rows, mode="clip")
-        rows *= power.shape[-1]
-        rows += np.arange(n_observed)
-        observed = power.take(rows, mode="clip")
+    totals = power.sum(axis=-1, keepdims=True)
+    observed = power[..., :n_observed]
     # max() guards against cancellation when one user dominates the total.
     denom = np.maximum(totals - observed, 0.0)
     denom += eta
@@ -516,13 +497,13 @@ def _count_blocks(args) -> np.ndarray:
         for k, layout in enumerate(layouts):
             power, inside = _path_gains(layout, xy, scenario, work)
             power *= channel
-            # The used layout reads one SIR per user, its serving antenna's;
+            gamma = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users)
+            # The used layout reads each user's SIR at its serving antenna;
             # microzone combines every branch.
             if layout.architecture == "used":
                 serving = serving_sector_indices(inside[..., :n_users])
-                sirs = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users, serving=serving)
+                sirs = np.take_along_axis(gamma, serving[None], axis=0)[0]
             else:
-                gamma = per_antenna_sir_matrix(power, eta, pg, n_observed=n_users)
                 sirs = combine_columns(gamma, scenario.combiner_mode)
             # The SIRs are spent: sort them in place (reshape is a view of a
             # contiguous result) and count each threshold's outages.

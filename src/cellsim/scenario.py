@@ -15,7 +15,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -96,7 +95,9 @@ class ScenarioConfig:
         if (tuple(map(type, values)) not in _PLAIN_TYPES or tuple(map(type, thresholds)) != (float,) * 3
                 or not all(map(math.isfinite, (*numbers, *thresholds))) or not floor_db < math.inf
                 or not (noise is None or math.isfinite(noise))):
-            _check_kinds(self)
+            if _check_kinds(self):
+                # It stored numpy scalars as Python numbers: check those.
+                return self.validate()
         if architecture not in ARCHITECTURE_CHOICES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURE_CHOICES}, got {architecture!r}")
         if n_users < 1:
@@ -223,27 +224,44 @@ _PLAIN_TYPES = {tuple(_FIELD_TYPES.values()), tuple({**_FIELD_TYPES, "noise_powe
 _field_values = attrgetter(*_FIELD_TYPES)
 
 
-def _check_kinds(cfg: ScenarioConfig) -> None:
+# Concrete types, not the numbers ABCs, which also admit Fraction and Decimal.
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _check_kinds(cfg: ScenarioConfig) -> bool:
     """Raise ConfigError for the first field that holds the wrong kind of value.
 
     Each field holds the kind of its default: a bool; an integer, not a
-    bool; a 3-tuple of numbers; or a finite number, not a bool.  numpy
-    integers and numbers pass, and a name is left to its choices.
-    noise_power may also be None and floor_gain_db -inf.
+    bool; a 3-tuple of numbers; or a finite number, not a bool.  An integer
+    is Python's or numpy's, a number an integer or Python's or numpy's
+    float; a Fraction or any other numeric type is rejected, and a name is
+    left to its choices.  noise_power may also be None and floor_gain_db
+    -inf.  A numpy scalar, alone or in ``thresholds``, is stored as the
+    Python int or float of its value (not ``.item()``, which keeps a
+    longdouble), so the kernel and the config text see Python numbers.
+    Returns whether any field was stored so.
     """
+    stored = False
     for name, kind in _FIELD_TYPES.items():
         value = getattr(cfg, name)
-        if kind in (bool, int) and not (isinstance(value, Integral) and isinstance(value, bool) == (kind is bool)):
+        if kind in (bool, int) and not (isinstance(value, _INTEGERS) and isinstance(value, bool) == (kind is bool)):
             raise ConfigError(f"{name} must be {'a bool' if kind is bool else 'an integer'}, got {value!r}")
         if kind is tuple and not (isinstance(value, tuple) and len(value) == 3):
             raise ConfigError(f"{name} must be a 3-tuple, got {value!r}")
+        items = value if kind is tuple else (value,)
         if kind in (float, tuple) or name == "noise_power" and value is not None:
-            for item in value if kind is tuple else (value,):
-                if isinstance(item, bool) or not isinstance(item, Real):
+            for item in items:
+                if isinstance(item, bool) or not isinstance(item, _NUMBERS):
                     raise ConfigError(f"{name} must be {'3 numbers' if kind is tuple else 'a number'}, got {value!r}")
                 if not (math.isfinite(item) or name == "floor_gain_db" and item == -math.inf):
                     allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
                     raise ConfigError(f"{name} must be {allowed}, got {value}")
+        if any(isinstance(item, (np.integer, np.floating)) for item in items):
+            plain = tuple(int(item) if isinstance(item, _INTEGERS) else float(item) for item in items)
+            object.__setattr__(cfg, name, plain if kind is tuple else plain[0])
+            stored = True
+    return stored
 
 
 @dataclass(frozen=True)
@@ -360,7 +378,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def parse_config_file(path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:

@@ -5,6 +5,7 @@ import os
 import re
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from cellsim.scenario import (
     format_report,
     mean_received_powers,
     parse_config,
+    parse_config_file,
     render_csv,
     run_experiment,
     serialize_config,
@@ -297,6 +299,53 @@ class TestParseConfig:
     def test_field_of_the_wrong_kind_rejected(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{name} must be {message}, got "):
             ScenarioConfig(**{name: value})
+
+    def test_fraction_rejected(self):
+        # str(Fraction(33, 10)) is "33/10", which the config grammar rejects.
+        with pytest.raises(ConfigError, match=r"^rho must be a number, got Fraction\(33, 10\)"):
+            ScenarioConfig(rho=Fraction(33, 10))
+
+    # A numpy scalar is stored as the Python number of its value, so the
+    # kernel computes in Python's ints and floats and the config text is the
+    # config that was built.
+    def test_numpy_int8_users_run_as_python_ints(self):
+        cfg = ScenarioConfig(n_users=np.int8(100), n_drops=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            csv = render_csv(run_experiment(cfg))
+        assert csv == render_csv(run_experiment(ScenarioConfig(n_users=100, n_drops=20)))
+        assert type(cfg.n_users) is int
+
+    def test_numpy_int16_dense_config_runs(self):
+        dense = dict(interferer_tiers=2, beamwidth=60.0)
+        curves = outage.mc_outage(ScenarioConfig(n_drops=np.int16(300), n_users=np.int16(120), **dense))
+        expected = outage.mc_outage(ScenarioConfig(n_drops=300, n_users=120, **dense))
+        for arch, curve in expected.items():
+            np.testing.assert_array_equal(curves[arch].estimates, curve.estimates)
+
+    def test_numpy_float16_radius_runs_as_its_config_text(self):
+        cfg = ScenarioConfig(cell_radius=np.float16(800.0), n_drops=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            csv = render_csv(run_experiment(cfg))
+        assert csv == render_csv(run_experiment(parse_config(serialize_config(cfg))))
+        assert type(cfg.cell_radius) is float
+
+    def test_numpy_longdouble_round_trips(self):
+        cfg = ScenarioConfig(rho=np.longdouble("3.3"))
+        assert type(cfg.rho) is float
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_numpy_thresholds_stored_as_python_numbers(self):
+        cfg = ScenarioConfig(thresholds=(np.float32(-10.5), np.int64(10), 1.0))
+        assert cfg.thresholds == (-10.5, 10, 1.0)
+        assert tuple(map(type, cfg.thresholds)) == (float, int, float)
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # Editors that save UTF-8 with a BOM put U+FEFF before the first key.
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffrho = 3  # exposant de propagation, \u03c1\n".encode("utf-8"))
+        assert parse_config_file(path) == ScenarioConfig(rho=3.0)
 
 
 # Every config key, once; each is the name of its ScenarioConfig field.

@@ -192,36 +192,6 @@ class TestPerAntennaSirMatrix:
         np.testing.assert_allclose(gamma, 0.25)
 
 
-class TestServingColumn:
-    # The used architecture's SIR: only each observed user's serving antenna,
-    # gathered before the formula, must be bit for bit the full matrix's entry.
-    @staticmethod
-    def powers(batch, antennas, seed=13):
-        # Antenna-major, (antennas,) + batch + (users,), from the same draws.
-        rng = np.random.default_rng(seed)
-        power = np.moveaxis(rng.exponential(1.0, batch + (antennas, 9)), -2, 0)
-        power[1] = 0.0  # nothing at antenna 1: zero over zero at eta = 0
-        power[2, ..., 1:] = 0.0  # user 0 alone at antenna 2: +inf at eta = 0
-        serving = rng.integers(0, antennas, batch + (5,))
-        serving[..., :2] = [2, 1]
-        return power, serving
-
-    @staticmethod
-    def expected(power, serving, eta):
-        full = per_antenna_sir_matrix(power, eta, 10.0, n_observed=5)
-        return np.take_along_axis(full, serving[None], axis=0)[0]
-
-    @pytest.mark.parametrize("eta", [0.2, 0.0])
-    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
-    def test_equals_the_full_matrix_at_the_serving_antenna(self, eta, batch):
-        for antennas in (3, 6):  # 120 and 60 degree beams
-            power, serving = self.powers(batch, antennas)
-            served = per_antenna_sir_matrix(power, eta, 10.0, n_observed=5, serving=serving)
-            assert served.shape == batch + (5,)
-            np.testing.assert_array_equal(served, self.expected(power, serving, eta))
-            assert np.all(np.isinf(served[..., 0]) == (eta == 0.0)) and np.all(served[..., 1] == 0.0)
-
-
 class TestBatchAxis:
     def test_batch_equals_per_drop(self):
         rng = np.random.default_rng(12)
