@@ -9,10 +9,10 @@ sit exactly on alternating vertices.  Two arrangements are modeled:
 * ``microzone``: one antenna per zone sits on the cell boundary facing the
   center; the uplink is received jointly by all of them.
 
-Antenna patterns are ideal flat-tops: ``max_gain`` inside the beamwidth,
-``floor_gain`` outside, boundary inclusive.  This module holds only what
-a run fixes: user placement and every random draw are the kernel's, in
-``outage``.
+Antenna patterns are ideal flat-tops: a gain of 1 inside the beamwidth,
+``floor_gain`` (at most 1) outside, boundary inclusive.  This module holds
+only what a run fixes: user placement and every random draw are the
+kernel's, in ``outage``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ shadowing and Rayleigh fast fading:
 
     g = (A_p * G * max(d, d_min)**-rho) * 10**(xi / 10) * A_f
 
-with A_p the wavelength constant (``path_gain_constant``), G the flat-top
-pattern gain (max inside the beam, floor outside), xi ~ N(0, sigma^2) in dB
-and A_f a unit-mean exponential (the squared Rayleigh envelope).
+with A_p the free-space constant of the 2 GHz carrier
+(``PATH_GAIN_CONSTANT``), G the flat-top pattern gain (1 inside the beam,
+the floor outside), xi ~ N(0, sigma^2) in dB and A_f a unit-mean
+exponential (the squared Rayleigh envelope).
 ``_path_gains`` is src's one implementation of the deterministic part: the
 kernel and the analytic curve's neighbour means both pass through it, and
 at rho = 4 both take the distance loss as (1 / d**2)**2, not a ``pow``.  The
@@ -224,26 +225,21 @@ def analytic_outage_used(
     return -np.expm1(-np.where(threshold == np.inf, np.inf, log_factor))
 
 
-FOUR_PI_SQ = (4.0 * math.pi) ** 2
+# Free-space constant lambda^2 / (4 pi)^2 of unit-gain antennas at the 2 GHz
+# carrier, lambda = 0.15 m.  It scales every received power as tx_power
+# does, so it sets no SIR unless the noise power is set explicitly.
+PATH_GAIN_CONSTANT = 0.15 * 0.15 / (4.0 * math.pi) ** 2
 # 10**(x / 10) == exp(LN10_OVER_10 * x): converts dB to a natural exponent.
 LN10_OVER_10 = math.log(10.0) / 10.0
 
 
-def path_gain_constant(wavelength: float) -> float:
-    """Free-space constant lambda^2 / (4 pi)^2 for unit-gain antennas."""
-    return wavelength * wavelength / FOUR_PI_SQ
-
-
-def _received_power(gain: float, distance: float, rho: float, tx_power: float) -> float:
-    """Fading-averaged power ``gain * distance**-rho * tx_power`` of one user; inf on overflow.
-
-    ``gain`` is the path constant times the antenna gain.
-    """
+def _received_power(distance: float, rho: float, tx_power: float) -> float:
+    """Fading-averaged power of one user at an in-beam antenna ``distance`` away; inf on overflow."""
     try:
         loss = distance ** (-rho)
     except OverflowError:
         return math.inf
-    return gain * loss * tx_power
+    return PATH_GAIN_CONSTANT * loss * tx_power
 
 
 # The spans of the three rhombi that tile a hexagon of unit circumradius,
@@ -330,10 +326,11 @@ def _path_gains(
     antenna's beam (boundary inclusive) when the cosine of its bearing
     offset from boresight is at least cos(beamwidth / 2): the flat-top
     pattern without an arctangent.  The mask holds that test as 0/1
-    ``intp``; it is src's only beam test.  The beamwidth (one sector's share
-    of the full circle), the gains and the ``d_min`` clamp on distances are
-    the scenario's.  Antennas that share one site (the used layout's center)
-    share one distance computation.  At rho = 4, d**-4 is taken as
+    ``intp``; it is src's only beam test.  The gain is 1 in the beam; the
+    beamwidth (one sector's share of the full circle), the floor gain and
+    the ``d_min`` clamp on distances are the scenario's.  Antennas that
+    share one site (the used layout's center) share one distance
+    computation.  At rho = 4, d**-4 is taken as
     (1 / d**2)**2, a reciprocal and a square: about 3x faster than ``pow``
     and within a few ulp of it (at rho = 2 the power already is a
     reciprocal).  With a workspace dict (``buffer``) as ``work`` the results
@@ -352,10 +349,10 @@ def _path_gains(
     d_sq += np.multiply(dy, dy, out=dy)
     limit = np.sqrt(d_sq, out=dy)
     limit *= math.cos(math.pi / scenario.sector_count + ANGLE_TOL)
-    # The beam test as 0/1 indices into (floor, max): an exact select, and
-    # much faster than a masked copy.
+    # The beam test as 0/1 indices into (floor, in-beam gain 1): an exact
+    # select, and much faster than a masked copy.
     inside = np.greater_equal(along, limit, out=buffer(work, "inside", shape, np.intp))
-    levels = np.array((scenario.floor_gain, scenario.max_gain))
+    levels = np.array((scenario.floor_gain, 1.0))
     gains = levels.take(inside, out=along, mode="clip")
     loss = np.maximum(d_sq, scenario.d_min**2, out=d_sq)
     if scenario.rho == 4.0:
@@ -473,7 +470,7 @@ def _count_blocks(args) -> np.ndarray:
     thr_linear = scenario.thresholds_linear
     n_users = scenario.n_users
     # Path constant and transmit power: the one factor every link shares.
-    link_scale = path_gain_constant(scenario.wavelength) * scenario.tx_power
+    link_scale = PATH_GAIN_CONSTANT * scenario.tx_power
     shadow_nepers = scenario.shadowing_sigma * LN10_OVER_10
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain

@@ -23,8 +23,8 @@ import numpy as np
 
 from .geometry import SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
 from .outage import (
-    LN10_OVER_10, OutageCurve, _path_gains, _received_power, analytic_outage_used, mc_outage,
-    path_gain_constant,
+    LN10_OVER_10, PATH_GAIN_CONSTANT, OutageCurve, _path_gains, _received_power, analytic_outage_used,
+    mc_outage,
 )
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 COMBINER_MODES = ("paper", "classical-mrc")
@@ -34,6 +34,10 @@ COMBINER_MODES = ("paper", "classical-mrc")
 MAX_THRESHOLDS = 10**6
 # Largest d_min whose square is a finite float; the kernel squares it.
 MAX_D_MIN = math.sqrt(sys.float_info.max)
+# Largest cell_radius whose farthest distance in the kernel squares to a
+# finite float: a user of an outermost tier-2 cell lies at most
+# 2 sqrt(3) R + R from the origin, and a microzone antenna at R.
+MAX_CELL_RADIUS = MAX_D_MIN / (2.0 * SQRT3 + 2.0)
 
 
 class ConfigError(ValueError):
@@ -45,13 +49,15 @@ class ScenarioConfig:
     """Full experiment description; defaults reproduce the baseline scenario.
 
     ``noise_power`` of None means automatic: 30 dB below the fading-averaged
-    power a single cell-edge user delivers to a full-gain antenna, which
-    keeps the system interference limited.  ``thresholds`` is a
-    (start, stop, step) sweep in dB.  The default combiner sums branch SIRs
-    (classical MRC); the ``paper`` mode is the self-normalized convex
-    weighting, selectable here or via the CLI.  One ring of co-channel
-    neighbor cells interferes by default; set ``interferer_tiers`` to 0 for
-    an isolated cell.
+    power a single cell-edge user delivers to an in-beam antenna, which
+    keeps the system interference limited.  Antennas have a gain of 1 in
+    their beam and ``floor_gain_db`` (at most 0 dB) outside it; received
+    powers scale with ``tx_power`` and the free-space constant of the 2 GHz
+    carrier.  ``thresholds`` is a (start, stop, step) sweep in dB.  The
+    default combiner sums branch SIRs (classical MRC); the ``paper`` mode is
+    the self-normalized convex weighting, selectable here or via the CLI.
+    One ring of co-channel neighbor cells interferes by default; set
+    ``interferer_tiers`` to 0 for an isolated cell.
 
     Each field's name is its config key.  Every construction,
     ``dataclasses.replace`` included, runs :meth:`validate`, which checks
@@ -76,9 +82,7 @@ class ScenarioConfig:
     combiner_mode: str = "classical-mrc"
     interferer_tiers: int = 1
     paired: bool = True
-    wavelength: float = 0.15  # m (2 GHz carrier)
-    max_gain_db: float = 0.0
-    floor_gain_db: float = float("-inf")
+    floor_gain_db: float = float("-inf")  # relative to the in-beam gain
 
     def __post_init__(self):
         self.validate()
@@ -89,8 +93,8 @@ class ScenarioConfig:
         # _PLAIN_TYPES, with finite numbers, skips _check_kinds.
         values = _field_values(self)
         (architecture, n_users, bit_rate, chip_rate, thresholds, rho, sigma, noise, radius, beamwidth,
-         tx_power, d_min, n_drops, seed, combiner_mode, tiers, _, wavelength, max_db, floor_db) = values
-        numbers = (bit_rate, chip_rate, rho, sigma, radius, beamwidth, tx_power, d_min, wavelength, max_db)
+         tx_power, d_min, n_drops, seed, combiner_mode, tiers, _, floor_db) = values
+        numbers = (bit_rate, chip_rate, rho, sigma, radius, beamwidth, tx_power, d_min)
         # noise_power may be None and floor_gain_db -inf.
         if (tuple(map(type, values)) not in _PLAIN_TYPES or tuple(map(type, thresholds)) != (float,) * 3
                 or not all(map(math.isfinite, (*numbers, *thresholds))) or not floor_db < math.inf
@@ -143,27 +147,25 @@ class ScenarioConfig:
             raise ConfigError(f"combiner_mode must be one of {COMBINER_MODES}, got {combiner_mode!r}")
         if tiers not in (0, 1, 2):
             raise ConfigError(f"interferer_tiers must be 0, 1 or 2, got {tiers}")
-        if wavelength <= 0.0:
-            raise ConfigError(f"wavelength must be positive, got {wavelength}")
-        if floor_db > max_db:
-            raise ConfigError("floor_gain_db must not exceed max_gain_db")
-        # The floor gain is at most the max gain, so only the max gain can overflow.
-        try:
-            gain = path_gain_constant(wavelength) * self.max_gain
-        except OverflowError:
-            raise ConfigError(f"max_gain_db = {max_db} dB overflows as a linear gain") from None
-        # Power falls with distance, so the full-gain powers at the two ends of
+        if floor_db > 0.0:
+            raise ConfigError(f"floor_gain_db must be at most 0 dB, the in-beam gain, got {floor_db}")
+        # Power falls with distance, so the in-beam powers at the two ends of
         # the in-cell distance range bound all others.  Each must be a normal
         # float: below it every drop's gains underflow, and beyond the cell
         # edge d_min clamps every in-cell distance, so the analytic curve's
         # desired mean is about the power at d_min.
         for name, distance in (("cell_radius", radius), ("d_min", d_min)):
-            power = _received_power(gain, distance, rho, tx_power)
+            power = _received_power(distance, rho, tx_power)
             if not sys.float_info.min <= power < math.inf:
                 raise ConfigError(
                     f"received power at {name} = {distance} m is {power!r}, not a positive normal "
-                    f"number: check tx_power, {name}, rho, max_gain_db and wavelength"
+                    f"number: check tx_power, {name} and rho"
                 )
+        if radius > MAX_CELL_RADIUS:
+            raise ConfigError(
+                f"cell_radius = {radius} m is too large: the kernel squares distances of up to "
+                f"(2 sqrt(3) + 2) times it; it must be at most {MAX_CELL_RADIUS} m"
+            )
 
     # Derived quantities ---------------------------------------------------
 
@@ -199,18 +201,13 @@ class ScenarioConfig:
         return self.chip_rate / self.bit_rate
 
     @property
-    def max_gain(self) -> float:
-        return 10.0 ** (self.max_gain_db / 10.0)
-
-    @property
     def floor_gain(self) -> float:
         return 0.0 if math.isinf(self.floor_gain_db) else 10.0 ** (self.floor_gain_db / 10.0)
 
     @property
     def edge_power(self) -> float:
-        """Fading-averaged power of one cell-edge user at a full-gain antenna."""
-        gain = path_gain_constant(self.wavelength) * self.max_gain
-        return _received_power(gain, self.cell_radius, self.rho, self.tx_power)
+        """Fading-averaged power of one cell-edge user at an in-beam antenna."""
+        return _received_power(self.cell_radius, self.rho, self.tx_power)
 
     def resolved_noise_power(self) -> float:
         return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
@@ -233,14 +230,15 @@ def _check_kinds(cfg: ScenarioConfig) -> bool:
     """Raise ConfigError for the first field that holds the wrong kind of value.
 
     Each field holds the kind of its default: a bool; an integer, not a
-    bool; a 3-tuple of numbers; or a finite number, not a bool.  An integer
-    is Python's or numpy's, a number an integer or Python's or numpy's
-    float; a Fraction or any other numeric type is rejected, and a name is
-    left to its choices.  noise_power may also be None and floor_gain_db
-    -inf.  A numpy scalar, alone or in ``thresholds``, is stored as the
-    Python int or float of its value (not ``.item()``, which keeps a
-    longdouble), so the kernel and the config text see Python numbers.
-    Returns whether any field was stored so.
+    bool; a 3-tuple of numbers; or a finite number, not a bool (a Python
+    int beyond float range is not finite).  An integer is Python's or
+    numpy's, a number an integer or Python's or numpy's float; a Fraction or
+    any other numeric type is rejected, and a name is left to its choices.
+    noise_power may also be None and floor_gain_db -inf.  A numpy scalar,
+    alone or in ``thresholds``, is stored as the Python int or float of its
+    value (not ``.item()``, which keeps a longdouble), so the kernel and the
+    config text see Python numbers.  Returns whether any field was stored
+    so.
     """
     stored = False
     for name, kind in _FIELD_TYPES.items():
@@ -254,8 +252,12 @@ def _check_kinds(cfg: ScenarioConfig) -> bool:
             for item in items:
                 if isinstance(item, bool) or not isinstance(item, _NUMBERS):
                     raise ConfigError(f"{name} must be {'3 numbers' if kind is tuple else 'a number'}, got {value!r}")
-                if not (math.isfinite(item) or name == "floor_gain_db" and item == -math.inf):
-                    allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
+                allowed = "finite or -inf" if name == "floor_gain_db" else "finite"
+                try:
+                    finite = math.isfinite(item)
+                except OverflowError:
+                    raise ConfigError(f"{name} must be {allowed}, got an integer beyond float range") from None
+                if not (finite or name == "floor_gain_db" and item == -math.inf):
                     raise ConfigError(f"{name} must be {allowed}, got {value}")
         if any(isinstance(item, (np.integer, np.floating)) for item in items):
             plain = tuple(int(item) if isinstance(item, _INTEGERS) else float(item) for item in items)
@@ -296,8 +298,6 @@ _UNITS = {
     "beamwidth": ("deg",),
     "tx_power": ("W",),
     "d_min": ("m",),
-    "wavelength": ("m",),
-    "max_gain_db": ("dB",),
     "floor_gain_db": ("dB",),
 }
 _PREFIX_SCALES = {"k": 1e3, "M": 1e6}
@@ -485,7 +485,7 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     the desired user is conditioned on lying in the serving wedge.
     """
     shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
-    base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
+    base = PATH_GAIN_CONSTANT * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
 
     # The cell is symmetric under reflection about every multiple of 30
@@ -494,8 +494,8 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     full = 12.0 * _slice_gain_integral(cfg)
     wedge = full / cfg.sector_count
     wedge_area = area / cfg.sector_count
-    mean_desired = base * cfg.max_gain * wedge / wedge_area
-    mean_in_cell = base * (cfg.max_gain * wedge + cfg.floor_gain * (full - wedge)) / area
+    mean_desired = base * wedge / wedge_area
+    mean_in_cell = base * (wedge + cfg.floor_gain * (full - wedge)) / area
     neighbor_means = [base * gain for gain in _neighbor_gain_means(cfg)]
     return mean_desired, mean_in_cell, neighbor_means
 

@@ -28,7 +28,11 @@ import numpy as np
 from scipy import integrate
 
 from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers
-from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, analytic_outage_used, path_gain_constant
+from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, analytic_outage_used
+
+# Free-space constant (lambda / (4 pi))**2 of the 2 GHz carrier, lambda = 0.15 m,
+# computed here rather than read from the kernel.
+PATH_CONSTANT = (0.15 / (4.0 * math.pi)) ** 2
 
 
 def wrap_angle(angle):
@@ -84,7 +88,7 @@ def serving_antenna(layout, cfg, x: float, y: float) -> int:
 
 def _path_gain(layout, k: int, x: float, y: float, cfg) -> float:
     sx, sy = layout.sites[k]
-    pattern = cfg.max_gain if _in_beam(layout, cfg, k, x, y) else cfg.floor_gain
+    pattern = 1.0 if _in_beam(layout, cfg, k, x, y) else cfg.floor_gain
     return pattern * max(math.hypot(x - sx, y - sy), cfg.d_min) ** -cfg.rho
 
 
@@ -99,7 +103,6 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
     """Outage counts per layout and threshold, recomputed user by user."""
     thresholds = 10.0 ** (cfg.thresholds_db / 10.0)
     eta, pg, radius = cfg.resolved_noise_power(), cfg.processing_gain, cfg.cell_radius
-    path_constant = (cfg.wavelength / (4.0 * math.pi)) ** 2
     cells = [(0.0, 0.0)] + [tuple(c) for c in interferer_cell_centers(radius, cfg.interferer_tiers)]
     n_ant, n_links = cfg.sector_count, len(cells) * cfg.n_users
     per_block = max(1, link_budget // (n_ant * n_links))
@@ -128,7 +131,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
             for n, layout in enumerate(layouts):
                 powers = [
                     [
-                        path_constant
+                        PATH_CONSTANT
                         * _path_gain(layout, k, x, y, cfg)
                         * 10.0 ** (cfg.shadowing_sigma * z[k, d, j] / 10.0)
                         * -math.log1p(-float(fading[k, d, j]))
@@ -236,14 +239,14 @@ def _neighbor_gain_mean(cfg, center: np.ndarray, boresight: float) -> float:
     bearing = np.arctan2(pts[:, 1], pts[:, 0])
     offset = np.abs(wrap_angle(bearing - boresight))
     half_beam = math.pi * cfg.beamwidth / 360.0
-    patt = np.where(offset <= half_beam + 1e-12, cfg.max_gain, cfg.floor_gain)
+    patt = np.where(offset <= half_beam + 1e-12, 1.0, cfg.floor_gain)
     return float(np.mean(patt * d ** (-cfg.rho)))
 
 
 def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
     """(desired mean, same-cell interferer mean, per-neighbor-cell means)."""
     shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
-    base = path_gain_constant(cfg.wavelength) * cfg.tx_power * shadow_mean
+    base = PATH_CONSTANT * cfg.tx_power * shadow_mean
     area = hexagon_area(cfg.cell_radius)
     half_beam = math.pi * cfg.beamwidth / 360.0
     boresight = math.pi / 2.0  # sector 0; all sectors are congruent
@@ -251,8 +254,8 @@ def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
     wedge = _wedge_gain_integral(cfg, boresight - half_beam, boresight + half_beam)
     full = _wedge_gain_integral(cfg, boresight - math.pi, boresight + math.pi)
     wedge_area = area / cfg.sector_count
-    mean_desired = base * cfg.max_gain * wedge / wedge_area
-    mean_in_cell = base * (cfg.max_gain * wedge + cfg.floor_gain * (full - wedge)) / area
+    mean_desired = base * wedge / wedge_area
+    mean_in_cell = base * (wedge + cfg.floor_gain * (full - wedge)) / area
 
     neighbor_means = [
         base * _neighbor_gain_mean(cfg, c, boresight)

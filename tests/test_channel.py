@@ -13,10 +13,10 @@ from cellsim.geometry import build_layout
 from cellsim import outage
 from cellsim.outage import (
     LN10_OVER_10,
+    PATH_GAIN_CONSTANT,
     _count_blocks,
     _fading,
     _path_gains,
-    path_gain_constant,
     sample_hexagon_xy,
 )
 from cellsim.scenario import ConfigError, ScenarioConfig
@@ -36,15 +36,13 @@ def shadowing_db(sigma_db, seed, n):
 
 class TestPathGainConstant:
     def test_identity_construction(self):
-        assert path_gain_constant(4.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
+        # lambda^2 / (4 pi)^2 at lambda = 0.15 m, bit for bit.
+        wavelength = 0.15
+        assert PATH_GAIN_CONSTANT == wavelength * wavelength / (4.0 * math.pi) ** 2
 
     def test_two_ghz_value(self):
         # Hand evaluation: 0.15^2 / (4 pi)^2 = 0.0225 / 157.9137
-        assert path_gain_constant(0.15) == pytest.approx(1.42483e-4, rel=1e-5)
-
-    def test_rejects_nonpositive_wavelength(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(wavelength=0.0)
+        assert PATH_GAIN_CONSTANT == pytest.approx(1.42483e-4, rel=1e-5)
 
 
 class TestLogNormalShadowing:
@@ -177,7 +175,7 @@ class TestPathGains:
             in_beam = np.abs(offset) <= math.pi / cfg.sector_count
             np.testing.assert_array_equal(inside, in_beam)
             loss = np.maximum(dx * dx + dy * dy, cfg.d_min**2) ** (-rho / 2.0)
-            plain = np.where(in_beam, cfg.max_gain, cfg.floor_gain) * loss
+            plain = np.where(in_beam, 1.0, cfg.floor_gain) * loss
             if rho == 4.0:
                 np.testing.assert_allclose(gains, plain, rtol=4 * 2.0**-52, atol=0.0)
                 assert not np.array_equal(gains, plain)  # the squared reciprocal is taken

@@ -112,14 +112,15 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config_text",
     [
-        "max_gain_db = 4000 dB\n",
-        "max_gain_db = 5000 dB\nfloor_gain_db = 4000 dB\n",
+        "tx_power = 1e300 W\nd_min = 1e-4 m\n",
+        "floor_gain_db = 1 dB\n",
         "tx_power = 0 W\n",
         "cell_radius = 1e300 m\n",
-        "max_gain_db = -4000 dB\n",
+        "tx_power = 1e-300 W\n",
         "architecture = microzone\ntx_power = 0 W\n",
         "architecture = microzone\ncell_radius = 1e300 m\n",
-        "architecture = microzone\nmax_gain_db = -4000 dB\n",
+        "architecture = microzone\ntx_power = 1e-300 W\n",
+        "cell_radius = 1e155 m\nrho = 2\ntx_power = 1e7 W\n",
         "thresholds = 0:1e308:1e-300\n",
         "thresholds = -1e308:1e308:1e308\n",
         "d_min = 1e-80 m\n",
@@ -127,9 +128,10 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "d_min = 1e100 m\n",
     ],
     ids=[
-        "max_gain_overflow", "floor_gain_overflow", "zero_tx_power", "huge_cell_radius",
-        "max_gain_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
-        "microzone_max_gain_underflow", "sweep_step_count_overflow", "sweep_span_overflow",
+        "tx_power_overflow", "floor_gain_above_beam_gain", "zero_tx_power", "huge_cell_radius",
+        "tx_power_underflow", "microzone_zero_tx_power", "microzone_huge_cell_radius",
+        "microzone_tx_power_underflow", "cell_radius_square_overflow", "sweep_step_count_overflow",
+        "sweep_span_overflow",
         "d_min_power_overflow", "d_min_square_overflow", "d_min_power_underflow",
     ],
 )
@@ -147,6 +149,7 @@ def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, co
     assert code == 1
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+    assert "unknown key" not in stderr
 
 
 class Simulated(Exception):

@@ -22,8 +22,8 @@ def make_cfg(**kw):
 def one_antenna(boresight=0.0):
     """An antenna at the origin, as a layout the kernel can read.
 
-    Its beamwidth and gains are the config's: by default a 120 degree beam
-    of unit gain and zero floor gain.
+    Its beamwidth and floor gain are the config's: by default a 120 degree
+    beam of unit gain and zero floor gain.
     """
     return Layout("used", np.zeros((1, 2)), np.array([boresight]))
 
@@ -314,7 +314,7 @@ class TestPatternGain:
 
 class TestPropagationDistance:
     # The kernel's distance clamp, read back from its path gain with an
-    # omnidirectional antenna (floor gain = max gain) and rho = 2.
+    # omnidirectional antenna (floor gain = in-beam gain) and rho = 2.
     @staticmethod
     def distance(point, d_min=1.0):
         gain = kernel_gain(one_antenna(), point, rho=2.0, d_min=d_min, floor_gain_db=0.0)
@@ -416,13 +416,13 @@ class TestServingFromBeamMask:
         assert np.all(inside.sum(axis=0) == 2)
 
     def test_serving_antenna_has_the_max_gain(self, beamwidth):
-        cfg = make_cfg(beamwidth=beamwidth, max_gain_db=3.0, floor_gain_db=-20.0)
+        cfg = make_cfg(beamwidth=beamwidth, floor_gain_db=-20.0)
         layout = build_layout(cfg, "used")
         xy = sample_hexagon_xy(cfg.cell_radius, ORIGIN, 400, np.random.default_rng(21), batch=(5,))
         gains, inside = _path_gains(layout, xy, cfg)
         served = np.take_along_axis(gains, serving_sector_indices(inside)[None], axis=0)
         loss = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), cfg.d_min) ** -cfg.rho
-        np.testing.assert_allclose(served[0] / loss, cfg.max_gain, rtol=1e-12)
+        np.testing.assert_allclose(served[0] / loss, 1.0, rtol=1e-12)
 
     def test_matches_the_oracle_away_from_edges(self, beamwidth):
         cfg = make_cfg(beamwidth=beamwidth)

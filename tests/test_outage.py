@@ -98,7 +98,7 @@ class TestAnalyticOutage:
     def test_rejects_nonpositive_desired_mean(self):
         # The desired mean is positive when the cell-edge power is, and a
         # config whose edge power is zero or not a normal float is rejected.
-        for bad in (dict(tx_power=0.0), dict(cell_radius=1e300), dict(max_gain_db=-4000.0)):
+        for bad in (dict(tx_power=0.0), dict(cell_radius=1e300), dict(tx_power=1e-300)):
             with pytest.raises(ConfigError, match="tx_power.*cell_radius"):
                 ScenarioConfig(architecture="microzone", **bad)
 

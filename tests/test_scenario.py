@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from cellsim import outage, scenario
 from cellsim.geometry import build_layout
 from cellsim.outage import (
+    PATH_GAIN_CONSTANT,
     OutageCurve,
     _path_gains,
     analytic_outage_used,
-    path_gain_constant,
     sample_hexagon_xy,
     serving_sector_indices,
 )
@@ -186,13 +186,13 @@ class TestParseConfig:
         assert np.all(np.diff(cfg.thresholds_db) > 0.0)
 
     def test_overflowing_power_at_d_min_rejected(self):
-        # The full-gain power at d_min, A_p * max_gain * d_min**-rho * tx_power,
-        # must be finite: at rho = 4, 1e-80 m overflows and 1e-77 m does not.
+        # The in-beam power at d_min, A_p * d_min**-rho * tx_power, must be
+        # finite: at rho = 4, 1e-80 m overflows and 1e-77 m does not.
         with pytest.raises(ConfigError, match="d_min"):
             parse_config("d_min = 1e-80 m")
-        # 1e-61**-5 is finite, but not its product with an 80 dB gain.
+        # 1e-61**-5 is finite, but not its product with A_p and 1e8 W.
         with pytest.raises(ConfigError, match="d_min"):
-            parse_config("d_min = 1e-61 m\nrho = 5\nmax_gain_db = 80 dB")
+            parse_config("d_min = 1e-61 m\nrho = 5\ntx_power = 1e8 W")
         assert parse_config("d_min = 1e-77 m").d_min == 1e-77
 
     def test_d_min_whose_square_overflows_rejected(self):
@@ -202,20 +202,21 @@ class TestParseConfig:
             parse_config("d_min = 1e300 m")
         above = math.nextafter(scenario.MAX_D_MIN, math.inf)
         with pytest.raises(ConfigError, match="d_min"):
-            parse_config(f"d_min = {above!r} m\nrho = 2\nmax_gain_db = 60 dB")
-        # At rho = 2 a 60 dB gain keeps the power at MAX_D_MIN itself normal,
-        # about 8e-307 W: the kernel squares d_min and runs, and every user is
-        # in outage, drowned by the noise of a cell edge a kilometre away.
-        text = f"d_min = {scenario.MAX_D_MIN!r} m\nrho = 2\nmax_gain_db = 60 dB\nn_drops = 2\nn_users = 3"
+            parse_config(f"d_min = {above!r} m\nrho = 2\ntx_power = 1e6 W")
+        # At rho = 2 a 1e6 W transmit power keeps the power at MAX_D_MIN
+        # itself normal, about 8e-307 W: the kernel squares d_min and runs, and
+        # every user is in outage, drowned by the noise of a cell edge a
+        # kilometre away.
+        text = f"d_min = {scenario.MAX_D_MIN!r} m\nrho = 2\ntx_power = 1e6 W\nn_drops = 2\nn_users = 3"
         cfg = parse_config(text)
         for curve in outage.mc_outage(cfg).values():
             assert np.all(curve.estimates == 1.0)
 
     @pytest.mark.parametrize(
-        "overrides", [{}, {"rho": 2.0, "max_gain_db": 60.0}, {"rho": 5.0, "tx_power": 1e3}]
+        "overrides", [{}, {"rho": 2.0, "tx_power": 1e6}, {"rho": 5.0, "tx_power": 1e3}]
     )
     def test_d_min_beyond_the_cell_is_rejected_or_gives_a_finite_curve(self, overrides):
-        # The weakest full-gain power of an in-cell user is the one at
+        # The weakest in-beam power of an in-cell user is the one at
         # max(cell_radius, d_min).  Where it is not a positive normal number
         # the config is rejected, naming d_min; otherwise the analytic curve's
         # desired mean stays positive and the curve is an outage probability.
@@ -231,26 +232,52 @@ class TestParseConfig:
                 curve = analytic_used_curve(cfg)
             assert np.all((curve >= 0.0) & (curve <= 1.0)), (d_min, curve)
             accepted.append(d_min)
-        # The cell edge is accepted, and only the 60 dB gain at rho = 2 keeps
-        # every d_min up to MAX_D_MIN; the other two walks cross the bound.
+        # The cell edge is accepted, and only 1e6 W at rho = 2 keeps every
+        # d_min up to MAX_D_MIN; the other two walks cross the bound.
         assert accepted[0] == 1e3
-        assert (accepted[-1] == scenario.MAX_D_MIN) == (overrides.get("max_gain_db") == 60.0)
+        assert (accepted[-1] == scenario.MAX_D_MIN) == (overrides.get("tx_power") == 1e6)
 
     @pytest.mark.parametrize("field", ["cell_radius", "d_min"])
     @pytest.mark.parametrize(
         "distance", [pytest.param(1e-80, id="overflow"), pytest.param(1e100, id="underflow")]
     )
     def test_each_end_of_the_distance_range_is_checked(self, field, distance):
-        # At rho = 4 and the default gains the full-gain received power at
+        # At rho = 4 and the default tx_power the in-beam received power at
         # 1e-80 m is beyond float range, and at 1e100 m below the smallest
         # normal float.  Either end of the in-cell distance range is rejected
         # with an error that names its own field.
-        with pytest.raises(ConfigError, match=rf"received power at {field} = .*check tx_power, {field}, rho"):
+        with pytest.raises(ConfigError, match=rf"received power at {field} = .*check tx_power, {field} and rho"):
             ScenarioConfig(**{field: distance})
 
-    def test_max_gain_overflow_named(self):
-        with pytest.raises(ConfigError, match=r"max_gain_db = 4000\.0 dB overflows as a linear gain"):
-            ScenarioConfig(max_gain_db=4000.0)
+    def test_cell_radius_whose_farthest_square_overflows_rejected(self):
+        # At rho = 2 and 1e7 W the cell-edge power of a 1e155 m cell is
+        # normal, but the kernel squares distances of up to (2 sqrt(3) + 2)
+        # cell radii, which overflow there.  The bound itself runs.
+        with pytest.raises(ConfigError, match=r"^cell_radius = 1e\+155 m .* at most"):
+            ScenarioConfig(cell_radius=1e155, rho=2.0, tx_power=1e7)
+        above = math.nextafter(scenario.MAX_CELL_RADIUS, math.inf)
+        with pytest.raises(ConfigError, match="^cell_radius"):
+            ScenarioConfig(cell_radius=above, rho=2.0, tx_power=1e7)
+        cfg = ScenarioConfig(
+            cell_radius=scenario.MAX_CELL_RADIUS, rho=2.0, tx_power=1e7, interferer_tiers=2,
+            n_drops=40, n_users=5,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(cfg)
+        assert np.isfinite(result.analytic_used).all()
+
+    def test_floor_gain_above_the_in_beam_gain_rejected(self):
+        with pytest.raises(ConfigError, match="^floor_gain_db must be at most 0 dB"):
+            parse_config("floor_gain_db = 1 dB")
+        assert parse_config("floor_gain_db = 0 dB").floor_gain == 1.0
+
+    @pytest.mark.parametrize("text", ["wavelength = 0.15 m", "max_gain_db = 0 dB"])
+    def test_retired_power_keys_are_unknown(self, text):
+        # Both only rescaled every received power, as tx_power does.
+        key = text.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+            parse_config(text)
 
     def test_non_finite_values_rejected(self):
         for text in (
@@ -295,6 +322,10 @@ class TestParseConfig:
         ("rho", True, "a number"),
         ("noise_power", "auto", "a number"),
         ("floor_gain_db", None, "a number"),
+        # Python integers beyond float range, which math.isfinite cannot take.
+        pytest.param("cell_radius", 10**400, "finite", id="cell_radius-int-beyond-float"),
+        pytest.param("thresholds", (-10, 10**400, 1), "finite", id="thresholds-int-beyond-float"),
+        pytest.param("rho", -10**400, "finite", id="rho-int-beyond-float"),
     ])
     def test_field_of_the_wrong_kind_rejected(self, name, value, message):
         with pytest.raises(ConfigError, match=f"^{name} must be {message}, got "):
@@ -352,8 +383,7 @@ class TestParseConfig:
 GRAMMAR_KEYS = (
     "architecture", "n_users", "bit_rate", "chip_rate", "thresholds", "rho", "shadowing_sigma",
     "noise_power", "cell_radius", "beamwidth", "tx_power", "d_min", "n_drops",
-    "master_seed", "combiner_mode", "interferer_tiers", "paired", "wavelength", "max_gain_db",
-    "floor_gain_db",
+    "master_seed", "combiner_mode", "interferer_tiers", "paired", "floor_gain_db",
 )
 
 
@@ -363,15 +393,16 @@ def config_keys(text: str) -> list:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that set all 20 fields.
+    """Configs that set all 18 fields.
 
-    The ranges keep the cell-edge power normal and the power at d_min finite
-    and normal: at 1e58 m, rho = 5 and the weakest drawn gain, wavelength and
-    tx_power, it is about 6e-305 W.
+    tx_power spans the power scale of wavelengths from 1 mm to 10 m and
+    in-beam gains of -30 to 30 dB at 1e-3 to 1e3 W.  The ranges keep the
+    cell-edge power normal and the power at d_min finite and normal: at
+    1e58 m, rho = 5 and the weakest drawn tx_power it is about 6e-305 W, and
+    at 1e-60 m and the strongest about 6e305 W.
     """
     bit_rate = draw(st.floats(1e-3, 1e12))
     start = draw(st.floats(-100.0, 100.0))
-    max_gain_db = draw(st.floats(-30.0, 30.0))
     return ScenarioConfig(
         architecture=draw(st.sampled_from(ARCHITECTURE_CHOICES)),
         n_users=draw(st.integers(1, 2**64)),
@@ -383,16 +414,14 @@ def valid_configs(draw):
         noise_power=draw(st.none() | st.floats(0.0, 1e300)),
         cell_radius=draw(st.floats(1.0, 1e4)),
         beamwidth=draw(st.sampled_from((60.0, 120.0))),
-        tx_power=draw(st.floats(1e-3, 1e3)),
+        tx_power=draw(st.floats(4e-11, 4.5e9)),
         d_min=draw(st.floats(1e-60, 1e58)),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),
         interferer_tiers=draw(st.integers(0, 2)),
         paired=draw(st.booleans()),
-        wavelength=draw(st.floats(1e-3, 10.0)),
-        max_gain_db=max_gain_db,
-        floor_gain_db=draw(st.just(-math.inf) | st.floats(-1000.0, max_gain_db)),
+        floor_gain_db=draw(st.just(-math.inf) | st.floats(-1000.0, 0.0)),
     )
 
 
@@ -479,7 +508,7 @@ class TestMeanReceivedPowers:
         serving = serving_sector_indices(_path_gains(layout, xy[None], cfg)[1])[0]
         wedge = xy[serving == 0]
         d = np.maximum(np.hypot(wedge[:, 0], wedge[:, 1]), cfg.d_min)
-        base = path_gain_constant(cfg.wavelength)
+        base = PATH_GAIN_CONSTANT
         est = base * np.mean(d**-4.0)
         se = base * np.std(d**-4.0) / math.sqrt(wedge.shape[0])
         assert abs(mean_desired - est) < 4.0 * se

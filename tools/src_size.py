@@ -1,11 +1,13 @@
-"""Count the code lines of the cellsim package and its public names.
+"""Count the code lines of the cellsim package, its public names and its config keys.
 
     python tools/src_size.py [SRC_DIR]
 
 A code line is a physical line that holds a token other than a comment,
 with docstrings (module, class and function) left out.  Prints one line per
-module, the total, and the length of ``cellsim.__all__``.  SRC_DIR defaults
-to the ``src`` directory next to this script.
+module, the total, the length of ``cellsim.__all__`` and the number of
+config keys, the annotated fields of ``scenario.ScenarioConfig``; both
+counts are read from the source without importing it.  SRC_DIR defaults to
+the ``src`` directory next to this script.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def public_names(package: Path) -> int:
     return 0
 
 
+def config_keys(package: Path) -> int:
+    """The annotated fields of ``ScenarioConfig`` read from ``scenario.py`` without importing it."""
+    for node in ast.parse((package / "scenario.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig":
+            return sum(isinstance(item, ast.AnnAssign) for item in node.body)
+    return 0
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
     package = src / "cellsim"
@@ -67,6 +77,7 @@ def main(argv: list[str]) -> int:
         print(f"{path.name:<16} {count:>5}")
     print(f"{'total':<16} {total:>5}")
     print(f"{'__all__ names':<16} {public_names(package):>5}")
+    print(f"{'config keys':<16} {config_keys(package):>5}")
     return 0
 
 
