@@ -21,7 +21,8 @@ Per-antenna SIR (``per_antenna_sir_matrix``) follows the CDMA uplink form
 
     gamma = P_G * g_desired * p / (sum_j g_j * p_j + eta)
 
-with processing gain P_G = chip_bandwidth / bit_rate, on received powers
+with processing gain P_G = W / R, the chip rate over the bit rate (the
+config's ``processing_gain``), on received powers
 g * p: the kernel folds the transmit power into the channel.
 ``combine_columns`` merges branch SIRs by a self-normalized square-root
 weighting (``paper`` mode), a convex combination of the branches, or by
@@ -364,6 +365,19 @@ def _path_gains(
         loss **= -scenario.rho / 2.0
     gains *= loss
     return gains, inside
+
+
+# Bounds on the kernel's draws, rounded up so that they also cover the
+# roundings of the products ``ScenarioConfig.validate`` bounds with them.
+# ``_fading`` is at most 53 ln 2 = 36.74.  numpy's ``Generator.standard_normal``
+# is a ziggurat: it returns a point of a layer, below r = 3.654 in size, or a
+# tail point r + x, x = -log(1 - U1) / r, accepted only when
+# -2 log(1 - U2) > x**2.  U1 and U2 are multiples of 2**-53 below 1, so
+# -log(1 - U2) <= 53 ln 2 and x < sqrt(106 ln 2) = 8.572: every draw is
+# below 12.226 in size.  The pinned-count tests fail if numpy changes the
+# algorithm.
+MAX_FADING = 37.0
+MAX_NORMAL = 12.3
 
 
 def _fading(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

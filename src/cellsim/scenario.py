@@ -1,7 +1,7 @@
 """Experiment configuration, orchestration and export.
 
 Configs are flat ``key = value`` text, one key per line, ``#`` comments;
-numeric values take the unit suffixes their field lists in ``_UNITS``.
+numeric values take the one unit suffix their field names in ``_UNITS``.
 Unknown keys are rejected rather than silently ignored.  ``run_experiment`` evaluates the
 requested architectures on identical random streams (paired drops).  Its
 result is one per-threshold table, which ``render_csv`` writes as CSV any
@@ -23,8 +23,8 @@ import numpy as np
 
 from .geometry import SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
 from .outage import (
-    LN10_OVER_10, PATH_GAIN_CONSTANT, OutageCurve, _path_gains, _received_power, analytic_outage_used,
-    mc_outage,
+    LN10_OVER_10, MAX_FADING, MAX_NORMAL, PATH_GAIN_CONSTANT, OutageCurve, _path_gains, _received_power,
+    analytic_outage_used, mc_outage,
 )
 ARCHITECTURE_CHOICES = ("used", "microzone", "both")
 COMBINER_MODES = ("paper", "classical-mrc")
@@ -67,8 +67,8 @@ class ScenarioConfig:
 
     architecture: str = "both"
     n_users: int = 40
-    bit_rate: float = 45e3  # b/s
-    chip_rate: float = 3.8e6  # chip/s
+    # Linear W / R: the paper's 3.8 Mchip/s chip rate over its 45 kb/s bit rate.
+    processing_gain: float = 3.8e6 / 45e3
     thresholds: tuple[float, float, float] = (-10.0, 10.0, 1.0)
     rho: float = 4.0
     shadowing_sigma: float = 5.0  # dB
@@ -92,9 +92,9 @@ class ScenarioConfig:
         # field is read once.  A config whose fields have the types in
         # _PLAIN_TYPES, with finite numbers, skips _check_kinds.
         values = _field_values(self)
-        (architecture, n_users, bit_rate, chip_rate, thresholds, rho, sigma, noise, radius, beamwidth,
+        (architecture, n_users, pg, thresholds, rho, sigma, noise, radius, beamwidth,
          tx_power, d_min, n_drops, seed, combiner_mode, tiers, _, floor_db) = values
-        numbers = (bit_rate, chip_rate, rho, sigma, radius, beamwidth, tx_power, d_min)
+        numbers = (pg, rho, sigma, radius, beamwidth, tx_power, d_min)
         # noise_power may be None and floor_gain_db -inf.
         if (tuple(map(type, values)) not in _PLAIN_TYPES or tuple(map(type, thresholds)) != (float,) * 3
                 or not all(map(math.isfinite, (*numbers, *thresholds))) or not floor_db < math.inf
@@ -106,8 +106,8 @@ class ScenarioConfig:
             raise ConfigError(f"architecture must be one of {ARCHITECTURE_CHOICES}, got {architecture!r}")
         if n_users < 1:
             raise ConfigError(f"n_users must be >= 1, got {n_users}")
-        if bit_rate <= 0.0 or chip_rate < bit_rate:
-            raise ConfigError("need chip_rate >= bit_rate > 0")
+        if pg < 1.0:
+            raise ConfigError(f"processing_gain must be >= 1, got {pg}")
         start, stop, step = thresholds
         if step <= 0.0 or stop < start:
             raise ConfigError(f"thresholds sweep must have stop >= start and step > 0, got {thresholds}")
@@ -161,6 +161,19 @@ class ScenarioConfig:
                     f"received power at {name} = {distance} m is {power!r}, not a positive normal "
                     f"number: check tx_power, {name} and rho"
                 )
+        # The d_min end (power, now) also bounds the largest power the code
+        # forms.  The kernel multiplies each link's power by its fading and its
+        # shadowing factor exp(s * z), s = sigma * LN10_OVER_10 and z a normal
+        # draw, each at most its bound in outage.py, and despreads it by pg.
+        # Before the distance loss it forms the draws times the power at 1 m,
+        # PATH_GAIN_CONSTANT * tx_power.  analytic_outage_used scales by pg
+        # times a desired mean of at most the power at d_min times the
+        # shadowing mean exp(s**2 / 2), and s <= 2.77 keeps that below the
+        # shadowing factor's bound.
+        draws = MAX_FADING * math.exp(sigma * LN10_OVER_10 * MAX_NORMAL)
+        if max(pg * power, PATH_GAIN_CONSTANT * tx_power) * draws == math.inf:
+            raise ConfigError(f"processing_gain = {pg} times the power at d_min = {d_min} m, or the power at "
+                              "1 m, overflows once shadowed and faded: check tx_power, d_min, rho and shadowing_sigma")
         if radius > MAX_CELL_RADIUS:
             raise ConfigError(
                 f"cell_radius = {radius} m is too large: the kernel squares distances of up to "
@@ -194,11 +207,6 @@ class ScenarioConfig:
         """The sweep as linear ratios; a point beyond float range is inf, an outage of 1."""
         with np.errstate(over="ignore"):
             return 10.0 ** (self.thresholds_db / 10.0)
-
-    @property
-    def processing_gain(self) -> float:
-        """Spreading advantage w / R, linear."""
-        return self.chip_rate / self.bit_rate
 
     @property
     def floor_gain(self) -> float:
@@ -283,24 +291,19 @@ class ExperimentResult:
 
 # Config text grammar ------------------------------------------------------
 
-_RATE_UNITS = ("Hz", "kHz", "MHz", "b/s", "kb/s", "Mb/s", "chip/s", "chips/s", "kchip/s", "Mchip/s")
-
-# The unit suffixes each numeric field accepts; a bare number is always
-# accepted.  A unit's leading k or M scales the number, and every other
-# suffix only names the unit.
+# The one unit suffix each numeric field accepts, or None for none; a bare
+# number is always accepted.  A suffix only names the unit: it scales nothing.
 _UNITS = {
-    "bit_rate": _RATE_UNITS,
-    "chip_rate": _RATE_UNITS,
-    "rho": (),
-    "shadowing_sigma": ("dB",),
-    "noise_power": ("W",),
-    "cell_radius": ("m",),
-    "beamwidth": ("deg",),
-    "tx_power": ("W",),
-    "d_min": ("m",),
-    "floor_gain_db": ("dB",),
+    "processing_gain": None,
+    "rho": None,
+    "shadowing_sigma": "dB",
+    "noise_power": "W",
+    "cell_radius": "m",
+    "beamwidth": "deg",
+    "tx_power": "W",
+    "d_min": "m",
+    "floor_gain_db": "dB",
 }
-_PREFIX_SCALES = {"k": 1e3, "M": 1e6}
 
 # A number as Python's float() spells it, digit-separating underscores
 # included, then an optional unit, which starts with a letter (so "1__0" is a
@@ -326,11 +329,11 @@ def parse_value(name: str, text: str):
         return None
     if name in _UNITS:
         match = _QUANTITY_RE.fullmatch(text)
-        number, unit = (match.group(1), (match.group(2) or "").strip()) if match else (text, "")
-        if unit and unit not in _UNITS[name]:
+        number, unit = match.groups() if match else (text, None)
+        if unit not in (None, _UNITS[name]):
             raise ValueError(f"unsupported unit {unit!r}")
         try:
-            return float(number) * _PREFIX_SCALES.get(unit[:1], 1.0)
+            return float(number)
         except ValueError:
             raise ValueError(f"not a number: {number!r}") from None
     default = getattr(ScenarioConfig, name)

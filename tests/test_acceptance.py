@@ -113,7 +113,7 @@ def test_criterion_2_analytic_vs_simulated(exponential_curves):
 
 
 def test_criterion_3_processing_gain():
-    pg_db = 10.0 * math.log10(ScenarioConfig(chip_rate=3.8e6, bit_rate=45e3).processing_gain)
+    pg_db = 10.0 * math.log10(ScenarioConfig().processing_gain)
     ok = abs(pg_db - 19.3) < 0.05
     report(3, "processing gain", ok, f"10*log10(3.8e6/45e3) = {pg_db:.4f} dB vs 19.3 dB")
 

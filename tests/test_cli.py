@@ -126,6 +126,8 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "d_min = 1e-80 m\n",
         "d_min = 1e300 m\n",
         "d_min = 1e100 m\n",
+        "processing_gain = 1e20\ntx_power = 1e300 W\n",
+        "tx_power = 1e308 W\nshadowing_sigma = 12 dB\n",
     ],
     ids=[
         "tx_power_overflow", "floor_gain_above_beam_gain", "zero_tx_power", "huge_cell_radius",
@@ -133,6 +135,7 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "microzone_tx_power_underflow", "cell_radius_square_overflow", "sweep_step_count_overflow",
         "sweep_span_overflow",
         "d_min_power_overflow", "d_min_square_overflow", "d_min_power_underflow",
+        "despread_power_overflow", "shadowed_power_overflow",
     ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):

@@ -70,14 +70,10 @@ class TestParseConfig:
 
     def test_si_suffixes(self):
         cfg = parse_config(
-            "chip_rate = 3.8 Mchip/s\n"
-            "bit_rate = 45 kb/s\n"
             "shadowing_sigma = 5 dB\n"
             "cell_radius = 1000 m\n"
             "beamwidth = 120 deg\n"
         )
-        assert cfg.chip_rate == 3.8e6
-        assert cfg.bit_rate == 45e3
         assert cfg.shadowing_sigma == 5.0
         assert cfg.cell_radius == 1000.0
         assert cfg.beamwidth == 120.0
@@ -108,6 +104,8 @@ class TestParseConfig:
             parse_config("n_drops = 0")
         with pytest.raises(ConfigError, match="stop >= start"):
             parse_config("thresholds = 3:1:1")
+        with pytest.raises(ConfigError, match="^noise_power must be >= 0"):
+            parse_config("noise_power = -1 W")
 
     def test_floor_gain_negative_infinity(self):
         cfg = parse_config("floor_gain_db = -inf")
@@ -118,13 +116,17 @@ class TestParseConfig:
             parse_config("tx_power = 3 dB")
         with pytest.raises(ConfigError, match=r"cell_radius.*unit"):
             parse_config("cell_radius = 1 km")
+        # No key takes a rate, and no suffix scales its number.
+        for name, unit in itertools.product(scenario._UNITS, ["kHz", "kb/s", "Mchip/s"]):
+            with pytest.raises(ConfigError, match=f"^line 1: bad value for '{name}': unsupported unit '{unit}'$"):
+                parse_config(f"{name} = 1 {unit}")
 
     @pytest.mark.parametrize(
         "line, field, value",
         [
-            ("bit_rate = 1_000", "bit_rate", 1000.0),
-            ("bit_rate = 4_5 kb/s", "bit_rate", 45e3),
-            ("chip_rate = 3_800_000 chip/s", "chip_rate", 3.8e6),
+            ("processing_gain = 1_000", "processing_gain", 1000.0),
+            ("cell_radius = 4_5 m", "cell_radius", 45.0),
+            ("cell_radius = 3_800_000 m", "cell_radius", 3.8e6),
             ("rho = 3.2_5", "rho", 3.25),
             ("cell_radius = 1_0e0_2 m", "cell_radius", 1000.0),
             ("tx_power = .2_5 W", "tx_power", 0.25),
@@ -137,7 +139,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["bit_rate = 1__000", "bit_rate = _1000", "bit_rate = 1000_", "rho = 4_.0",
+        ["cell_radius = 1__000 m", "processing_gain = _1000", "cell_radius = 1000_", "rho = 4_.0",
          "rho = 4._0", "tx_power = 1_ W", "n_users = 1__0", "thresholds = 1__0:20:1"],
     )
     def test_misplaced_digit_underscores_rejected(self, line):
@@ -187,13 +189,43 @@ class TestParseConfig:
 
     def test_overflowing_power_at_d_min_rejected(self):
         # The in-beam power at d_min, A_p * d_min**-rho * tx_power, must be
-        # finite: at rho = 4, 1e-80 m overflows and 1e-77 m does not.
+        # finite: at rho = 4, 1e-80 m overflows.
         with pytest.raises(ConfigError, match="d_min"):
             parse_config("d_min = 1e-80 m")
         # 1e-61**-5 is finite, but not its product with A_p and 1e8 W.
         with pytest.raises(ConfigError, match="d_min"):
             parse_config("d_min = 1e-61 m\nrho = 5\ntx_power = 1e8 W")
-        assert parse_config("d_min = 1e-77 m").d_min == 1e-77
+        # The power at 1e-77 m is finite, but not once despread by the
+        # default processing gain and scaled by the largest shadowing and
+        # fading factors; at 1e-75 m that product is finite too.
+        with pytest.raises(ConfigError, match="^processing_gain = .* at d_min = 1e-77 m"):
+            parse_config("d_min = 1e-77 m")
+        assert parse_config("d_min = 1e-75 m").d_min == 1e-75
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"processing_gain": 1e20, "tx_power": 1e300}, id="despread"),
+        pytest.param({"tx_power": 1e295, "shadowing_sigma": 12.0}, id="shadowed"),
+        # Beyond 1 m the largest power the kernel forms can be the draws times
+        # the power at 1 m, before the distance loss: unchecked, this config
+        # overflows there within 20 drops.
+        pytest.param({"tx_power": 1e308, "shadowing_sigma": 12.0, "d_min": 1e4}, id="before-distance-loss"),
+    ])
+    def test_largest_formed_power_must_be_finite(self, overrides):
+        with pytest.raises(ConfigError, match=(
+            "^processing_gain = .* overflows once shadowed and faded: check tx_power, d_min, rho and shadowing_sigma$"
+        )):
+            ScenarioConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"tx_power": 1e293, "shadowing_sigma": 12.0},
+        {"tx_power": 1e303, "d_min": 100.0},
+        {"processing_gain": 1e17, "tx_power": 5e277, "shadowing_sigma": 12.0},
+    ])
+    def test_config_inside_the_power_bound_runs(self, overrides):
+        # Each is a factor of 7 to 25 inside the bound, and the pytest
+        # settings turn any RuntimeWarning into a failure.
+        result = run_experiment(ScenarioConfig(n_drops=200, **overrides))
+        assert np.isfinite(result.analytic_used).all()
 
     def test_d_min_whose_square_overflows_rejected(self):
         # The kernel clamps squared distances at d_min**2, which overflows
@@ -279,11 +311,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text", ["bit_rate = 45 kb/s", "chip_rate = 3.8 Mchip/s"])
+    def test_retired_rate_keys_are_unknown(self, text):
+        # Only their ratio was read: it is the processing_gain key.
+        key = text.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+            parse_config(text)
+
     def test_non_finite_values_rejected(self):
         for text in (
             "cell_radius = nan",
             "tx_power = inf",
-            "bit_rate = nan",
+            "processing_gain = nan",
             "thresholds = nan:10:1",
             "floor_gain_db = inf",
             "floor_gain_db = nan",
@@ -381,7 +420,7 @@ class TestParseConfig:
 
 # Every config key, once; each is the name of its ScenarioConfig field.
 GRAMMAR_KEYS = (
-    "architecture", "n_users", "bit_rate", "chip_rate", "thresholds", "rho", "shadowing_sigma",
+    "architecture", "n_users", "processing_gain", "thresholds", "rho", "shadowing_sigma",
     "noise_power", "cell_radius", "beamwidth", "tx_power", "d_min", "n_drops",
     "master_seed", "combiner_mode", "interferer_tiers", "paired", "floor_gain_db",
 )
@@ -393,21 +432,21 @@ def config_keys(text: str) -> list:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that set all 18 fields.
+    """Configs that set all 17 fields.
 
     tx_power spans the power scale of wavelengths from 1 mm to 10 m and
     in-beam gains of -30 to 30 dB at 1e-3 to 1e3 W.  The ranges keep the
     cell-edge power normal and the power at d_min finite and normal: at
-    1e58 m, rho = 5 and the weakest drawn tx_power it is about 6e-305 W, and
-    at 1e-60 m and the strongest about 6e305 W.
+    1e58 m, rho = 5 and the weakest drawn tx_power it is about 6e-305 W.  At
+    1e-55 m and the strongest it is about 6e280 W, and despread by the
+    largest drawn gain, 1e6, and scaled by the largest shadowing and fading
+    factors the kernel's draws can give, about 1.4e303 W.
     """
-    bit_rate = draw(st.floats(1e-3, 1e12))
     start = draw(st.floats(-100.0, 100.0))
     return ScenarioConfig(
         architecture=draw(st.sampled_from(ARCHITECTURE_CHOICES)),
         n_users=draw(st.integers(1, 2**64)),
-        bit_rate=bit_rate,
-        chip_rate=draw(st.floats(bit_rate, 1e15)),
+        processing_gain=draw(st.floats(1.0, 1e6)),
         thresholds=(start, draw(st.floats(start, start + 100.0)), draw(st.floats(1e-3, 100.0))),
         rho=draw(st.floats(2.0, 5.0)),
         shadowing_sigma=draw(st.floats(0.0, 12.0)),
@@ -415,7 +454,7 @@ def valid_configs(draw):
         cell_radius=draw(st.floats(1.0, 1e4)),
         beamwidth=draw(st.sampled_from((60.0, 120.0))),
         tx_power=draw(st.floats(4e-11, 4.5e9)),
-        d_min=draw(st.floats(1e-60, 1e58)),
+        d_min=draw(st.floats(1e-55, 1e58)),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),
@@ -461,7 +500,7 @@ class TestReadmeConfigTable:
         assert len(rows) == len(units)
         assert sorted(units) == sorted(config_keys(serialize_config(ScenarioConfig())))
         for key, listed in units.items():
-            assert listed == list(scenario._UNITS.get(key, ())), key
+            assert listed == ([scenario._UNITS[key]] if scenario._UNITS.get(key) else []), key
 
 
 class TestScenarioDefaults:

@@ -44,22 +44,19 @@ def drop_sirs(arch, seed, **cfg):
 
 
 class TestProcessingGain:
-    def test_unity(self):
-        assert ScenarioConfig(chip_rate=1e6, bit_rate=1e6).processing_gain == 1.0
+    # The linear W / R is one ScenarioConfig field, checked when a config is built.
+    def test_unity_allowed(self):
+        assert ScenarioConfig(processing_gain=1.0).processing_gain == 1.0
 
-    def test_cdma_scenario_value(self):
-        pg = ScenarioConfig(chip_rate=3.8e6, bit_rate=45e3).processing_gain
+    def test_below_unity_rejected(self):
+        with pytest.raises(ConfigError, match=r"^processing_gain must be >= 1, got 0\.5$"):
+            ScenarioConfig(processing_gain=0.5)
+
+    def test_default_is_the_paper_rates(self):
+        pg = ScenarioConfig().processing_gain
+        assert pg == 3.8e6 / 45e3
         assert pg == pytest.approx(84.4444444, rel=1e-8)
         assert abs(10.0 * math.log10(pg) - 19.3) < 0.05
-
-    def test_double_rate(self):
-        assert ScenarioConfig(chip_rate=2e4, bit_rate=1e4).processing_gain == pytest.approx(2.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(bit_rate=0.0)
-        with pytest.raises(ConfigError):
-            ScenarioConfig(chip_rate=1e3, bit_rate=1e6)
 
 
 class TestUplinkSir:
@@ -224,14 +221,3 @@ class TestDropSirSamples:
         combined = combine_columns(gamma, "paper")
         assert np.all(gamma.min(axis=0) * (1.0 - 1e-9) <= combined)
         assert np.all(combined <= gamma.max(axis=0) * (1.0 + 1e-9))
-
-
-class TestRadioConfig:
-    # The air-interface parameters are ScenarioConfig fields, checked when a
-    # config is built.
-    def test_invariants(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(chip_rate=1e6, bit_rate=2e6)
-        with pytest.raises(ConfigError):
-            ScenarioConfig(noise_power=-1.0)
-        assert ScenarioConfig(chip_rate=2e6, bit_rate=1e6).processing_gain == 2.0
