@@ -234,15 +234,6 @@ PATH_GAIN_CONSTANT = 0.15 * 0.15 / (4.0 * math.pi) ** 2
 LN10_OVER_10 = math.log(10.0) / 10.0
 
 
-def _received_power(distance: float, rho: float, tx_power: float) -> float:
-    """Fading-averaged power of one user at an in-beam antenna ``distance`` away; inf on overflow."""
-    try:
-        loss = distance ** (-rho)
-    except OverflowError:
-        return math.inf
-    return PATH_GAIN_CONSTANT * loss * tx_power
-
-
 # The spans of the three rhombi that tile a hexagon of unit circumradius,
 # (a or b, x or y, rhombus): rhombus k is spanned by the vertices V_2k and
 # V_2k+2 (V_j at 30 + 60j degrees).  The spans are 120 degrees apart, so the
@@ -365,19 +356,6 @@ def _path_gains(
         loss **= -scenario.rho / 2.0
     gains *= loss
     return gains, inside
-
-
-# Bounds on the kernel's draws, rounded up so that they also cover the
-# roundings of the products ``ScenarioConfig.validate`` bounds with them.
-# ``_fading`` is at most 53 ln 2 = 36.74.  numpy's ``Generator.standard_normal``
-# is a ziggurat: it returns a point of a layer, below r = 3.654 in size, or a
-# tail point r + x, x = -log(1 - U1) / r, accepted only when
-# -2 log(1 - U2) > x**2.  U1 and U2 are multiples of 2**-53 below 1, so
-# -log(1 - U2) <= 53 ln 2 and x < sqrt(106 ln 2) = 8.572: every draw is
-# below 12.226 in size.  The pinned-count tests fail if numpy changes the
-# algorithm.
-MAX_FADING = 37.0
-MAX_NORMAL = 12.3
 
 
 def _fading(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

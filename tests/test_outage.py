@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cellsim import outage
 from cellsim.geometry import build_layout, interferer_cell_centers
 from cellsim.outage import OutageCurve, analytic_outage_used, combine_columns, mc_outage, sample_hexagon_xy
-from cellsim.scenario import ConfigError, ScenarioConfig, render_csv, run_experiment
+from cellsim.scenario import ConfigError, ScenarioConfig, mean_received_powers, render_csv, run_experiment
 from scalar_oracle import below_sum, matched_exponential_outage, oracle_counts, reference_outage_used
 
 rates = st.floats(min_value=0.1, max_value=10.0)
@@ -96,11 +96,15 @@ class TestAnalyticOutage:
         assert 0.0 < lo < hi
 
     def test_rejects_nonpositive_desired_mean(self):
-        # The desired mean is positive when the cell-edge power is, and a
-        # config whose edge power is zero or not a normal float is rejected.
-        for bad in (dict(tx_power=0.0), dict(cell_radius=1e300), dict(tx_power=1e-300)):
-            with pytest.raises(ConfigError, match="tx_power.*cell_radius"):
+        # A zero transmit power, or a cell or transmit power whose edge power
+        # is not a normal float, lies outside the power-scale ranges.  At the
+        # weakest corner of those ranges the desired mean is a normal float.
+        for bad, key in ((dict(tx_power=0.0), "tx_power"), (dict(cell_radius=1e300), "cell_radius"),
+                         (dict(tx_power=1e-300), "tx_power")):
+            with pytest.raises(ConfigError, match=f"^{key} must be in "):
                 ScenarioConfig(architecture="microzone", **bad)
+        weakest = ScenarioConfig(cell_radius=1e5, tx_power=1e-9, d_min=1e5, rho=5.0, shadowing_sigma=0.0)
+        assert mean_received_powers(weakest)[0] >= sys.float_info.min
 
     def test_zero_mean_interferers_are_inert(self):
         with_zero = analytic_outage_used(1.0, [1.0, 0.0], 0.0, 1.0, 1.0)

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -40,6 +41,29 @@ from cellsim.scenario import (
     serialize_config,
 )
 from scalar_oracle import reference_mean_received_powers, reference_outage_used
+
+
+# The closed range of each power-scale key, as ScenarioConfig.validate checks it.
+POWER_BOX = {"processing_gain": (1.0, 1e6), "cell_radius": (1.0, 1e5), "tx_power": (1e-9, 1e6), "d_min": (1e-3, 1e5)}
+
+
+def assert_runs_clean(overrides):
+    """A few drops of the config run with no RuntimeWarning, and its analytic curve is an outage probability."""
+    cfg = ScenarioConfig(**{"n_drops": 8, "n_users": 3, **overrides})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_experiment(cfg)
+    assert np.all((result.analytic_used >= 0.0) & (result.analytic_used <= 1.0)), overrides
+
+
+def assert_rejected_and_bound_runs(overrides, key):
+    """The config is rejected, naming ``key``'s range; moved to the bounds it crossed, it runs."""
+    with pytest.raises(ConfigError, match=rf"^{key} must be in \[.*\]( m| W)?, got "):
+        ScenarioConfig(**overrides)
+    assert_runs_clean({
+        name: min(max(value, POWER_BOX[name][0]), POWER_BOX[name][1]) if name in POWER_BOX else value
+        for name, value in overrides.items()
+    })
 
 
 class TestParseConfig:
@@ -126,7 +150,7 @@ class TestParseConfig:
         [
             ("processing_gain = 1_000", "processing_gain", 1000.0),
             ("cell_radius = 4_5 m", "cell_radius", 45.0),
-            ("cell_radius = 3_800_000 m", "cell_radius", 3.8e6),
+            ("cell_radius = 38_000 m", "cell_radius", 3.8e4),
             ("rho = 3.2_5", "rho", 3.25),
             ("cell_radius = 1_0e0_2 m", "cell_radius", 1000.0),
             ("tx_power = .2_5 W", "tx_power", 0.25),
@@ -188,116 +212,79 @@ class TestParseConfig:
         assert np.all(np.diff(cfg.thresholds_db) > 0.0)
 
     def test_overflowing_power_at_d_min_rejected(self):
-        # The in-beam power at d_min, A_p * d_min**-rho * tx_power, must be
-        # finite: at rho = 4, 1e-80 m overflows.
-        with pytest.raises(ConfigError, match="d_min"):
-            parse_config("d_min = 1e-80 m")
-        # 1e-61**-5 is finite, but not its product with A_p and 1e8 W.
-        with pytest.raises(ConfigError, match="d_min"):
-            parse_config("d_min = 1e-61 m\nrho = 5\ntx_power = 1e8 W")
-        # The power at 1e-77 m is finite, but not once despread by the
-        # default processing gain and scaled by the largest shadowing and
-        # fading factors; at 1e-75 m that product is finite too.
-        with pytest.raises(ConfigError, match="^processing_gain = .* at d_min = 1e-77 m"):
-            parse_config("d_min = 1e-77 m")
-        assert parse_config("d_min = 1e-75 m").d_min == 1e-75
+        # The first three once overflowed the in-beam power at d_min, or that
+        # power despread and shadowed, and 1e-75 m once ran; all lie below
+        # d_min's range, and the second also above tx_power's.
+        assert_rejected_and_bound_runs({"d_min": 1e-80}, "d_min")
+        assert_rejected_and_bound_runs({"d_min": 1e-61, "rho": 5.0, "tx_power": 1e8}, "tx_power")
+        assert_rejected_and_bound_runs({"d_min": 1e-77}, "d_min")
+        assert_rejected_and_bound_runs({"d_min": 1e-75}, "d_min")
 
-    @pytest.mark.parametrize("overrides", [
-        pytest.param({"processing_gain": 1e20, "tx_power": 1e300}, id="despread"),
-        pytest.param({"tx_power": 1e295, "shadowing_sigma": 12.0}, id="shadowed"),
-        # Beyond 1 m the largest power the kernel forms can be the draws times
-        # the power at 1 m, before the distance loss: unchecked, this config
-        # overflows there within 20 drops.
-        pytest.param({"tx_power": 1e308, "shadowing_sigma": 12.0, "d_min": 1e4}, id="before-distance-loss"),
+    @pytest.mark.parametrize("overrides, key", [
+        pytest.param({"processing_gain": 1e20, "tx_power": 1e300}, "processing_gain", id="despread"),
+        pytest.param({"tx_power": 1e295, "shadowing_sigma": 12.0}, "tx_power", id="shadowed"),
+        pytest.param({"tx_power": 1e308, "shadowing_sigma": 12.0, "d_min": 1e4}, "tx_power",
+                     id="before-distance-loss"),
     ])
-    def test_largest_formed_power_must_be_finite(self, overrides):
-        with pytest.raises(ConfigError, match=(
-            "^processing_gain = .* overflows once shadowed and faded: check tx_power, d_min, rho and shadowing_sigma$"
-        )):
-            ScenarioConfig(**overrides)
+    def test_largest_formed_power_must_be_finite(self, overrides, key):
+        assert_rejected_and_bound_runs(overrides, key)
 
-    @pytest.mark.parametrize("overrides", [
-        {"tx_power": 1e293, "shadowing_sigma": 12.0},
-        {"tx_power": 1e303, "d_min": 100.0},
-        {"processing_gain": 1e17, "tx_power": 5e277, "shadowing_sigma": 12.0},
-    ])
-    def test_config_inside_the_power_bound_runs(self, overrides):
-        # Each is a factor of 7 to 25 inside the bound, and the pytest
-        # settings turn any RuntimeWarning into a failure.
-        result = run_experiment(ScenarioConfig(n_drops=200, **overrides))
-        assert np.isfinite(result.analytic_used).all()
+    def test_every_corner_of_the_power_box_runs(self):
+        # Each power-scale key at either end of its range, at rho 2 and 5 and
+        # sigma 0 and 12 dB, with six beams, two tiers and a -20 dB floor: the
+        # corners hold the largest and smallest powers the code forms.
+        ends = [[(name, lo), (name, hi)] for name, (lo, hi) in POWER_BOX.items()]
+        ends += [[("rho", 2.0), ("rho", 5.0)], [("shadowing_sigma", 0.0), ("shadowing_sigma", 12.0)]]
+        for corner in itertools.product(*ends):
+            assert_runs_clean({"beamwidth": 60.0, "interferer_tiers": 2, "floor_gain_db": -20.0, **dict(corner)})
 
     def test_d_min_whose_square_overflows_rejected(self):
-        # The kernel clamps squared distances at d_min**2, which overflows
-        # above about 1.34e154 m; the power at such a d_min underflows to 0.
-        with pytest.raises(ConfigError, match="d_min"):
-            parse_config("d_min = 1e300 m")
-        above = math.nextafter(scenario.MAX_D_MIN, math.inf)
-        with pytest.raises(ConfigError, match="d_min"):
-            parse_config(f"d_min = {above!r} m\nrho = 2\ntx_power = 1e6 W")
-        # At rho = 2 a 1e6 W transmit power keeps the power at MAX_D_MIN
-        # itself normal, about 8e-307 W: the kernel squares d_min and runs, and
-        # every user is in outage, drowned by the noise of a cell edge a
-        # kilometre away.
-        text = f"d_min = {scenario.MAX_D_MIN!r} m\nrho = 2\ntx_power = 1e6 W\nn_drops = 2\nn_users = 3"
-        cfg = parse_config(text)
-        for curve in outage.mc_outage(cfg).values():
-            assert np.all(curve.estimates == 1.0)
+        # Both once overflowed d_min**2, the kernel's clamp on squared distances.
+        assert_rejected_and_bound_runs({"d_min": 1e300}, "d_min")
+        assert_rejected_and_bound_runs({"d_min": 1.3407807929942597e154, "rho": 2.0, "tx_power": 1e6}, "d_min")
 
     @pytest.mark.parametrize(
         "overrides", [{}, {"rho": 2.0, "tx_power": 1e6}, {"rho": 5.0, "tx_power": 1e3}]
     )
     def test_d_min_beyond_the_cell_is_rejected_or_gives_a_finite_curve(self, overrides):
-        # The weakest in-beam power of an in-cell user is the one at
-        # max(cell_radius, d_min).  Where it is not a positive normal number
-        # the config is rejected, naming d_min; otherwise the analytic curve's
-        # desired mean stays positive and the curve is an outage probability.
+        # Beyond the cell edge d_min clamps every in-cell distance, and the
+        # analytic curve's desired mean is about the power there.  Up to
+        # d_min's bound of 1e5 m the curve is an outage probability; above it
+        # the config is rejected, naming d_min.
         accepted = []
-        for d_min in [10.0**e for e in range(3, 155)] + [scenario.MAX_D_MIN]:
+        for d_min in [10.0**e for e in range(3, 155)] + [math.sqrt(sys.float_info.max)]:
             try:
                 cfg = ScenarioConfig(d_min=d_min, **overrides)
             except ConfigError as exc:
-                assert "d_min" in str(exc)
+                assert str(exc).startswith("d_min must be in [1e-3, 1e5] m")
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 curve = analytic_used_curve(cfg)
             assert np.all((curve >= 0.0) & (curve <= 1.0)), (d_min, curve)
             accepted.append(d_min)
-        # The cell edge is accepted, and only 1e6 W at rho = 2 keeps every
-        # d_min up to MAX_D_MIN; the other two walks cross the bound.
-        assert accepted[0] == 1e3
-        assert (accepted[-1] == scenario.MAX_D_MIN) == (overrides.get("tx_power") == 1e6)
+        assert accepted == [1e3, 1e4, 1e5]
 
     @pytest.mark.parametrize("field", ["cell_radius", "d_min"])
     @pytest.mark.parametrize(
         "distance", [pytest.param(1e-80, id="overflow"), pytest.param(1e100, id="underflow")]
     )
     def test_each_end_of_the_distance_range_is_checked(self, field, distance):
-        # At rho = 4 and the default tx_power the in-beam received power at
-        # 1e-80 m is beyond float range, and at 1e100 m below the smallest
-        # normal float.  Either end of the in-cell distance range is rejected
-        # with an error that names its own field.
-        with pytest.raises(ConfigError, match=rf"received power at {field} = .*check tx_power, {field} and rho"):
-            ScenarioConfig(**{field: distance})
+        # At rho = 4 and the default tx_power the in-beam power at 1e-80 m is
+        # beyond float range, and at 1e100 m below the smallest normal float.
+        # Either end is rejected with an error that names its own field, and
+        # the bound it crossed runs.
+        assert_rejected_and_bound_runs({field: distance}, field)
 
     def test_cell_radius_whose_farthest_square_overflows_rejected(self):
-        # At rho = 2 and 1e7 W the cell-edge power of a 1e155 m cell is
-        # normal, but the kernel squares distances of up to (2 sqrt(3) + 2)
-        # cell radii, which overflow there.  The bound itself runs.
-        with pytest.raises(ConfigError, match=r"^cell_radius = 1e\+155 m .* at most"):
-            ScenarioConfig(cell_radius=1e155, rho=2.0, tx_power=1e7)
-        above = math.nextafter(scenario.MAX_CELL_RADIUS, math.inf)
-        with pytest.raises(ConfigError, match="^cell_radius"):
-            ScenarioConfig(cell_radius=above, rho=2.0, tx_power=1e7)
-        cfg = ScenarioConfig(
-            cell_radius=scenario.MAX_CELL_RADIUS, rho=2.0, tx_power=1e7, interferer_tiers=2,
-            n_drops=40, n_users=5,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = run_experiment(cfg)
-        assert np.isfinite(result.analytic_used).all()
+        # The kernel squares distances of up to (2 sqrt(3) + 2) cell radii,
+        # which once overflowed above about 2.45e153 m.
+        for radius in (1e155, 2.453799155710719e153):
+            assert_rejected_and_bound_runs(
+                {"cell_radius": radius, "rho": 2.0, "tx_power": 1e7, "interferer_tiers": 2,
+                 "n_drops": 40, "n_users": 5},
+                "cell_radius",
+            )
 
     def test_floor_gain_above_the_in_beam_gain_rejected(self):
         with pytest.raises(ConfigError, match="^floor_gain_db must be at most 0 dB"):
@@ -432,29 +419,20 @@ def config_keys(text: str) -> list:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that set all 17 fields.
-
-    tx_power spans the power scale of wavelengths from 1 mm to 10 m and
-    in-beam gains of -30 to 30 dB at 1e-3 to 1e3 W.  The ranges keep the
-    cell-edge power normal and the power at d_min finite and normal: at
-    1e58 m, rho = 5 and the weakest drawn tx_power it is about 6e-305 W.  At
-    1e-55 m and the strongest it is about 6e280 W, and despread by the
-    largest drawn gain, 1e6, and scaled by the largest shadowing and fading
-    factors the kernel's draws can give, about 1.4e303 W.
-    """
+    """Configs that set all 17 fields, the power-scale keys anywhere in their closed ranges."""
     start = draw(st.floats(-100.0, 100.0))
     return ScenarioConfig(
         architecture=draw(st.sampled_from(ARCHITECTURE_CHOICES)),
         n_users=draw(st.integers(1, 2**64)),
-        processing_gain=draw(st.floats(1.0, 1e6)),
+        processing_gain=draw(st.floats(*POWER_BOX["processing_gain"])),
         thresholds=(start, draw(st.floats(start, start + 100.0)), draw(st.floats(1e-3, 100.0))),
         rho=draw(st.floats(2.0, 5.0)),
         shadowing_sigma=draw(st.floats(0.0, 12.0)),
         noise_power=draw(st.none() | st.floats(0.0, 1e300)),
-        cell_radius=draw(st.floats(1.0, 1e4)),
+        cell_radius=draw(st.floats(*POWER_BOX["cell_radius"])),
         beamwidth=draw(st.sampled_from((60.0, 120.0))),
-        tx_power=draw(st.floats(4e-11, 4.5e9)),
-        d_min=draw(st.floats(1e-55, 1e58)),
+        tx_power=draw(st.floats(*POWER_BOX["tx_power"])),
+        d_min=draw(st.floats(*POWER_BOX["d_min"])),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
         combiner_mode=draw(st.sampled_from(COMBINER_MODES)),

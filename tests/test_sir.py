@@ -49,7 +49,7 @@ class TestProcessingGain:
         assert ScenarioConfig(processing_gain=1.0).processing_gain == 1.0
 
     def test_below_unity_rejected(self):
-        with pytest.raises(ConfigError, match=r"^processing_gain must be >= 1, got 0\.5$"):
+        with pytest.raises(ConfigError, match=r"^processing_gain must be in \[1, 1e6\], got 0\.5$"):
             ScenarioConfig(processing_gain=0.5)
 
     def test_default_is_the_paper_rates(self):
