@@ -229,6 +229,19 @@ class TestParseConfig:
     def test_largest_formed_power_must_be_finite(self, overrides, key):
         assert_rejected_and_bound_runs(overrides, key)
 
+    @pytest.mark.parametrize("overrides", [
+        {"tx_power": 1e6, "shadowing_sigma": 12.0},
+        {"tx_power": 1e6, "d_min": 1e-3, "rho": 5.0},
+        {"processing_gain": 1e6, "tx_power": 1e6, "d_min": 1e-3, "shadowing_sigma": 12.0},
+    ])
+    def test_config_inside_the_power_bound_runs(self, overrides):
+        # Each sits at the strong end of the power box, and 200 drops of 40
+        # users draw far more of the shadowing and fading tails than the
+        # corner walk below; the pytest settings turn any RuntimeWarning into
+        # a failure.
+        result = run_experiment(ScenarioConfig(n_drops=200, **overrides))
+        assert np.isfinite(result.analytic_used).all()
+
     def test_every_corner_of_the_power_box_runs(self):
         # Each power-scale key at either end of its range, at rho 2 and 5 and
         # sigma 0 and 12 dB, with six beams, two tiers and a -20 dB floor: the
