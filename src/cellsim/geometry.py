@@ -1,8 +1,9 @@
 """Hexagonal cell and antenna geometry.
 
-The cell is a regular hexagon of circumradius ``cell_radius`` centered on the
-origin, oriented with vertices at 30 + 60k degrees so that edge antennas can
-sit exactly on alternating vertices.  Two arrangements are modeled:
+The cell is a regular hexagon of circumradius ``CELL_RADIUS`` (the paper's
+1 km) centered on the origin, oriented with vertices at 30 + 60k degrees so
+that edge antennas can sit exactly on alternating vertices.  Two
+arrangements are modeled:
 
 * ``used``: every antenna is co-located at the cell center and serves one
   120 (or 60) degree sector, the classic sectored deployment.
@@ -29,6 +30,9 @@ if TYPE_CHECKING:
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
+# The paper's cell radius, m.  Every SIR is a ratio of received powers, so
+# only d_min and the noise against this scale set the answer.
+CELL_RADIUS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,16 @@ def build_layout(cfg: "ScenarioConfig", architecture: str) -> Layout:
         sites = np.zeros((count, 2))
         boresights = np.array(slots)
     else:
-        radius = cfg.cell_radius
-        sites = np.array([[radius * math.cos(s), radius * math.sin(s)] for s in slots])
+        sites = np.array([[CELL_RADIUS * math.cos(s), CELL_RADIUS * math.sin(s)] for s in slots])
         boresights = np.add(slots, math.pi)
     return Layout(architecture, sites, boresights)
 
 
-def interferer_cell_centers(cell_radius: float, tiers: int) -> np.ndarray:
+def interferer_cell_centers(tiers: int) -> np.ndarray:
     """(m, 2) centers of the co-channel neighbor cells for 0, 1 or 2 hexagonal rings."""
-    ring1 = SQRT3 * cell_radius
+    ring1 = SQRT3 * CELL_RADIUS
     polar = [(ring1, k * math.pi / 3.0) for k in range(6)] if tiers else []
     if tiers == 2:
         polar += [(2.0 * ring1, k * math.pi / 3.0) for k in range(6)]
-        polar += [(3.0 * cell_radius, math.pi / 6.0 + k * math.pi / 3.0) for k in range(6)]
+        polar += [(3.0 * CELL_RADIUS, math.pi / 6.0 + k * math.pi / 3.0) for k in range(6)]
     return np.array([[d * math.cos(a), d * math.sin(a)] for d, a in polar]).reshape(-1, 2)

@@ -19,11 +19,11 @@ is out of scope.
 
 Per-antenna SIR (``per_antenna_sir_matrix``) follows the CDMA uplink form
 
-    gamma = P_G * g_desired * p / (sum_j g_j * p_j + eta)
+    gamma = P_G * g_desired / (sum_j g_j + eta)
 
 with processing gain P_G = W / R, the chip rate over the bit rate (the
-config's ``processing_gain``), on received powers
-g * p: the kernel folds the transmit power into the channel.
+config's ``processing_gain``), on received powers g: every user transmits
+1 W, so a link's gain is the power it delivers, in watts.
 ``combine_columns`` merges branch SIRs by a self-normalized square-root
 weighting (``paper`` mode), a convex combination of the branches, or by
 classical maximum ratio combining (``classical-mrc``), which sums them.
@@ -97,9 +97,9 @@ neighbour grid cost 1,020-1,139 minor page faults per curve with a
 workspace, and costs 744-803 without one.
 
 What no block changes is set up once per job: the layouts, with their
-distinct sites and boresight cosines and sines, the cell centers, and the
-factor every link shares, the path constant times the transmit power,
-which the shadowing and fading pass applies once for every architecture.
+distinct sites and boresight cosines and sines, and the cell centers.  The
+factor every link shares, the path constant, is applied once, in the
+shadowing and fading pass, for every architecture.
 Both architectures take the SIR of every (antenna, user) pair from
 ``per_antenna_sir_matrix``.  The used architecture then reads each user's
 SIR at its serving sector's antenna (``serving_sector_indices``, from the
@@ -129,7 +129,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import build_layout, interferer_cell_centers
+from .geometry import CELL_RADIUS, build_layout, interferer_cell_centers
 
 if TYPE_CHECKING:
     from .geometry import Layout
@@ -227,31 +227,30 @@ def analytic_outage_used(
 
 
 # Free-space constant lambda^2 / (4 pi)^2 of unit-gain antennas at the 2 GHz
-# carrier, lambda = 0.15 m.  It scales every received power as tx_power
-# does, so it sets no SIR unless the noise power is set explicitly.
+# carrier, lambda = 0.15 m.  It scales every received power alike, so it
+# sets no SIR unless the noise power is set explicitly.
 PATH_GAIN_CONSTANT = 0.15 * 0.15 / (4.0 * math.pi) ** 2
 # 10**(x / 10) == exp(LN10_OVER_10 * x): converts dB to a natural exponent.
 LN10_OVER_10 = math.log(10.0) / 10.0
 
 
-# The spans of the three rhombi that tile a hexagon of unit circumradius,
-# (a or b, x or y, rhombus): rhombus k is spanned by the vertices V_2k and
-# V_2k+2 (V_j at 30 + 60j degrees).  The spans are 120 degrees apart, so the
-# three rhombi have equal area and tile the hexagon exactly.
+# The spans of the three rhombi that tile the cell, (a or b, x or y,
+# rhombus): rhombus k is spanned by the vertices V_2k and V_2k+2 (V_j at
+# 30 + 60j degrees).  The spans are 120 degrees apart, so the three rhombi
+# have equal area and tile the hexagon exactly.
 _SPAN_ANGLES = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
 _SPAN_A = np.array([np.cos(_SPAN_ANGLES), np.sin(_SPAN_ANGLES)])
-_UNIT_SPANS = np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
+_SPANS = CELL_RADIUS * np.array([_SPAN_A, np.roll(_SPAN_A, -1, axis=1)])
 
 
 def sample_hexagon_xy(
-    radius: float,
     centers,
     n: int,
     rng: np.random.Generator,
     batch: tuple = (),
     work: dict | None = None,
 ) -> np.ndarray:
-    """Uniform points in hexagons of circumradius ``radius``, fixed draw count.
+    """Uniform points in cells (hexagons of circumradius ``CELL_RADIUS``), fixed draw count.
 
     Each point picks one of the three equal rhombi of the hexagon, and two
     uniforms place it inside that rhombus: no rejection loop, so the draws
@@ -277,7 +276,7 @@ def sample_hexagon_xy(
     np.copyto(rhombus, u, casting="unsafe")
     u -= rhombus
     # Rows are the x and y coordinates of the three spans a and b.
-    edge_a, edge_b = radius * _UNIT_SPANS
+    edge_a, edge_b = _SPANS
     # u' * a + v * b + center, in that order, in each coordinate plane.
     # Every pick is 0, 1 or 2, so mode="clip" changes nothing but skips the
     # copy that "raise" makes.
@@ -449,10 +448,9 @@ def _count_blocks(args) -> np.ndarray:
     exponential fading (``_fading``), the last two for (antennas, drops,
     users of every cell), the order of the link arrays.  Every
     architecture is evaluated on that one draw.  What does not change
-    from block to block (the layouts, the cell centers, the channel's
-    constant factor) is set up once per job.  The blocks share the
-    process's spare workspace, taken at the start and handed back at the
-    end: its arrays were allocated by the first job that needed them, and
+    from block to block (the layouts, the cell centers) is set up once
+    per job.  The blocks share the process's spare workspace, taken at the
+    start and handed back at the end: its arrays were allocated by the first job that needed them, and
     every array is written before it is read, so what an earlier block or
     job left in them changes no result.
     """
@@ -461,8 +459,6 @@ def _count_blocks(args) -> np.ndarray:
     centers, per_block, _ = _blocks(scenario)
     thr_linear = scenario.thresholds_linear
     n_users = scenario.n_users
-    # Path constant and transmit power: the one factor every link shares.
-    link_scale = PATH_GAIN_CONSTANT * scenario.tx_power
     shadow_nepers = scenario.shadowing_sigma * LN10_OVER_10
     eta = scenario.resolved_noise_power()
     pg = scenario.processing_gain
@@ -473,16 +469,15 @@ def _count_blocks(args) -> np.ndarray:
         drops = min(per_block, scenario.n_drops - block * per_block)
         key = np.random.SeedSequence(scenario.master_seed, spawn_key=(stream_tag, block))
         rng = np.random.Generator(bit_generator(key))
-        xy = sample_hexagon_xy(
-            scenario.cell_radius, centers, n_users, rng, batch=(drops,), work=work
-        )
+        xy = sample_hexagon_xy(centers, n_users, rng, batch=(drops,), work=work)
         size = (scenario.sector_count, drops, xy.shape[1])
         channel = rng.standard_normal(out=buffer(work, "channel", size))
         channel *= shadow_nepers
         np.exp(channel, out=channel)
         # The fading lands in _path_gains's scratch array, free until then.
         channel *= _fading(rng, buffer(work, "term", size))
-        channel *= link_scale
+        # The path constant: the one factor every link shares.
+        channel *= PATH_GAIN_CONSTANT
         for k, layout in enumerate(layouts):
             power, inside = _path_gains(layout, xy, scenario, work)
             power *= channel
@@ -506,7 +501,7 @@ def _count_blocks(args) -> np.ndarray:
 def _blocks(scenario: "ScenarioConfig") -> tuple[np.ndarray, int, int]:
     """Cell centers, drops per block and block count of a run of ``scenario``."""
     centers = np.vstack(
-        [np.zeros((1, 2)), interferer_cell_centers(scenario.cell_radius, scenario.interferer_tiers)]
+        [np.zeros((1, 2)), interferer_cell_centers(scenario.interferer_tiers)]
     )
     per_block = max(1, LINK_BUDGET // (scenario.sector_count * len(centers) * scenario.n_users))
     return centers, per_block, -(-scenario.n_drops // per_block)

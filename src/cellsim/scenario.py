@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
+from .geometry import CELL_RADIUS, SQRT3, build_layout, hexagon_area, hexagon_contains, interferer_cell_centers
 from .outage import (
     LN10_OVER_10, PATH_GAIN_CONSTANT, OutageCurve, _path_gains, analytic_outage_used, mc_outage,
 )
@@ -40,14 +40,16 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Full experiment description; defaults reproduce the baseline scenario.
 
-    ``noise_power`` of None means automatic: 30 dB below the fading-averaged
-    power a single cell-edge user delivers to an in-beam antenna, which
-    keeps the system interference limited.  Antennas have a gain of 1 in
-    their beam and ``floor_gain_db`` (at most 0 dB) outside it; received
-    powers scale with ``tx_power`` and the free-space constant of the 2 GHz
-    carrier.  ``thresholds`` is a (start, stop, step) sweep in dB.  The
-    default combiner sums branch SIRs (classical MRC); the ``paper`` mode is
-    the self-normalized convex weighting, selectable here or via the CLI.
+    The cell is the paper's, of circumradius ``geometry.CELL_RADIUS`` (1 km),
+    and every user transmits 1 W; neither is a field.  ``noise_power`` of
+    None means automatic: 30 dB below the fading-averaged power a single
+    cell-edge user delivers to an in-beam antenna, which keeps the system
+    interference limited.  Antennas have a gain of 1 in their beam and
+    ``floor_gain_db`` (at most 0 dB) outside it; received powers scale with
+    the free-space constant of the 2 GHz carrier.  ``thresholds`` is a
+    (start, stop, step) sweep in dB.  The default combiner sums branch SIRs
+    (classical MRC); the ``paper`` mode is the self-normalized convex
+    weighting, selectable here or via the CLI.
     One ring of co-channel neighbor cells interferes by default; set
     ``interferer_tiers`` to 0 for an isolated cell.
 
@@ -65,9 +67,7 @@ class ScenarioConfig:
     rho: float = 4.0
     shadowing_sigma: float = 5.0  # dB
     noise_power: Optional[float] = None  # watts; None = auto
-    cell_radius: float = 1000.0  # m
     beamwidth: float = 120.0  # degrees
-    tx_power: float = 1.0  # watts, uniform across users
     d_min: float = 1.0  # m
     n_drops: int = 1000
     master_seed: int = 1
@@ -84,9 +84,9 @@ class ScenarioConfig:
         # field is read once.  A config whose fields have the types in
         # _PLAIN_TYPES, with finite numbers, skips _check_kinds.
         values = _field_values(self)
-        (architecture, n_users, pg, thresholds, rho, sigma, noise, radius, beamwidth,
-         tx_power, d_min, n_drops, seed, combiner_mode, tiers, _, floor_db) = values
-        numbers = (pg, rho, sigma, radius, beamwidth, tx_power, d_min)
+        (architecture, n_users, pg, thresholds, rho, sigma, noise, beamwidth,
+         d_min, n_drops, seed, combiner_mode, tiers, _, floor_db) = values
+        numbers = (pg, rho, sigma, beamwidth, d_min)
         # noise_power may be None and floor_gain_db -inf.
         if (tuple(map(type, values)) not in _PLAIN_TYPES or tuple(map(type, thresholds)) != (float,) * 3
                 or not all(map(math.isfinite, (*numbers, *thresholds))) or not floor_db < math.inf
@@ -131,21 +131,17 @@ class ScenarioConfig:
         if floor_db > 0.0:
             raise ConfigError(f"floor_gain_db must be at most 0 dB, the in-beam gain, got {floor_db}")
         # Closed ranges on the power scale keep every power the code forms a
-        # finite float.  The largest link power, about 5e72 W, is
-        # pg * PATH_GAIN_CONSTANT * tx_power * d_min**-5 * 37 * exp(2.77 * 40)
-        # at the box's strong corner (fading is below 37, sigma = 12 dB is
-        # 2.77 nepers), so the sum over every user of a drop stays finite for
-        # any user count that fits in memory.  The smallest in-beam power before
-        # fading, about 3e-90 W, is at the weak corner with R = 1e5 m, the
-        # tier-2 distance 5.46 R and z = -40: a normal float.  No bound rests
-        # on numpy's sampler: a standard normal from 53-bit uniforms stays far
-        # below 40 in size.
+        # finite float.  With 1 W users in a 1 km cell, the largest link
+        # power, about 5e66 W, is pg * PATH_GAIN_CONSTANT * d_min**-5 * 37 *
+        # exp(2.77 * 40) at the box's strong corner (fading is below 37,
+        # sigma = 12 dB is 2.77 nepers), so the sum over every user of a drop
+        # stays finite for any user count that fits in memory.  The smallest
+        # in-beam power before fading, about 1e-77 W, is at the weak corner,
+        # where d_min = 1e5 m clamps every distance, with z = -40: a normal
+        # float.  No bound rests on numpy's sampler: a standard normal from
+        # 53-bit uniforms stays far below 40 in size.
         if not 1.0 <= pg <= 1e6:
             raise ConfigError(f"processing_gain must be in [1, 1e6], got {pg}")
-        if not 1.0 <= radius <= 1e5:
-            raise ConfigError(f"cell_radius must be in [1, 1e5] m, got {radius}")
-        if not 1e-9 <= tx_power <= 1e6:
-            raise ConfigError(f"tx_power must be in [1e-9, 1e6] W, got {tx_power}")
         if not 1e-3 <= d_min <= 1e5:
             raise ConfigError(f"d_min must be in [1e-3, 1e5] m, got {d_min}")
 
@@ -181,13 +177,11 @@ class ScenarioConfig:
     def floor_gain(self) -> float:
         return 0.0 if math.isinf(self.floor_gain_db) else 10.0 ** (self.floor_gain_db / 10.0)
 
-    @property
-    def edge_power(self) -> float:
-        """Fading-averaged power of one cell-edge user at an in-beam antenna."""
-        return PATH_GAIN_CONSTANT * self.cell_radius ** -self.rho * self.tx_power
-
     def resolved_noise_power(self) -> float:
-        return self.edge_power * 1e-3 if self.noise_power is None else self.noise_power
+        """The noise power; automatic is 1e-3 of one cell-edge user's mean in-beam power."""
+        if self.noise_power is None:
+            return PATH_GAIN_CONSTANT * CELL_RADIUS ** -self.rho * 1e-3
+        return self.noise_power
 
 
 # Each field's name, which is its config key, and the type of its default.
@@ -267,9 +261,7 @@ _UNITS = {
     "rho": None,
     "shadowing_sigma": "dB",
     "noise_power": "W",
-    "cell_radius": "m",
     "beamwidth": "deg",
-    "tx_power": "W",
     "d_min": "m",
     "floor_gain_db": "dB",
 }
@@ -402,10 +394,10 @@ def _slice_gain_integral(cfg: ScenarioConfig) -> float:
     boundary crosses d_min the integrand has a kink, and the rule is split at
     that bearing so that each piece is smooth.
     """
-    apothem = cfg.cell_radius * SQRT3 / 2.0
+    apothem = CELL_RADIUS * SQRT3 / 2.0
     rho, d_min = cfg.rho, cfg.d_min
     edges = [0.0, math.pi / 6.0]
-    if apothem < d_min < cfg.cell_radius:
+    if apothem < d_min < CELL_RADIUS:
         edges.insert(1, math.acos(apothem / d_min))
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half = (hi - lo) / 2.0
@@ -430,14 +422,13 @@ def _neighbor_gain_means(cfg: ScenarioConfig) -> list[float]:
     of sector 0 of the used layout, one cell at a time, into fresh arrays;
     the cells share one points array.
     """
-    centers = interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
+    centers = interferer_cell_centers(cfg.interferer_tiers)
     if not len(centers):
         return []
-    radius = cfg.cell_radius
-    half_w = radius * math.sqrt(3.0) / 2.0
-    gx, gy = np.meshgrid(np.linspace(-half_w, half_w, 201), np.linspace(-radius, radius, 201))
+    half_w = CELL_RADIUS * math.sqrt(3.0) / 2.0
+    gx, gy = np.meshgrid(np.linspace(-half_w, half_w, 201), np.linspace(-CELL_RADIUS, CELL_RADIUS, 201))
     offsets = np.column_stack([gx.ravel(), gy.ravel()])  # (points, 2)
-    offsets = offsets[hexagon_contains(radius, (0.0, 0.0), offsets)]
+    offsets = offsets[hexagon_contains(CELL_RADIUS, (0.0, 0.0), offsets)]
     used = build_layout(cfg, "used")
     sector0 = replace(used, sites=used.sites[:1], boresights=used.boresights[:1])
     points = np.empty((1,) + offsets.shape)
@@ -457,8 +448,8 @@ def mean_received_powers(cfg: ScenarioConfig) -> tuple[float, float, list[float]
     the desired user is conditioned on lying in the serving wedge.
     """
     shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
-    base = PATH_GAIN_CONSTANT * cfg.tx_power * shadow_mean
-    area = hexagon_area(cfg.cell_radius)
+    base = PATH_GAIN_CONSTANT * shadow_mean
+    area = hexagon_area(CELL_RADIUS)
 
     # The cell is symmetric under reflection about every multiple of 30
     # degrees, and every sector edge lies on that grid, so each 30-degree

@@ -27,12 +27,14 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cellsim.geometry import hexagon_area, hexagon_contains, interferer_cell_centers
+from cellsim.geometry import CELL_RADIUS, hexagon_area, hexagon_contains, interferer_cell_centers
 from cellsim.outage import BIT_GENERATOR, LINK_BUDGET, LN10_OVER_10, analytic_outage_used
 
 # Free-space constant (lambda / (4 pi))**2 of the 2 GHz carrier, lambda = 0.15 m,
 # computed here rather than read from the kernel.
 PATH_CONSTANT = (0.15 / (4.0 * math.pi)) ** 2
+# Every user's transmit power, W.
+TX_POWER = 1.0
 
 
 def wrap_angle(angle):
@@ -102,13 +104,13 @@ def _sir(powers, i: int, eta: float, pg: float) -> float:
 def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDGET):
     """Outage counts per layout and threshold, recomputed user by user."""
     thresholds = 10.0 ** (cfg.thresholds_db / 10.0)
-    eta, pg, radius = cfg.resolved_noise_power(), cfg.processing_gain, cfg.cell_radius
-    cells = [(0.0, 0.0)] + [tuple(c) for c in interferer_cell_centers(radius, cfg.interferer_tiers)]
+    eta, pg = cfg.resolved_noise_power(), cfg.processing_gain
+    cells = [(0.0, 0.0)] + [tuple(c) for c in interferer_cell_centers(cfg.interferer_tiers)]
     n_ant, n_links = cfg.sector_count, len(cells) * cfg.n_users
     per_block = max(1, link_budget // (n_ant * n_links))
     vertices = [
-        (radius * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
-         radius * math.sin(math.pi / 6.0 + math.pi / 3.0 * j))
+        (CELL_RADIUS * math.cos(math.pi / 6.0 + math.pi / 3.0 * j),
+         CELL_RADIUS * math.sin(math.pi / 6.0 + math.pi / 3.0 * j))
         for j in range(6)
     ]
     counts = np.zeros((len(layouts), thresholds.size), dtype=np.int64)
@@ -135,7 +137,7 @@ def oracle_counts(layouts, cfg, n_drops, seed, stream_tag, link_budget=LINK_BUDG
                         * _path_gain(layout, k, x, y, cfg)
                         * 10.0 ** (cfg.shadowing_sigma * z[k, d, j] / 10.0)
                         * -math.log1p(-float(fading[k, d, j]))
-                        * cfg.tx_power
+                        * TX_POWER
                         for j, (x, y) in enumerate(users)
                     ]
                     for k in range(n_ant)
@@ -198,15 +200,15 @@ def _wedge_gain_integral(cfg, lo: float, hi: float) -> float:
     """Area integral of max(d, d_min)**-rho over the hexagon slice [lo, hi]."""
 
     def integrand(theta):
-        return _radial_gain_integral(_boundary_radius(cfg.cell_radius, theta), cfg.rho, cfg.d_min)
+        return _radial_gain_integral(_boundary_radius(CELL_RADIUS, theta), cfg.rho, cfg.d_min)
 
     # Split at the 30-degree grid, where the boundary radius has kinks, and
     # where the boundary crosses d_min: +-acos(apothem / d_min) about each
     # edge normal, when d_min lies between the apothem and the circumradius.
     grid = math.pi / 6.0
     cuts = [k * grid for k in range(math.ceil(lo / grid), math.floor(hi / grid) + 1)]
-    apothem = cfg.cell_radius * math.sqrt(3.0) / 2.0
-    if apothem < cfg.d_min < cfg.cell_radius:
+    apothem = CELL_RADIUS * math.sqrt(3.0) / 2.0
+    if apothem < cfg.d_min < CELL_RADIUS:
         crossing = math.acos(apothem / cfg.d_min)
         normals = range(math.floor(lo / (2 * grid)), math.ceil(hi / (2 * grid)) + 1)
         cuts += [k * 2 * grid + sign * crossing for k in normals for sign in (-1, 1)]
@@ -226,7 +228,7 @@ def _neighbor_gain_mean(cfg, center: np.ndarray, boresight: float) -> float:
     bounding box, the points inside the hexagon; neighbor cells sit well away
     from the antenna so the integrand is smooth.
     """
-    radius = cfg.cell_radius
+    radius = CELL_RADIUS
     n_grid = 201
     half_w = radius * math.sqrt(3.0) / 2.0
     xs = center[0] + np.linspace(-half_w, half_w, n_grid)
@@ -246,8 +248,8 @@ def _neighbor_gain_mean(cfg, center: np.ndarray, boresight: float) -> float:
 def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
     """(desired mean, same-cell interferer mean, per-neighbor-cell means)."""
     shadow_mean = math.exp((cfg.shadowing_sigma * LN10_OVER_10) ** 2 / 2.0)
-    base = PATH_CONSTANT * cfg.tx_power * shadow_mean
-    area = hexagon_area(cfg.cell_radius)
+    base = PATH_CONSTANT * TX_POWER * shadow_mean
+    area = hexagon_area(CELL_RADIUS)
     half_beam = math.pi * cfg.beamwidth / 360.0
     boresight = math.pi / 2.0  # sector 0; all sectors are congruent
 
@@ -259,7 +261,7 @@ def reference_mean_received_powers(cfg) -> tuple[float, float, list[float]]:
 
     neighbor_means = [
         base * _neighbor_gain_mean(cfg, c, boresight)
-        for c in interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)
+        for c in interferer_cell_centers(cfg.interferer_tiers)
     ]
     return mean_desired, mean_in_cell, neighbor_means
 

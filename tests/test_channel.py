@@ -164,8 +164,8 @@ class TestPathGains:
         # test done by bearings: the kernel's (1 / d**2)**2 at rho = 4 is
         # within 4 ulp of it, every other rho and the beam mask bit for bit.
         cfg = ScenarioConfig(rho=rho, d_min=35.0, floor_gain_db=-20.0, interferer_tiers=2)
-        centers = np.vstack([np.zeros((1, 2)), outage.interferer_cell_centers(cfg.cell_radius, 2)])
-        xy = sample_hexagon_xy(cfg.cell_radius, centers, 30, np.random.default_rng(11), batch=(3,))
+        centers = np.vstack([np.zeros((1, 2)), outage.interferer_cell_centers(2)])
+        xy = sample_hexagon_xy(centers, 30, np.random.default_rng(11), batch=(3,))
         for arch in ("used", "microzone"):
             layout = build_layout(cfg, arch)
             gains, inside = _path_gains(layout, xy, cfg)
@@ -185,7 +185,7 @@ class TestPathGains:
     def test_entries_finite_nonnegative(self):
         cfg = ScenarioConfig(floor_gain_db=-10.0)
         layout = build_layout(cfg, "microzone")
-        xy = sample_hexagon_xy(800.0, (0.0, 0.0), 30, np.random.default_rng(10), batch=(2,))
+        xy = sample_hexagon_xy((0.0, 0.0), 30, np.random.default_rng(10), batch=(2,))
         gains, _ = _path_gains(layout, xy, cfg)
         assert gains.shape == (3, 2, 30)
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)

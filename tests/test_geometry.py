@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cellsim.geometry import Layout, build_layout, hexagon_contains, interferer_cell_centers
+from cellsim.geometry import CELL_RADIUS, Layout, build_layout, hexagon_contains, interferer_cell_centers
 from cellsim.outage import _path_gains, sample_hexagon_xy, serving_sector_indices
 from cellsim.scenario import ConfigError, ScenarioConfig
 from scalar_oracle import _path_gain, serving_antenna, wrap_angle
@@ -45,20 +45,20 @@ class ConstantUniforms:
         return out
 
 
-def rhombus_spans(radius):
-    """(3, 2) spans a and b of the three rhombi: rhombus k spans vertices 2k and 2k + 2."""
+def rhombus_spans():
+    """(3, 2) spans a and b of the cell's three rhombi: rhombus k spans vertices 2k and 2k + 2."""
     angles = np.pi / 6.0 + np.pi / 3.0 * np.arange(0, 6, 2)
-    edge_a = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    edge_a = CELL_RADIUS * np.column_stack([np.cos(angles), np.sin(angles)])
     return edge_a, np.roll(edge_a, -1, axis=0)
 
 
-def assert_points_of_rhombi(xy, picks, refined, v, center, radius=1000.0):
-    """Each point is u' * a_k + v * b_k + center, bit for bit, with u' in [0, 1), in the hexagon."""
+def assert_points_of_rhombi(xy, picks, refined, v, center):
+    """Each point is u' * a_k + v * b_k + center, bit for bit, with u' in [0, 1), in the cell."""
     assert all(0.0 <= u_k < 1.0 for u_k in refined)
-    edge_a, edge_b = rhombus_spans(radius)
+    edge_a, edge_b = rhombus_spans()
     for point, k, u_k, v_k in zip(xy, picks, refined, v):
         assert point.tolist() == (edge_a[k] * u_k + edge_b[k] * v_k + center).tolist()
-    assert hexagon_contains(radius, center, xy).all()
+    assert hexagon_contains(CELL_RADIUS, center, xy).all()
 
 
 def kernel_serving(layout, xy, cfg=None):
@@ -110,10 +110,8 @@ class TestBuildLayout:
         layout = build_layout(make_cfg(beamwidth=60.0), "microzone")
         assert len(layout.boresights) == len(layout.sites) == 6
 
-    def test_rejects_bad_radius_and_count(self):
-        # build_layout only ever sees a valid config: the config rejects both.
-        with pytest.raises(ConfigError):
-            make_cfg(cell_radius=-5.0)
+    def test_rejects_bad_sector_count(self):
+        # build_layout only ever sees a valid config: the config rejects it.
         with pytest.raises(ConfigError):
             make_cfg(beamwidth=90.0)
 
@@ -177,41 +175,41 @@ class TestHexagonContains:
 
 class TestPlaceUsers:
     def test_zero_users(self):
-        assert sample_hexagon_xy(1000.0, ORIGIN, 0, np.random.default_rng(0)).shape == (0, 2)
+        assert sample_hexagon_xy(ORIGIN, 0, np.random.default_rng(0)).shape == (0, 2)
 
     def test_all_inside_hexagon(self):
         for seed in range(5):
-            xy = sample_hexagon_xy(1000.0, ORIGIN, 40, np.random.default_rng(seed))
-            assert hexagon_contains(1000.0, ORIGIN, xy).all()
+            xy = sample_hexagon_xy(ORIGIN, 40, np.random.default_rng(seed))
+            assert hexagon_contains(CELL_RADIUS, ORIGIN, xy).all()
 
     def test_symmetry_of_sample_mean(self):
         # Oracle: the uniform distribution on a centered hexagon has zero
         # mean, so the sample mean must sit within 3 standard errors of 0.
-        xy = sample_hexagon_xy(1000.0, ORIGIN, 100_000, np.random.default_rng(42))
+        xy = sample_hexagon_xy(ORIGIN, 100_000, np.random.default_rng(42))
         se = xy.std(axis=0, ddof=1) / math.sqrt(xy.shape[0])
         assert abs(xy[:, 0].mean()) < 3.0 * se[0]
         assert abs(xy[:, 1].mean()) < 3.0 * se[1]
 
     def test_deterministic_given_seed(self):
-        a = sample_hexagon_xy(1000.0, ORIGIN, 100, np.random.default_rng(7))
-        b = sample_hexagon_xy(1000.0, ORIGIN, 100, np.random.default_rng(7))
+        a = sample_hexagon_xy(ORIGIN, 100, np.random.default_rng(7))
+        b = sample_hexagon_xy(ORIGIN, 100, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
 
 class TestRhombusSampler:
     def test_batch_of_cells_stays_in_its_cells(self):
-        centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 2)])
-        xy = sample_hexagon_xy(1000.0, centers, 5, np.random.default_rng(8), batch=(4,))
+        centers = np.vstack([ORIGIN, interferer_cell_centers(2)])
+        xy = sample_hexagon_xy(centers, 5, np.random.default_rng(8), batch=(4,))
         assert xy.shape == (4, 19 * 5, 2)
         for k, c in enumerate(centers):
             block = xy[:, 5 * k : 5 * (k + 1)].reshape(-1, 2)
-            assert hexagon_contains(1000.0, c, block).all()
+            assert hexagon_contains(CELL_RADIUS, c, block).all()
 
     def test_second_moment_matches_hexagon(self):
         # Oracle: a uniform point in a hexagon of circumradius R has
         # E[r^2] = 5 R^2 / 12, and each 60-degree wedge holds a sixth of it.
-        xy = sample_hexagon_xy(1.0, ORIGIN, 200_000, np.random.default_rng(9))
-        r_sq = (xy**2).sum(axis=1)
+        xy = sample_hexagon_xy(ORIGIN, 200_000, np.random.default_rng(9))
+        r_sq = (xy**2).sum(axis=1) / CELL_RADIUS**2
         assert abs(r_sq.mean() - 5.0 / 12.0) < 4.0 * r_sq.std() / math.sqrt(r_sq.size)
         wedge = np.floor(np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * math.pi) / (math.pi / 3.0))
         shares = np.bincount(wedge.astype(int), minlength=6) / xy.shape[0]
@@ -224,8 +222,8 @@ class TestRhombusSampler:
         # k = trunc(3u) and u' = 3u - k), with or without a workspace, and a
         # smaller batch in a workspace sized by a larger one reads no stale
         # value.
-        centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 1)])
-        edge_a, edge_b = rhombus_spans(1000.0)
+        centers = np.vstack([ORIGIN, interferer_cell_centers(1)])
+        edge_a, edge_b = rhombus_spans()
         work = {}
         for drops, seed in ((5, 11), (2, 12)):
             u_plane, v_plane = np.random.default_rng(seed).random((2, drops, 7, 4))
@@ -239,7 +237,7 @@ class TestRhombusSampler:
             expected = expected.reshape(drops, 28, 2)
             for scratch in (work, None):
                 rng = np.random.default_rng(seed)
-                xy = sample_hexagon_xy(1000.0, centers, 4, rng, batch=(drops,), work=scratch)
+                xy = sample_hexagon_xy(centers, 4, rng, batch=(drops,), work=scratch)
                 assert np.array_equal(xy, expected)
 
     def test_one_uniform_picks_the_rhombus_at_its_edges(self):
@@ -251,7 +249,7 @@ class TestRhombusSampler:
         center = (300.0, -200.0)
         work = {}
         stub = ConstantUniforms(np.stack([u, v])[:, None])
-        xy = sample_hexagon_xy(1000.0, center, 4, stub, work=work)
+        xy = sample_hexagon_xy(center, 4, stub, work=work)
         assert work["pick"][:4].tolist() == [0, 1, 2, 2]
         refined = [0.0, 0.0, 0.0, 1.0 - 2.0**-51]
         assert_points_of_rhombi(xy, [0, 1, 2, 2], refined, v, center)
@@ -262,22 +260,22 @@ class TestRhombusSampler:
         work = {}
         v = u[::-1]
         stub = ConstantUniforms(np.stack([u, v])[:, None])
-        xy = sample_hexagon_xy(1000.0, ORIGIN, u.size, stub, work=work)
+        xy = sample_hexagon_xy(ORIGIN, u.size, stub, work=work)
         picks = work["pick"][: u.size]
         assert np.isin(picks, (0, 1, 2)).all()
         assert_points_of_rhombi(xy, picks, 3.0 * u - picks, v, ORIGIN)
 
     def test_x_and_y_are_contiguous_planes(self):
         # The kernel reads all x, then all y, of a block's points.
-        centers = np.vstack([ORIGIN, interferer_cell_centers(1000.0, 1)])
+        centers = np.vstack([ORIGIN, interferer_cell_centers(1)])
         for work in ({}, None):
-            xy = sample_hexagon_xy(1000.0, centers, 4, np.random.default_rng(3), batch=(5,), work=work)
+            xy = sample_hexagon_xy(centers, 4, np.random.default_rng(3), batch=(5,), work=work)
             assert xy.shape == (5, 28, 2)
             assert xy[..., 0].flags.c_contiguous and xy[..., 1].flags.c_contiguous
 
     def test_serving_indices_keep_the_batch_axis(self):
         layout = build_layout(make_cfg(), "used")
-        xy = sample_hexagon_xy(1000.0, ORIGIN, 30, np.random.default_rng(10), batch=(3,))
+        xy = sample_hexagon_xy(ORIGIN, 30, np.random.default_rng(10), batch=(3,))
         batched = kernel_serving(layout, xy)
         assert batched.shape == (3, 30)
         for row, points in zip(batched, xy):
@@ -358,7 +356,7 @@ class TestServingAntenna:
     def test_partition_of_the_cell(self):
         layout = build_layout(make_cfg(), "used")
         rng = np.random.default_rng(5)
-        xy = sample_hexagon_xy(1000.0, ORIGIN, 500, rng)
+        xy = sample_hexagon_xy(ORIGIN, 500, rng)
         serving = kernel_serving(layout, xy[None])[0]
         assert serving.min() >= 0 and serving.max() < 3
         bearings = np.arctan2(xy[:, 1], xy[:, 0])
@@ -402,10 +400,10 @@ class TestServingFromBeamMask:
     def test_every_home_cell_user_lies_in_a_beam(self, beamwidth):
         cfg = make_cfg(beamwidth=beamwidth, n_users=20)
         layout = build_layout(cfg, "used")
-        centers = np.vstack([ORIGIN, interferer_cell_centers(cfg.cell_radius, 1)])
+        centers = np.vstack([ORIGIN, interferer_cell_centers(1)])
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            xy = sample_hexagon_xy(cfg.cell_radius, centers, 20, rng, batch=(39,))
+            xy = sample_hexagon_xy(centers, 20, rng, batch=(39,))
             _, inside = _path_gains(layout, xy, cfg)
             assert inside[..., :20].any(axis=0).all()
         # Points exactly on the sector edges lie in both beams.
@@ -418,7 +416,7 @@ class TestServingFromBeamMask:
     def test_serving_antenna_has_the_max_gain(self, beamwidth):
         cfg = make_cfg(beamwidth=beamwidth, floor_gain_db=-20.0)
         layout = build_layout(cfg, "used")
-        xy = sample_hexagon_xy(cfg.cell_radius, ORIGIN, 400, np.random.default_rng(21), batch=(5,))
+        xy = sample_hexagon_xy(ORIGIN, 400, np.random.default_rng(21), batch=(5,))
         gains, inside = _path_gains(layout, xy, cfg)
         served = np.take_along_axis(gains, serving_sector_indices(inside)[None], axis=0)
         loss = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), cfg.d_min) ** -cfg.rho
@@ -429,7 +427,7 @@ class TestServingFromBeamMask:
         layout = build_layout(cfg, "used")
         rng = np.random.default_rng(22)
         edges = layout.boresights + math.pi / cfg.sector_count
-        points = list(sample_hexagon_xy(cfg.cell_radius, ORIGIN, 2000, rng))
+        points = list(sample_hexagon_xy(ORIGIN, 2000, rng))
         # And the hardest points kept: 2e-9 rad to either side of every edge.
         for edge in edges:
             for r in (0.5, 37.0, 999.0):
@@ -462,10 +460,10 @@ class TestServingFromBeamMask:
 
 class TestInterfererCells:
     def test_ring_counts(self):
-        assert interferer_cell_centers(1000.0, 0).shape == (0, 2)
-        assert len(interferer_cell_centers(1000.0, 1)) == 6
-        assert len(interferer_cell_centers(1000.0, 2)) == 18
+        assert interferer_cell_centers(0).shape == (0, 2)
+        assert len(interferer_cell_centers(1)) == 6
+        assert len(interferer_cell_centers(2)) == 18
 
     def test_first_ring_distance(self):
-        for x, y in interferer_cell_centers(1000.0, 1):
+        for x, y in interferer_cell_centers(1):
             assert math.hypot(x, y) == pytest.approx(1000.0 * math.sqrt(3.0))

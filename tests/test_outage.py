@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage
-from cellsim.geometry import build_layout, interferer_cell_centers
+from cellsim.geometry import CELL_RADIUS, build_layout, interferer_cell_centers
 from cellsim.outage import OutageCurve, analytic_outage_used, combine_columns, mc_outage, sample_hexagon_xy
-from cellsim.scenario import ConfigError, ScenarioConfig, mean_received_powers, render_csv, run_experiment
-from scalar_oracle import below_sum, matched_exponential_outage, oracle_counts, reference_outage_used
+from cellsim.scenario import ScenarioConfig, mean_received_powers, render_csv, run_experiment
+from scalar_oracle import (
+    PATH_CONSTANT, TX_POWER, below_sum, matched_exponential_outage, oracle_counts, reference_outage_used,
+)
 
 rates = st.floats(min_value=0.1, max_value=10.0)
 
@@ -96,14 +98,9 @@ class TestAnalyticOutage:
         assert 0.0 < lo < hi
 
     def test_rejects_nonpositive_desired_mean(self):
-        # A zero transmit power, or a cell or transmit power whose edge power
-        # is not a normal float, lies outside the power-scale ranges.  At the
-        # weakest corner of those ranges the desired mean is a normal float.
-        for bad, key in ((dict(tx_power=0.0), "tx_power"), (dict(cell_radius=1e300), "cell_radius"),
-                         (dict(tx_power=1e-300), "tx_power")):
-            with pytest.raises(ConfigError, match=f"^{key} must be in "):
-                ScenarioConfig(architecture="microzone", **bad)
-        weakest = ScenarioConfig(cell_radius=1e5, tx_power=1e-9, d_min=1e5, rho=5.0, shadowing_sigma=0.0)
+        # No config can make the desired mean nonpositive: at the weakest
+        # corner of the power-scale ranges it is a normal float.
+        weakest = ScenarioConfig(d_min=1e5, rho=5.0, shadowing_sigma=0.0)
         assert mean_received_powers(weakest)[0] >= sys.float_info.min
 
     def test_zero_mean_interferers_are_inert(self):
@@ -233,7 +230,10 @@ class TestKernelAgainstScalarOracle:
         beamwidth=st.sampled_from([60.0, 120.0]),
         tiers=st.integers(0, 2),
         n_users=st.integers(1, 6),
-        noise_power=st.sampled_from([None, 0.0]),
+        # The noise in dB below one cell-edge user's mean in-beam power: None
+        # is auto (30 dB) and inf no noise.  10 and -10 are explicit noise
+        # powers; at -10 the noise sets many SIRs of a small drop.
+        noise_below_edge_db=st.sampled_from([None, math.inf, 10.0, -10.0]),
         floor_gain_db=st.sampled_from([float("-inf"), -20.0, -3.0]),
         combiner=st.sampled_from(["paper", "classical-mrc"]),
         architecture=st.sampled_from(["both", "used", "microzone"]),
@@ -242,7 +242,6 @@ class TestKernelAgainstScalarOracle:
         # that the workloads use, nor rho = 4, the kernel's squared reciprocal.
         rho=st.one_of(st.sampled_from([2.0, 3.0, 4.0, 5.0]), st.floats(2.0, 5.0)),
         sigma=st.floats(0.0, 12.0),
-        tx_power=st.sampled_from([0.3, 1.0, 7.0]),
         d_min=st.sampled_from([1.0, 35.0, 500.0]),
         link_budget=st.sampled_from([2**7, 2**9, outage.LINK_BUDGET]),
         n_drops=st.integers(1, 12),
@@ -250,14 +249,16 @@ class TestKernelAgainstScalarOracle:
     )
     @settings(max_examples=25, deadline=None)
     def test_counts_match(
-        self, beamwidth, tiers, n_users, noise_power, floor_gain_db, combiner,
-        architecture, paired, rho, sigma, tx_power, d_min, link_budget, n_drops, seed,
+        self, beamwidth, tiers, n_users, noise_below_edge_db, floor_gain_db, combiner,
+        architecture, paired, rho, sigma, d_min, link_budget, n_drops, seed,
     ):
+        edge_power = PATH_CONSTANT * CELL_RADIUS**-rho * TX_POWER
+        noise_power = None if noise_below_edge_db is None else edge_power * 10.0 ** (-noise_below_edge_db / 10.0)
         cfg = ScenarioConfig(
             beamwidth=beamwidth, interferer_tiers=tiers, n_users=n_users,
             noise_power=noise_power, floor_gain_db=floor_gain_db, combiner_mode=combiner,
             architecture=architecture, paired=paired, rho=rho, shadowing_sigma=sigma,
-            tx_power=tx_power, d_min=d_min,
+            d_min=d_min,
             thresholds=(-10.0, 10.0, 2.5), n_drops=n_drops, master_seed=seed,
         )
         archs = ["used", "microzone"] if architecture == "both" else [architecture]
@@ -424,7 +425,7 @@ class TestPinnedCounts:
         # block leaves behind changes the next.
         cfg = ScenarioConfig(master_seed=9, **overrides)
         centers = np.vstack(
-            [np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, cfg.interferer_tiers)]
+            [np.zeros((1, 2)), interferer_cell_centers(cfg.interferer_tiers)]
         )
         per_block = outage.LINK_BUDGET // (cfg.sector_count * len(centers) * cfg.n_users)
         # Two full blocks and a short third, whatever the link budget.
@@ -463,8 +464,8 @@ class TestAntennaMajor:
     @pytest.mark.parametrize("rho", [3.0, 4.0])
     def test_path_gains_are_those_of_one_antenna_and_one_drop(self, beamwidth, rho):
         cfg = ScenarioConfig(beamwidth=beamwidth, rho=rho, floor_gain_db=-20.0)
-        centers = np.vstack([np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, 1)])
-        xy = sample_hexagon_xy(cfg.cell_radius, centers, 7, np.random.default_rng(31), batch=(4,))
+        centers = np.vstack([np.zeros((1, 2)), interferer_cell_centers(1)])
+        xy = sample_hexagon_xy(centers, 7, np.random.default_rng(31), batch=(4,))
         for arch in ("used", "microzone"):
             layout = build_layout(cfg, arch)
             gains, inside = outage._path_gains(layout, xy, cfg)
@@ -482,10 +483,10 @@ class TestAntennaMajor:
         # views over the first elements of arrays a larger block allocated.
         # Both architectures share the workspace, as in the kernel.
         cfg = ScenarioConfig(beamwidth=beamwidth, floor_gain_db=-20.0)
-        centers = np.vstack([np.zeros((1, 2)), interferer_cell_centers(cfg.cell_radius, 1)])
+        centers = np.vstack([np.zeros((1, 2)), interferer_cell_centers(1)])
         work: dict = {}
         for drops, seed in ((6, 41), (2, 42)):
-            xy = sample_hexagon_xy(cfg.cell_radius, centers, 7, np.random.default_rng(seed), batch=(drops,))
+            xy = sample_hexagon_xy(centers, 7, np.random.default_rng(seed), batch=(drops,))
             for arch in ("used", "microzone"):
                 layout = build_layout(cfg, arch)
                 fresh_gains, fresh_inside = outage._path_gains(layout, xy, cfg)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellsim import outage, scenario
-from cellsim.geometry import build_layout
+from cellsim.geometry import CELL_RADIUS, build_layout
 from cellsim.outage import (
     PATH_GAIN_CONSTANT,
     OutageCurve,
@@ -44,7 +44,7 @@ from scalar_oracle import reference_mean_received_powers, reference_outage_used
 
 
 # The closed range of each power-scale key, as ScenarioConfig.validate checks it.
-POWER_BOX = {"processing_gain": (1.0, 1e6), "cell_radius": (1.0, 1e5), "tx_power": (1e-9, 1e6), "d_min": (1e-3, 1e5)}
+POWER_BOX = {"processing_gain": (1.0, 1e6), "d_min": (1e-3, 1e5)}
 
 
 def assert_runs_clean(overrides):
@@ -58,7 +58,7 @@ def assert_runs_clean(overrides):
 
 def assert_rejected_and_bound_runs(overrides, key):
     """The config is rejected, naming ``key``'s range; moved to the bounds it crossed, it runs."""
-    with pytest.raises(ConfigError, match=rf"^{key} must be in \[.*\]( m| W)?, got "):
+    with pytest.raises(ConfigError, match=rf"^{key} must be in \[.*\]( m)?, got "):
         ScenarioConfig(**overrides)
     assert_runs_clean({
         name: min(max(value, POWER_BOX[name][0]), POWER_BOX[name][1]) if name in POWER_BOX else value
@@ -95,11 +95,11 @@ class TestParseConfig:
     def test_si_suffixes(self):
         cfg = parse_config(
             "shadowing_sigma = 5 dB\n"
-            "cell_radius = 1000 m\n"
+            "d_min = 2 m\n"
             "beamwidth = 120 deg\n"
         )
         assert cfg.shadowing_sigma == 5.0
-        assert cfg.cell_radius == 1000.0
+        assert cfg.d_min == 2.0
         assert cfg.beamwidth == 120.0
 
     def test_threshold_sweep(self):
@@ -136,10 +136,10 @@ class TestParseConfig:
         assert cfg.floor_gain == 0.0
 
     def test_unit_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match=r"tx_power.*unit"):
-            parse_config("tx_power = 3 dB")
-        with pytest.raises(ConfigError, match=r"cell_radius.*unit"):
-            parse_config("cell_radius = 1 km")
+        with pytest.raises(ConfigError, match=r"noise_power.*unit"):
+            parse_config("noise_power = 3 dB")
+        with pytest.raises(ConfigError, match=r"d_min.*unit"):
+            parse_config("d_min = 1 km")
         # No key takes a rate, and no suffix scales its number.
         for name, unit in itertools.product(scenario._UNITS, ["kHz", "kb/s", "Mchip/s"]):
             with pytest.raises(ConfigError, match=f"^line 1: bad value for '{name}': unsupported unit '{unit}'$"):
@@ -149,11 +149,11 @@ class TestParseConfig:
         "line, field, value",
         [
             ("processing_gain = 1_000", "processing_gain", 1000.0),
-            ("cell_radius = 4_5 m", "cell_radius", 45.0),
-            ("cell_radius = 38_000 m", "cell_radius", 3.8e4),
+            ("d_min = 4_5 m", "d_min", 45.0),
+            ("d_min = 38_000 m", "d_min", 3.8e4),
             ("rho = 3.2_5", "rho", 3.25),
-            ("cell_radius = 1_0e0_2 m", "cell_radius", 1000.0),
-            ("tx_power = .2_5 W", "tx_power", 0.25),
+            ("d_min = 1_0e0_2 m", "d_min", 1000.0),
+            ("d_min = .2_5 m", "d_min", 0.25),
             ("n_users = 1_000", "n_users", 1000),
             ("thresholds = 1_0:2_0:1_0", "thresholds", (10.0, 20.0, 10.0)),
         ],
@@ -163,8 +163,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["cell_radius = 1__000 m", "processing_gain = _1000", "cell_radius = 1000_", "rho = 4_.0",
-         "rho = 4._0", "tx_power = 1_ W", "n_users = 1__0", "thresholds = 1__0:20:1"],
+        ["d_min = 1__000 m", "processing_gain = _1000", "d_min = 1000_", "rho = 4_.0",
+         "rho = 4._0", "d_min = 1_ m", "n_users = 1__0", "thresholds = 1__0:20:1"],
     )
     def test_misplaced_digit_underscores_rejected(self, line):
         key = line.partition(" ")[0]
@@ -214,25 +214,22 @@ class TestParseConfig:
     def test_overflowing_power_at_d_min_rejected(self):
         # The first three once overflowed the in-beam power at d_min, or that
         # power despread and shadowed, and 1e-75 m once ran; all lie below
-        # d_min's range, and the second also above tx_power's.
+        # d_min's range.
         assert_rejected_and_bound_runs({"d_min": 1e-80}, "d_min")
-        assert_rejected_and_bound_runs({"d_min": 1e-61, "rho": 5.0, "tx_power": 1e8}, "tx_power")
+        assert_rejected_and_bound_runs({"d_min": 1e-61, "rho": 5.0}, "d_min")
         assert_rejected_and_bound_runs({"d_min": 1e-77}, "d_min")
         assert_rejected_and_bound_runs({"d_min": 1e-75}, "d_min")
 
     @pytest.mark.parametrize("overrides, key", [
-        pytest.param({"processing_gain": 1e20, "tx_power": 1e300}, "processing_gain", id="despread"),
-        pytest.param({"tx_power": 1e295, "shadowing_sigma": 12.0}, "tx_power", id="shadowed"),
-        pytest.param({"tx_power": 1e308, "shadowing_sigma": 12.0, "d_min": 1e4}, "tx_power",
-                     id="before-distance-loss"),
+        pytest.param({"processing_gain": 1e20}, "processing_gain", id="despread"),
     ])
     def test_largest_formed_power_must_be_finite(self, overrides, key):
         assert_rejected_and_bound_runs(overrides, key)
 
     @pytest.mark.parametrize("overrides", [
-        {"tx_power": 1e6, "shadowing_sigma": 12.0},
-        {"tx_power": 1e6, "d_min": 1e-3, "rho": 5.0},
-        {"processing_gain": 1e6, "tx_power": 1e6, "d_min": 1e-3, "shadowing_sigma": 12.0},
+        {"shadowing_sigma": 12.0},
+        {"d_min": 1e-3, "rho": 5.0},
+        {"processing_gain": 1e6, "d_min": 1e-3, "shadowing_sigma": 12.0},
     ])
     def test_config_inside_the_power_bound_runs(self, overrides):
         # Each sits at the strong end of the power box, and 200 drops of 40
@@ -254,10 +251,10 @@ class TestParseConfig:
     def test_d_min_whose_square_overflows_rejected(self):
         # Both once overflowed d_min**2, the kernel's clamp on squared distances.
         assert_rejected_and_bound_runs({"d_min": 1e300}, "d_min")
-        assert_rejected_and_bound_runs({"d_min": 1.3407807929942597e154, "rho": 2.0, "tx_power": 1e6}, "d_min")
+        assert_rejected_and_bound_runs({"d_min": 1.3407807929942597e154, "rho": 2.0}, "d_min")
 
     @pytest.mark.parametrize(
-        "overrides", [{}, {"rho": 2.0, "tx_power": 1e6}, {"rho": 5.0, "tx_power": 1e3}]
+        "overrides", [{}, {"rho": 2.0}, {"rho": 5.0}]
     )
     def test_d_min_beyond_the_cell_is_rejected_or_gives_a_finite_curve(self, overrides):
         # Beyond the cell edge d_min clamps every in-cell distance, and the
@@ -278,35 +275,28 @@ class TestParseConfig:
             accepted.append(d_min)
         assert accepted == [1e3, 1e4, 1e5]
 
-    @pytest.mark.parametrize("field", ["cell_radius", "d_min"])
     @pytest.mark.parametrize(
         "distance", [pytest.param(1e-80, id="overflow"), pytest.param(1e100, id="underflow")]
     )
-    def test_each_end_of_the_distance_range_is_checked(self, field, distance):
-        # At rho = 4 and the default tx_power the in-beam power at 1e-80 m is
-        # beyond float range, and at 1e100 m below the smallest normal float.
-        # Either end is rejected with an error that names its own field, and
-        # the bound it crossed runs.
-        assert_rejected_and_bound_runs({field: distance}, field)
-
-    def test_cell_radius_whose_farthest_square_overflows_rejected(self):
-        # The kernel squares distances of up to (2 sqrt(3) + 2) cell radii,
-        # which once overflowed above about 2.45e153 m.
-        for radius in (1e155, 2.453799155710719e153):
-            assert_rejected_and_bound_runs(
-                {"cell_radius": radius, "rho": 2.0, "tx_power": 1e7, "interferer_tiers": 2,
-                 "n_drops": 40, "n_users": 5},
-                "cell_radius",
-            )
+    def test_each_end_of_the_distance_range_is_checked(self, distance):
+        # At rho = 4 and 1 W the in-beam power at 1e-80 m is beyond float
+        # range, and at 1e100 m below the smallest normal float.  Either end
+        # is rejected with an error that names d_min, and the bound it crossed
+        # runs.
+        assert_rejected_and_bound_runs({"d_min": distance}, "d_min")
 
     def test_floor_gain_above_the_in_beam_gain_rejected(self):
         with pytest.raises(ConfigError, match="^floor_gain_db must be at most 0 dB"):
             parse_config("floor_gain_db = 1 dB")
         assert parse_config("floor_gain_db = 0 dB").floor_gain == 1.0
 
-    @pytest.mark.parametrize("text", ["wavelength = 0.15 m", "max_gain_db = 0 dB"])
+    @pytest.mark.parametrize(
+        "text", ["wavelength = 0.15 m", "max_gain_db = 0 dB", "cell_radius = 1000 m", "tx_power = 1 W"]
+    )
     def test_retired_power_keys_are_unknown(self, text):
-        # Both only rescaled every received power, as tx_power does.
+        # Each set only a scale that every SIR divides out: the first two
+        # rescaled every received power, and the cell is now the paper's
+        # 1 km, with every user at 1 W.
         key = text.partition(" ")[0]
         with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
             parse_config(text)
@@ -320,8 +310,8 @@ class TestParseConfig:
 
     def test_non_finite_values_rejected(self):
         for text in (
-            "cell_radius = nan",
-            "tx_power = inf",
+            "d_min = nan",
+            "noise_power = inf",
             "processing_gain = nan",
             "thresholds = nan:10:1",
             "floor_gain_db = inf",
@@ -362,7 +352,7 @@ class TestParseConfig:
         ("noise_power", "auto", "a number"),
         ("floor_gain_db", None, "a number"),
         # Python integers beyond float range, which math.isfinite cannot take.
-        pytest.param("cell_radius", 10**400, "finite", id="cell_radius-int-beyond-float"),
+        pytest.param("d_min", 10**400, "finite", id="d_min-int-beyond-float"),
         pytest.param("thresholds", (-10, 10**400, 1), "finite", id="thresholds-int-beyond-float"),
         pytest.param("rho", -10**400, "finite", id="rho-int-beyond-float"),
     ])
@@ -393,13 +383,13 @@ class TestParseConfig:
         for arch, curve in expected.items():
             np.testing.assert_array_equal(curves[arch].estimates, curve.estimates)
 
-    def test_numpy_float16_radius_runs_as_its_config_text(self):
-        cfg = ScenarioConfig(cell_radius=np.float16(800.0), n_drops=20)
+    def test_numpy_float16_d_min_runs_as_its_config_text(self):
+        cfg = ScenarioConfig(d_min=np.float16(1.7), n_drops=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             csv = render_csv(run_experiment(cfg))
         assert csv == render_csv(run_experiment(parse_config(serialize_config(cfg))))
-        assert type(cfg.cell_radius) is float
+        assert type(cfg.d_min) is float
 
     def test_numpy_longdouble_round_trips(self):
         cfg = ScenarioConfig(rho=np.longdouble("3.3"))
@@ -421,7 +411,7 @@ class TestParseConfig:
 # Every config key, once; each is the name of its ScenarioConfig field.
 GRAMMAR_KEYS = (
     "architecture", "n_users", "processing_gain", "thresholds", "rho", "shadowing_sigma",
-    "noise_power", "cell_radius", "beamwidth", "tx_power", "d_min", "n_drops",
+    "noise_power", "beamwidth", "d_min", "n_drops",
     "master_seed", "combiner_mode", "interferer_tiers", "paired", "floor_gain_db",
 )
 
@@ -432,7 +422,7 @@ def config_keys(text: str) -> list:
 
 @st.composite
 def valid_configs(draw):
-    """Configs that set all 17 fields, the power-scale keys anywhere in their closed ranges."""
+    """Configs that set all 15 fields, the power-scale keys anywhere in their closed ranges."""
     start = draw(st.floats(-100.0, 100.0))
     return ScenarioConfig(
         architecture=draw(st.sampled_from(ARCHITECTURE_CHOICES)),
@@ -442,9 +432,7 @@ def valid_configs(draw):
         rho=draw(st.floats(2.0, 5.0)),
         shadowing_sigma=draw(st.floats(0.0, 12.0)),
         noise_power=draw(st.none() | st.floats(0.0, 1e300)),
-        cell_radius=draw(st.floats(*POWER_BOX["cell_radius"])),
         beamwidth=draw(st.sampled_from((60.0, 120.0))),
-        tx_power=draw(st.floats(*POWER_BOX["tx_power"])),
         d_min=draw(st.floats(*POWER_BOX["d_min"])),
         n_drops=draw(st.integers(1, 2**64)),
         master_seed=draw(st.integers(0, 2**64)),
@@ -473,7 +461,7 @@ class TestRoundTrip:
             replace(ScenarioConfig(), rho=3.3, noise_power=2.5e-17),
             replace(ScenarioConfig(), thresholds=(-4.0, 6.0, 0.5), paired=False),
             replace(ScenarioConfig(), combiner_mode="paper", interferer_tiers=2),
-            replace(ScenarioConfig(), tx_power=0.1 + 0.2, master_seed=2**63),
+            replace(ScenarioConfig(), d_min=0.1 + 0.2, master_seed=2**63),
             replace(ScenarioConfig(), architecture="microzone", beamwidth=60.0),
             replace(ScenarioConfig(), rho=np.float64(3.3), n_users=np.int64(7)),
             replace(ScenarioConfig(), rho=np.float32(3.0), n_drops=np.int32(5), noise_power=np.float64(0.0)),
@@ -502,8 +490,7 @@ class TestScenarioDefaults:
         assert cfg.rho == 4.0
         assert cfg.shadowing_sigma == 5.0
         assert cfg.beamwidth == 120.0
-        assert cfg.cell_radius == 1000.0
-        assert cfg.tx_power == 1.0
+        assert CELL_RADIUS == 1000.0
 
     def test_threshold_sweep_covers_zero_db(self):
         thr = ScenarioConfig().thresholds_db
@@ -534,7 +521,7 @@ class TestMeanReceivedPowers:
         mean_desired, _, _ = mean_received_powers(cfg)
         rng = np.random.default_rng(17)
         layout = build_layout(cfg, "used")
-        xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 400_000, rng)
+        xy = sample_hexagon_xy((0.0, 0.0), 400_000, rng)
         serving = serving_sector_indices(_path_gains(layout, xy[None], cfg)[1])[0]
         wedge = xy[serving == 0]
         d = np.maximum(np.hypot(wedge[:, 0], wedge[:, 1]), cfg.d_min)

@@ -37,10 +37,10 @@ def drop_sirs(arch, seed, **cfg):
     cfg = ScenarioConfig(interferer_tiers=0, **cfg)
     layout = build_layout(cfg, arch)
     rng = np.random.default_rng(seed)
-    xy = sample_hexagon_xy(cfg.cell_radius, (0.0, 0.0), 12, rng, batch=(1,))
+    xy = sample_hexagon_xy((0.0, 0.0), 12, rng, batch=(1,))
     gains, inside = _path_gains(layout, xy, cfg)
     gains = gains * rng.exponential(1.0, (1, 3, 12)).transpose(1, 0, 2)
-    return inside, per_antenna_sir_matrix(gains * cfg.tx_power, 1e-18, cfg.processing_gain, 12)
+    return inside, per_antenna_sir_matrix(gains, 1e-18, cfg.processing_gain, 12)
 
 
 class TestProcessingGain:
