@@ -120,12 +120,25 @@ def test_bad_thresholds_flag_fails_cleanly(tmp_path, capsys):
         "d_min = 1e300 m\n",
         "d_min = 1e100 m\n",
         "processing_gain = 1e20\n",
+        "d_min = 0 m\n",
+        "d_min = 1e400 m\n",
+        "processing_gain = 0.5\n",
+        "noise_power = -1e-14 W\n",
+        "shadowing_sigma = 400 dB\nprocessing_gain = 1e6\nd_min = 1e-3 m\n",
+        "architecture = microzone\nd_min = 0 m\n",
+        "architecture = microzone\nd_min = 1e-4 m\n",
+        "architecture = microzone\nd_min = 1e300 m\n",
+        "architecture = microzone\nd_min = 1e100 m\n",
+        "architecture = microzone\nprocessing_gain = 1e20\n",
     ],
     ids=[
         "d_min_below_range", "floor_gain_above_beam_gain", "sweep_step_count_overflow",
         "sweep_span_overflow",
         "d_min_power_overflow", "d_min_square_overflow", "d_min_power_underflow",
-        "despread_power_overflow",
+        "despread_power_overflow", "zero_d_min", "d_min_beyond_float", "processing_gain_below_range",
+        "negative_noise_power", "shadowed_power_overflow", "microzone_zero_d_min",
+        "microzone_d_min_below_range", "microzone_d_min_square_overflow",
+        "microzone_d_min_power_underflow", "microzone_despread_power_overflow",
     ],
 )
 def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, config_text):
@@ -143,6 +156,22 @@ def test_unusable_config_fails_before_any_drop(tmp_path, capsys, monkeypatch, co
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), stderr
     assert "unknown key" not in stderr
+
+
+@pytest.mark.parametrize("line", ["cell_radius = 1000 m", "tx_power = 1 W"])
+def test_retired_scale_key_fails_before_any_drop(tmp_path, capsys, monkeypatch, line):
+    # The cell is the paper's 1 km and every user transmits 1 W; a config
+    # that still sets either fails as an unknown key, before Monte Carlo.
+    def no_drops(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran on a config that must be rejected first")
+
+    monkeypatch.setattr(scenario, "mc_outage", no_drops)
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(line + "\n")
+    code, _, stderr = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 1
+    assert stderr == f"error: {cfg}: line 1: unknown key '{line.partition(' ')[0]}'\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 class Simulated(Exception):

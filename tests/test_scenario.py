@@ -222,6 +222,13 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("overrides, key", [
         pytest.param({"processing_gain": 1e20}, "processing_gain", id="despread"),
+        pytest.param({"processing_gain": 1e20, "shadowing_sigma": 12.0}, "processing_gain", id="shadowed"),
+        pytest.param({"processing_gain": 1e300, "shadowing_sigma": 12.0, "d_min": 1e4}, "processing_gain",
+                     id="before-distance-loss"),
+        pytest.param({"processing_gain": 1e7, "rho": 5.0, "shadowing_sigma": 12.0, "d_min": 1e-3},
+                     "processing_gain", id="just-past-the-strong-corner"),
+        pytest.param({"processing_gain": 1e6, "rho": 5.0, "shadowing_sigma": 12.0, "d_min": 1e-80}, "d_min",
+                     id="at-the-strong-corner"),
     ])
     def test_largest_formed_power_must_be_finite(self, overrides, key):
         assert_rejected_and_bound_runs(overrides, key)
